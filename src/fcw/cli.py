@@ -236,12 +236,14 @@ def cmd_calibrate(args) -> int:
     if not splits.cal:
         print("error: calibration split is empty", file=sys.stderr)
         return 1
-    corr = cqr_mod.calibrate_model(model, splits.cal, model_cfg.alpha)
+    lower, upper, targets = cqr_mod.raw_intervals(model, splits.cal)
+    corr = cqr_mod.calibrate(lower, upper, targets, model_cfg.alpha)
     cqr_mod.save_correction(args.out, corr, fingerprint=str(traj))
-    stats = pipeline.prediction_metrics(model, splits.cal, model_cfg, corr=corr)
+    raw_coverage, _ = cqr_mod.empirical_coverage(lower, upper, targets)
+    coverage, width = cqr_mod.empirical_coverage(*cqr_mod.conformal_interval(lower, upper, corr), targets)
     print(
-        f"alpha={model_cfg.alpha}  raw coverage={stats['raw_coverage']:.3f}  "
-        f"calibrated coverage={stats['coverage']:.3f}  mean width={stats['mean_width']:.3f} m"
+        f"alpha={model_cfg.alpha}  raw coverage={raw_coverage:.3f}  "
+        f"calibrated coverage={coverage:.3f}  mean width={width:.3f} m"
     )
     return 0
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import HstanModel, PredictionBatch, WindowSample, forward_batch, outputs_to_predictions, prepare_batch
+from .model import HstanModel, PredictionBatch, WindowSample, predict_windows
 
 
 def nonconformity(lower, upper, y):
@@ -96,22 +96,14 @@ def raw_intervals(model: HstanModel, windows: list[WindowSample]):
     Returns arrays of shape (n_vehicles_total, T', 2); each vehicle in each
     window is one pooled example.
     """
-    lowers, uppers, targets = [], [], []
-    for w in windows:
-        if w.target_abs is None:
-            raise ValueError("calibration windows need ground-truth futures")
-        batch = prepare_batch([w], model.config)
-        out = forward_batch(model, batch)
-        pred = outputs_to_predictions(out, batch, model.config)[0]
-        lowers.append(pred.lower)
-        uppers.append(pred.upper)
-        targets.append(w.target_abs.transpose(1, 0, 2))  # (N, T', 2)
-    return np.concatenate(lowers), np.concatenate(uppers), np.concatenate(targets)
-
-
-def calibrate_model(model: HstanModel, windows: list[WindowSample], alpha: float) -> ConformalCorrection:
-    lower, upper, targets = raw_intervals(model, windows)
-    return calibrate(lower, upper, targets, alpha)
+    if any(w.target_abs is None for w in windows):
+        raise ValueError("calibration windows need ground-truth futures")
+    preds = predict_windows(model, windows)
+    return (
+        np.concatenate([p.lower for p in preds]),
+        np.concatenate([p.upper for p in preds]),
+        np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows]),  # (N, T', 2)
+    )
 
 
 def apply_correction(pred: PredictionBatch, corr: ConformalCorrection | None) -> PredictionBatch:

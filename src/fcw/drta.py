@@ -152,7 +152,7 @@ class TrackState:
         rp = risk_pred(inputs, w)
         rk = risk_kin(inputs, w)
         rg = risk_geo(inputs, w)
-        risk = w.w_pred * rp + w.w_kin * rk + w.w_geo * rg
+        risk = risk_total(inputs, w)
         mu, sigma = window_stats(self.window)
         if self.fixed_threshold is not None:
             threshold = self.fixed_threshold
@@ -175,12 +175,6 @@ class TrackState:
         self.window.push(risk)
         self.tick += 1
         return event
-
-
-def replay(stream, weights: RiskWeights, window_size: int = 50, fixed_threshold: float | None = None):
-    """Run a precomputed risk-input stream through a fresh track; returns events."""
-    track = TrackState(weights=weights, window_size=window_size, fixed_threshold=fixed_threshold)
-    return [track.step(inp, time=i) for i, inp in enumerate(stream)]
 
 
 def extract_risk_inputs(

@@ -3,7 +3,6 @@ episode-level warning classification, warning lead time, coverage/width,
 and latency percentiles."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

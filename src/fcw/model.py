@@ -21,6 +21,9 @@ from .optim import LRSchedule, OptimizerState, ParameterStore, adam_step, cosine
 from .scene_graph import FEATURE_DIM, GatHeadParams, GatLayerParams, SceneFrame, WorkCounter
 from .temporal import GruLayerParams, GruParams, MhaHeadParams, MhaParams
 
+# Windows per forward pass at inference; bounds the rows of one batch.
+PREDICT_CHUNK = 64
+
 
 @dataclass
 class HstanConfig:
@@ -306,20 +309,20 @@ def prepare_batch(windows: list[WindowSample], config: HstanConfig) -> PreparedB
         for w, off in zip(windows, offsets):
             disp = w.target_abs - w.last_pos[None, :, :]  # (T', N, 2)
             target_disp[off : off + w.n] = disp.transpose(1, 0, 2).reshape(w.n, -1)
-    pi, pj = [], []
-    for w, off in zip(windows, offsets):
-        for i in range(w.n):
-            for j in range(i + 1, w.n):
-                pi.append(off + i)
-                pj.append(off + j)
+    # within-window pairs i < j in row-major order: row r pairs with every
+    # later row of its own window (one batch-wide build, no per-window calls)
+    rows = np.arange(total)
+    later = np.repeat(offsets[1:], [w.n for w in windows]) - rows - 1
+    pair_i = np.repeat(rows, later)
+    run_start = np.repeat(np.cumsum(later) - later, later)
     return PreparedBatch(
         x_steps=x_steps,
         edges=edges,
         offsets=offsets,
         last_pos=last_pos,
         target_disp=target_disp,
-        pair_i=np.asarray(pi, dtype=np.intp),
-        pair_j=np.asarray(pj, dtype=np.intp),
+        pair_i=pair_i,
+        pair_j=pair_i + 1 + np.arange(len(pair_i)) - run_start,
     )
 
 
@@ -388,23 +391,13 @@ def outputs_to_predictions(
     return preds
 
 
-def hstan_forward(
-    frames: list[SceneFrame],
-    model: HstanModel,
-    counter: WorkCounter | None = None,
-) -> tuple[np.ndarray, PredictionBatch]:
-    """Run one observation window; returns temporal features and raw predictions."""
-    window = make_window(frames, model.config)
-    batch = prepare_batch([window], model.config)
-    out = forward_batch(model, batch, counter)
-    pred = outputs_to_predictions(out, batch, model.config)[0]
-    return out.hf.data.copy(), pred
-
-
-def predict_window(model: HstanModel, window: WindowSample) -> PredictionBatch:
-    batch = prepare_batch([window], model.config)
-    out = forward_batch(model, batch)
-    return outputs_to_predictions(out, batch, model.config)[0]
+def predict_windows(model: HstanModel, windows: list[WindowSample]) -> list[PredictionBatch]:
+    """Raw predictions for every window, ``PREDICT_CHUNK`` windows per forward pass."""
+    preds = []
+    for start in range(0, len(windows), PREDICT_CHUNK):
+        batch = prepare_batch(windows[start : start + PREDICT_CHUNK], model.config)
+        preds.extend(outputs_to_predictions(forward_batch(model, batch), batch, model.config))
+    return preds
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .model import (
     WindowSample,
     forward_batch,
     make_window,
-    outputs_to_predictions,
+    predict_windows,
     prepare_batch,
 )
 from .scenario import Episode, cv_baseline
@@ -41,16 +41,19 @@ def warn_episode(
     fixed_threshold: float | None = None,
     no_cqr: bool = False,
 ) -> EpisodeEvents:
-    """Replay one episode tick-by-tick; ego is vehicle 0, the rest are threats."""
+    """Replay one episode tick-by-tick; ego is vehicle 0, the rest are threats.
+
+    Every tick's window is predicted up front in one batched call; the
+    threshold state machine then steps through the ticks in order.
+    """
     cfg = model.config
     track = TrackState(weights=weights, window_size=window_size, fixed_threshold=fixed_threshold)
     out = EpisodeEvents(episode_id=episode.episode_id)
     threats = list(range(1, episode.n))
-    for tick in range(cfg.t_obs - 1, len(episode.frames)):
-        history = episode.frames[tick - cfg.t_obs + 1 : tick + 1]
-        window = make_window(history, cfg)
-        batch = prepare_batch([window], cfg)
-        pred = outputs_to_predictions(forward_batch(model, batch), batch, cfg)[0]
+    ticks = range(cfg.t_obs - 1, len(episode.frames))
+    histories = [episode.frames[tick - cfg.t_obs + 1 : tick + 1] for tick in ticks]
+    preds = predict_windows(model, [make_window(history, cfg) for history in histories])
+    for tick, history, pred in zip(ticks, histories, preds):
         pred = cqr_mod.apply_correction(pred, None if no_cqr else corr)
         inputs = extract_risk_inputs(
             pred, 0, threats, history, episode.curvature, episode.dt, cfg.collision_radius
@@ -125,40 +128,26 @@ def prediction_metrics(
     baseline: str | None = None,
 ) -> dict:
     """ADE/FDE/collision-rate (and coverage when calibrated) over windows."""
-    preds, truths = [], []
-    coverage = width = raw_coverage = None
-    cov_hits = cov_total = 0
-    raw_hits = 0
-    width_sum = 0.0
-    for w in windows:
-        truth = w.target_abs.transpose(1, 0, 2)  # (N, T', 2)
-        if baseline == "cv":
-            # rebuild absolute observed frames from the window features
-            frames = _frames_from_window(w, config)
-            point = cv_baseline(frames, config.t_pred, config.dt)
-        else:
-            batch = prepare_batch([w], config)
-            pred = outputs_to_predictions(forward_batch(model, batch), batch, config)[0]
-            point = pred.point
-            if corr is not None:
-                raw_hits += int(((pred.lower <= truth) & (truth <= pred.upper)).sum())
-                cal = cqr_mod.apply_correction(pred, corr)
-                cov_hits += int(((cal.lower <= truth) & (truth <= cal.upper)).sum())
-                cov_total += truth.size
-                width_sum += float((cal.upper - cal.lower).sum())
-        preds.append(point)
-        truths.append(truth)
-    all_pred = np.concatenate(preds)
-    all_truth = np.concatenate(truths)
+    truth = np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows])  # (sumN, T', 2)
+    if baseline == "cv":
+        preds = None
+        # rebuild absolute observed frames from the window features
+        points = [cv_baseline(_frames_from_window(w, config), config.t_pred, config.dt) for w in windows]
+    else:
+        preds = predict_windows(model, windows)
+        points = [p.point for p in preds]
+    all_pred = np.concatenate(points)
     out = {
-        "ade": me.ade(all_pred, all_truth),
-        "fde": me.fde(all_pred, all_truth),
-        "collision_rate": me.collision_rate(preds, config.collision_radius / 2.0),
+        "ade": me.ade(all_pred, truth),
+        "fde": me.fde(all_pred, truth),
+        "collision_rate": me.collision_rate(points, config.collision_radius / 2.0),
     }
-    if cov_total:
-        out["coverage"] = cov_hits / cov_total
-        out["raw_coverage"] = raw_hits / cov_total
-        out["mean_width"] = width_sum / cov_total
+    if preds is not None and corr is not None:
+        lower = np.concatenate([p.lower for p in preds])
+        upper = np.concatenate([p.upper for p in preds])
+        out["raw_coverage"], _ = cqr_mod.empirical_coverage(lower, upper, truth)
+        lower, upper = cqr_mod.conformal_interval(lower, upper, corr)
+        out["coverage"], out["mean_width"] = cqr_mod.empirical_coverage(lower, upper, truth)
     return out
 
 

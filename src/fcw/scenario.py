@@ -9,7 +9,7 @@ so finite-difference consistency holds by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,21 +32,6 @@ VEHICLE_WIDTH = 1.8
 
 
 @dataclass
-class VehicleState:
-    x: float
-    y: float
-    speed: float
-    heading: float
-    accel: float
-    length: float = VEHICLE_LENGTH
-    width: float = VEHICLE_WIDTH
-
-    def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError("speed must be nonnegative")
-
-
-@dataclass
 class IDMParams:
     v0: float = 22.0  # desired speed (m/s)
     t_headway: float = 1.2
@@ -61,16 +46,6 @@ def idm_acceleration(v: float, v_lead: float, gap: float, p: IDMParams) -> float
     s_star = p.s0 + v * p.t_headway + v * (v - v_lead) / (2.0 * math.sqrt(p.a * p.b))
     s_star = max(s_star, 0.0)
     return p.a * (1.0 - (v / p.v0) ** p.delta - (s_star / gap) ** 2)
-
-
-def idm_step(follower: VehicleState, leader: VehicleState, p: IDMParams, dt: float) -> VehicleState:
-    """One Euler step of the follower along its lane; leader must be ahead."""
-    gap = leader.x - follower.x - leader.length
-    if gap <= 0:
-        gap = 0.1
-    acc = idm_acceleration(follower.speed, leader.speed, gap, p)
-    speed = max(0.0, follower.speed + acc * dt)
-    return replace(follower, x=follower.x + follower.speed * dt, speed=speed, accel=acc)
 
 
 @dataclass
@@ -114,11 +89,6 @@ class Episode:
     @property
     def n(self) -> int:
         return self.frames[0].n
-
-
-@dataclass
-class TrajectoryDataset:
-    episodes: list[Episode] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,6 @@ class SceneFrame:
 
 
 @dataclass
-class AdjacencyMatrix:
-    n: int
-    entries: np.ndarray  # (N, N) binary, symmetric, unit diagonal
-
-
-@dataclass
 class WorkCounter:
     """Counts attention-score evaluations; one per directed edge per head."""
 
@@ -58,26 +52,12 @@ class WorkCounter:
     all_pairs_equivalent: int = 0
 
 
-def build_adjacency(frame: SceneFrame, radius: float) -> AdjacencyMatrix:
-    """Edges where center distance is strictly below ``radius``; self-loops always."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    pos = frame.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    entries = (dist < radius).astype(np.int64)
-    np.fill_diagonal(entries, 1)
-    return AdjacencyMatrix(n=frame.n, entries=entries)
-
-
-def adjacency_edges(adj: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edge list (src, dst); message flows src -> dst."""
-    dst, src = np.nonzero(adj.entries)  # entry (i, j) == 1 means j in N_i
-    return src, dst
-
-
 def edges_from_positions(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edge list straight from positions, for precomputed window batches."""
+    """Directed radius-graph edges (src, dst); message flows src -> dst.
+
+    j is a neighbour of i when their centre distance is strictly below
+    ``radius``; every vehicle is its own neighbour.
+    """
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     within = dist < radius
@@ -89,10 +69,6 @@ def edges_from_positions(positions: np.ndarray, radius: float) -> tuple[np.ndarr
 def embed_features(x: Tensor, w_e: Tensor, b_e: Tensor) -> Tensor:
     """ELU(x @ W_e + b_e): lift raw vehicle features to the hidden width."""
     return ad.elu(ad.linear(x, w_e, b_e))
-
-
-def embed_frame(frame: SceneFrame, w_e: Tensor, b_e: Tensor) -> Tensor:
-    return embed_features(ad.constant(frame.vehicles), w_e, b_e)
 
 
 @dataclass
@@ -132,17 +108,6 @@ def _head_attention(
     return alpha, wh
 
 
-def gat_attention(h: Tensor, adj: AdjacencyMatrix, head: GatHeadParams, slope: float = 0.2) -> np.ndarray:
-    """Dense (N, N) attention weights for one head; zeros off-neighborhood."""
-    if adj.n != h.shape[0]:
-        raise ad.ShapeMismatchError(f"adjacency n={adj.n} vs features {h.shape}")
-    src, dst = adjacency_edges(adj)
-    alpha, _ = _head_attention(h, src, dst, head, slope, None)
-    dense = np.zeros((adj.n, adj.n))
-    dense[dst, src] = alpha.data[:, 0]
-    return dense
-
-
 def gat_layer_edges(
     h: Tensor,
     src: np.ndarray,
@@ -167,14 +132,3 @@ def gat_layer_edges(
         return ad.elu(ad.scale(acc, 1.0 / len(outs)))
     raise ValueError(f"unknown combine mode: {layer.combine}")
 
-
-def gat_layer_forward(
-    h: Tensor,
-    adj: AdjacencyMatrix,
-    layer: GatLayerParams,
-    counter: WorkCounter | None = None,
-) -> Tensor:
-    if adj.n != h.shape[0]:
-        raise ad.ShapeMismatchError(f"adjacency n={adj.n} vs features {h.shape}")
-    src, dst = adjacency_edges(adj)
-    return gat_layer_edges(h, src, dst, layer, counter)

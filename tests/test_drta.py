@@ -10,6 +10,8 @@ import fcw.drta as dr
 import fcw.model as md
 from fcw.scene_graph import SceneFrame
 
+import oracles
+
 
 def make_inputs(**overrides):
     base = dict(
@@ -173,14 +175,14 @@ def test_threshold_computed_before_push():
 
 
 def test_constant_stream_never_triggers():
-    events = dr.replay(quiet_stream(200), dr.RiskWeights())
+    events = oracles.replay_stream(quiet_stream(200), dr.RiskWeights())
     assert not any(e.triggered for e in events)
 
 
 def test_step_spike_triggers_exactly_at_spike_tick(rng):
     stream = quiet_stream(100)
     stream[60] = make_inputs(d_min=0.2, ttc=0.05)
-    events = dr.replay(stream, dr.RiskWeights())
+    events = oracles.replay_stream(stream, dr.RiskWeights())
     assert [e.tick for e in events if e.triggered] == [60]
 
 
@@ -194,7 +196,7 @@ def test_lambda_nesting_on_random_streams():
         ]
         trig = {}
         for lam in (1.5, 2.2, 3.0):
-            events = dr.replay(stream, dr.RiskWeights(lam=lam))
+            events = oracles.replay_stream(stream, dr.RiskWeights(lam=lam))
             trig[lam] = {e.tick for e in events if e.triggered}
         assert trig[3.0] <= trig[2.2] <= trig[1.5]
 
@@ -205,7 +207,7 @@ def test_decisions_invariant_under_positive_rescale():
         make_inputs(d_min=float(rng.uniform(2, 40)), ttc=float(rng.uniform(0.2, 5)))
         for _ in range(80)
     ]
-    events = dr.replay(stream, dr.RiskWeights())
+    events = oracles.replay_stream(stream, dr.RiskWeights())
     base = [e.triggered for e in events]
     # rescale the risk stream itself: push scaled values through threshold logic
     for scale in (0.25, 7.0):
@@ -221,17 +223,37 @@ def test_decisions_invariant_under_positive_rescale():
 
 def test_fixed_threshold_bypasses_statistics():
     stream = quiet_stream(10, {"d_min": 0.2, "ttc": 0.05})
-    events = dr.replay(stream, dr.RiskWeights(), fixed_threshold=0.5)
+    events = oracles.replay_stream(stream, dr.RiskWeights(), fixed_threshold=0.5)
     assert all(e.triggered for e in events)  # no warm-up with a fixed threshold
     assert all(e.threshold == 0.5 for e in events)
 
 
 def test_replay_matches_manual_stepping():
+    # recompute every tick from scratch: risk from risk_total, threshold from
+    # the previous (up to 50) risks, warm-up for the first five ticks
     rng = np.random.default_rng(5)
-    stream = [make_inputs(d_min=float(rng.uniform(1, 30))) for _ in range(30)]
-    track = dr.TrackState(weights=dr.RiskWeights())
-    manual = [track.step(inp, time=i) for i, inp in enumerate(stream)]
-    assert dr.replay(stream, dr.RiskWeights()) == manual
+    weights = dr.RiskWeights()
+    stream = [
+        make_inputs(d_min=float(rng.uniform(1, 30)), v_rel=float(rng.uniform(-5, 5)))
+        for _ in range(80)
+    ]
+    events = oracles.replay_stream(stream, weights)
+    risks = []
+    for i, (inp, ev) in enumerate(zip(stream, events)):
+        risk = dr.risk_total(inp, weights)
+        assert ev.risk == risk  # the one risk formula, bit for bit
+        assert (ev.r_pred, ev.r_kin, ev.r_geo) == (
+            dr.risk_pred(inp, weights), dr.risk_kin(inp, weights), dr.risk_geo(inp, weights)
+        )
+        recent = np.array(risks[-50:])
+        if len(recent) < dr.WARMUP_MIN_SAMPLES:
+            threshold = math.inf
+        else:
+            threshold = recent.mean() + weights.lam * recent.std(ddof=1)
+        assert ev.tick == i
+        assert ev.threshold == pytest.approx(threshold, rel=1e-12, abs=1e-12)
+        assert ev.triggered == (risk > ev.threshold)
+        risks.append(risk)
 
 
 # ---------------------------------------------------------------------------

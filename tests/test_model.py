@@ -10,6 +10,8 @@ from fcw.scene_graph import SceneFrame
 
 from conftest import random_frames, tiny_config
 
+import oracles
+
 
 def episode_windows(config, n_vehicles=2, seed=0, count=3):
     """Small list of labelled windows from one synthetic episode."""
@@ -21,6 +23,10 @@ def episode_windows(config, n_vehicles=2, seed=0, count=3):
             md.make_window(frames[: config.t_obs], config, future=frames[config.t_obs :])
         )
     return windows
+
+
+def predict_frames(model, frames):
+    return md.predict_windows(model, [md.make_window(frames, model.config)])[0]
 
 
 def translate_frames(frames, dx, dy):
@@ -102,7 +108,7 @@ def test_zero_parameters_predict_last_position():
     for path in model.params.paths():
         model.params[path].data[:] = 0.0
     frames = random_frames(3, cfg.t_obs, seed=1)
-    _, pred = md.hstan_forward(frames, model)
+    pred = predict_frames(model, frames)
     last = frames[-1].vehicles[:, 0:2]
     expected = np.tile(last[:, None, :], (1, cfg.t_pred, 1))
     assert np.array_equal(pred.point, expected)
@@ -114,8 +120,8 @@ def test_translation_invariance():
     cfg = tiny_config()
     model = md.init_model(cfg, seed=2)
     frames = random_frames(3, cfg.t_obs, seed=3)
-    _, base = md.hstan_forward(frames, model)
-    _, moved = md.hstan_forward(translate_frames(frames, 137.0, -41.5), model)
+    base = predict_frames(model, frames)
+    moved = predict_frames(model, translate_frames(frames, 137.0, -41.5))
     shift = np.array([137.0, -41.5])
     assert np.allclose(moved.point, base.point + shift, atol=1e-8)
     assert np.allclose(moved.lower, base.lower + shift, atol=1e-8)
@@ -130,8 +136,8 @@ def test_permutation_equivariance():
     permuted = [
         SceneFrame(timestamp=f.timestamp, vehicles=f.vehicles[perm]) for f in frames
     ]
-    _, base = md.hstan_forward(frames, model)
-    _, shuffled = md.hstan_forward(permuted, model)
+    base = predict_frames(model, frames)
+    shuffled = predict_frames(model, permuted)
     assert np.allclose(shuffled.point, base.point[perm], atol=1e-9)
 
 
@@ -142,7 +148,7 @@ def test_batching_matches_per_window():
     batch = md.prepare_batch(windows, cfg)
     merged = md.outputs_to_predictions(md.forward_batch(model, batch), batch, cfg)
     for w, pred in zip(windows, merged):
-        solo = md.predict_window(model, w)
+        solo = oracles.predict_one(model, w)
         assert np.allclose(pred.point, solo.point, atol=1e-12)
         assert np.allclose(pred.lower, solo.lower, atol=1e-12)
         assert np.allclose(pred.upper, solo.upper, atol=1e-12)
@@ -151,9 +157,11 @@ def test_batching_matches_per_window():
 def test_single_vehicle_path():
     cfg = tiny_config()
     model = md.init_model(cfg, seed=8)
-    frames = random_frames(1, cfg.t_obs, seed=9)
-    hf, pred = md.hstan_forward(frames, model)
-    assert hf.shape == (1, cfg.gru_hidden)
+    window = md.make_window(random_frames(1, cfg.t_obs, seed=9), cfg)
+    batch = md.prepare_batch([window], cfg)
+    out = md.forward_batch(model, batch)
+    pred = md.outputs_to_predictions(out, batch, cfg)[0]
+    assert out.hf.shape == (1, cfg.gru_hidden)
     assert pred.point.shape == (1, cfg.t_pred, 2)
     assert np.isfinite(pred.point).all()
 
@@ -175,6 +183,39 @@ def test_prepare_batch_pairs_stay_within_window():
     # two windows of two vehicles: exactly one pair each, offsets respected
     assert batch.pair_i.tolist() == [0, 2]
     assert batch.pair_j.tolist() == [1, 3]
+
+
+def test_prepare_batch_pairs_match_double_loop():
+    cfg = tiny_config()
+    windows = [episode_windows(cfg, n_vehicles=n, seed=21 + n, count=1)[0] for n in (1, 2, 5, 1, 5)]
+    batch = md.prepare_batch(windows, cfg)
+    pi, pj = [], []
+    for w, off in zip(windows, batch.offsets):
+        for i in range(w.n):
+            for j in range(i + 1, w.n):
+                pi.append(off + i)
+                pj.append(off + j)
+    assert batch.pair_i.tolist() == pi
+    assert batch.pair_j.tolist() == pj
+    assert batch.pair_i.dtype == batch.pair_j.dtype == np.intp
+
+
+def test_predict_windows_matches_per_window_loop():
+    cfg = tiny_config()
+    model = md.init_model(cfg, seed=11)
+    counts = [1, 2, 3, 5]
+    windows = [
+        episode_windows(cfg, n_vehicles=counts[k % len(counts)], seed=100 + k, count=1)[0]
+        for k in range(md.PREDICT_CHUNK + 6)
+    ]
+    preds = md.predict_windows(model, windows)
+    assert len(preds) == len(windows)
+    for w, pred in zip(windows, preds):
+        solo = oracles.predict_one(model, w)
+        assert pred.point.shape == (w.n, cfg.t_pred, 2)
+        for key in ("point", "lower", "upper"):
+            assert np.allclose(getattr(pred, key), getattr(solo, key), rtol=0.0, atol=1e-12)
+    assert md.predict_windows(model, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +352,8 @@ def test_checkpoint_rebuild_predicts_identically(tmp_path):
     store, cfg_dict = load_checkpoint(path)
     rebuilt = md.rebuild_model(md.HstanConfig.from_dict(cfg_dict), store)
     probe = episode_windows(cfg, n_vehicles=3, seed=55, count=1)[0]
-    a = md.predict_window(model, probe)
-    b = md.predict_window(rebuilt, probe)
+    (a,) = md.predict_windows(model, [probe])
+    (b,) = md.predict_windows(rebuilt, [probe])
     assert np.array_equal(a.point, b.point)
     assert np.array_equal(a.lower, b.lower)
     assert np.array_equal(a.upper, b.upper)

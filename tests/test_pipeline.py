@@ -1,4 +1,6 @@
 """Episode replay, event logs, evaluation reports, scaling benchmark."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ import fcw.scenario as sc
 from fcw.drta import RiskWeights
 
 from conftest import random_frames, tiny_config
+
+import oracles
 
 
 def small_model(**cfg_overrides):
@@ -44,7 +48,7 @@ def test_prediction_metrics_with_correction_reports_coverage():
     windows = [w for ep in eps for w in sc.episode_windows(ep, cfg)]
     import fcw.cqr as cq
 
-    corr = cq.calibrate_model(model, windows, alpha=0.2)
+    corr = cq.calibrate(*cq.raw_intervals(model, windows), alpha=0.2)
     stats = pl.prediction_metrics(model, windows, cfg, corr=corr)
     assert 0.0 <= stats["raw_coverage"] <= 1.0
     assert stats["coverage"] >= 0.8 - 0.1  # in-sample, conformal level 0.8
@@ -65,6 +69,39 @@ def test_warn_episode_tick_count_and_determinism():
     assert a.episode_id == 7
     assert len(a.events) == len(ep.frames) - cfg.t_obs + 1
     assert a == b
+
+
+@pytest.mark.parametrize("no_cqr", [False, True])
+def test_warn_episode_matches_per_tick_loop(no_cqr):
+    import fcw.cqr as cq
+    from fcw.drta import TrackState, extract_risk_inputs
+
+    model, cfg = small_model()
+    ep = sc.gen_scenario(sc.ScenarioSpec(family="sudden_braking", duration=4.0, seed=5), 2)
+    corr = cq.ConformalCorrection(q=np.full((cfg.t_pred, 2), 0.5), alpha=0.1, n_cal=10)
+    weights = RiskWeights(lam=1.5)
+    got = pl.warn_episode(model, corr, ep, weights, window_size=20, no_cqr=no_cqr).events
+
+    # one forward pass per tick, in tick order
+    track = TrackState(weights=weights, window_size=20)
+    expected = []
+    for tick in range(cfg.t_obs - 1, len(ep.frames)):
+        history = ep.frames[tick - cfg.t_obs + 1 : tick + 1]
+        pred = oracles.predict_one(model, md.make_window(history, cfg))
+        pred = cq.apply_correction(pred, None if no_cqr else corr)
+        inputs = extract_risk_inputs(
+            pred, 0, list(range(1, ep.n)), history, ep.curvature, ep.dt, cfg.collision_radius
+        )
+        if no_cqr:
+            inputs = dataclasses.replace(inputs, sigma_pred=0.0)
+        expected.append(track.step(inputs, time=tick * ep.dt))
+
+    assert len(got) == len(expected) == len(ep.frames) - cfg.t_obs + 1
+    assert [e.triggered for e in got] == [e.triggered for e in expected]
+    assert [e.tick for e in got] == [e.tick for e in expected]
+    for g, e in zip(got, expected):
+        assert g.risk == pytest.approx(e.risk, rel=0.0, abs=1e-12)
+        assert g.threshold == pytest.approx(e.threshold, rel=0.0, abs=1e-12)
 
 
 def test_no_cqr_zeroes_uncertainty():

@@ -30,30 +30,18 @@ def test_idm_short_gap_brakes_hard():
 
 
 def test_idm_equilibrium_spacing_sustained():
-    # solve the equilibrium gap numerically, then replay 100 steps
+    # solve the equilibrium gap numerically, then follow a steady leader for
+    # 100 Euler steps, as the congested-traffic generator integrates IDM
     p = sc.IDMParams()
     v = 12.0
     s_star = p.s0 + v * p.t_headway  # v == v_lead kills the closing term
-    gap_eq = s_star / math.sqrt(1.0 - (v / p.v0) ** p.delta)
-    follower = sc.VehicleState(x=0.0, y=0.0, speed=v, heading=0.0, accel=0.0)
-    leader = sc.VehicleState(
-        x=gap_eq + sc.VEHICLE_LENGTH, y=0.0, speed=v, heading=0.0, accel=0.0
-    )
+    gap = s_star / math.sqrt(1.0 - (v / p.v0) ** p.delta)
+    speed = v
     for _ in range(100):
-        follower = sc.idm_step(follower, leader, p, dt=0.1)
-        leader = sc.VehicleState(
-            x=leader.x + v * 0.1, y=0.0, speed=v, heading=0.0, accel=0.0
-        )
-        assert abs(follower.accel) < 0.01
-
-
-def test_idm_step_never_reverses():
-    p = sc.IDMParams()
-    follower = sc.VehicleState(x=0.0, y=0.0, speed=0.5, heading=0.0, accel=0.0)
-    leader = sc.VehicleState(x=5.0, y=0.0, speed=0.0, heading=0.0, accel=0.0)
-    for _ in range(50):
-        follower = sc.idm_step(follower, leader, p, dt=0.1)
-    assert follower.speed >= 0.0
+        acc = sc.idm_acceleration(speed, v, gap, p)
+        assert abs(acc) < 0.01
+        gap += (v - speed) * 0.1
+        speed = max(0.0, speed + acc * 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import fcw.autodiff as ad
 import fcw.scene_graph as sg
 from fcw.optim import ParameterStore, grad_check
 
+import oracles
+
 
 def make_frame(positions, vel=None):
     n = len(positions)
@@ -45,40 +47,40 @@ def test_frame_validation():
         sg.SceneFrame(timestamp=0.0, vehicles=nan)
 
 
+def dense_edges(positions, radius):
+    """The radius graph as a dense 0/1 matrix built from the program's edge list."""
+    src, dst = sg.edges_from_positions(np.asarray(positions, dtype=np.float64), radius)
+    dense = np.zeros((len(positions), len(positions)), dtype=np.int64)
+    dense[dst, src] = 1
+    return dense
+
+
 def test_adjacency_within_radius():
-    frame = make_frame([[0.0, 0.0], [10.0, 0.0]])
-    adj = sg.build_adjacency(frame, radius=30.0)
-    assert np.array_equal(adj.entries, [[1, 1], [1, 1]])
+    assert np.array_equal(dense_edges([[0.0, 0.0], [10.0, 0.0]], 30.0), [[1, 1], [1, 1]])
 
 
 def test_adjacency_strict_at_radius():
-    frame = make_frame([[0.0, 0.0], [30.0, 0.0]])
-    adj = sg.build_adjacency(frame, radius=30.0)
-    assert np.array_equal(adj.entries, [[1, 0], [0, 1]])
+    assert np.array_equal(dense_edges([[0.0, 0.0], [30.0, 0.0]], 30.0), [[1, 0], [0, 1]])
 
 
 def test_adjacency_single_vehicle():
-    adj = sg.build_adjacency(make_frame([[5.0, 5.0]]), radius=30.0)
-    assert np.array_equal(adj.entries, [[1]])
+    src, dst = sg.edges_from_positions(np.array([[5.0, 5.0]]), 30.0)
+    assert src.tolist() == [0] and dst.tolist() == [0]
 
 
 def test_adjacency_symmetric_with_self_loops():
     rng = np.random.default_rng(0)
-    frame = make_frame(rng.uniform(-50, 50, size=(7, 2)))
-    adj = sg.build_adjacency(frame, radius=40.0)
-    assert np.array_equal(adj.entries, adj.entries.T)
-    assert np.array_equal(np.diag(adj.entries), np.ones(7))
+    dense = dense_edges(rng.uniform(-50, 50, size=(7, 2)), 40.0)
+    assert np.array_equal(dense, dense.T)
+    assert np.array_equal(np.diag(dense), np.ones(7))
 
 
 def test_edges_match_adjacency():
     rng = np.random.default_rng(1)
     pos = rng.uniform(-60, 60, size=(6, 2))
-    frame = make_frame(pos)
-    adj = sg.build_adjacency(frame, radius=45.0)
     src, dst = sg.edges_from_positions(pos, 45.0)
-    dense = np.zeros((6, 6))
-    dense[dst, src] = 1
-    assert np.array_equal(dense, adj.entries)
+    assert len(src) == len(set(zip(src.tolist(), dst.tolist())))  # no duplicate edges
+    assert np.array_equal(dense_edges(pos, 45.0), oracles.dense_adjacency(pos, 45.0))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_edges_match_adjacency():
 def test_embed_zero_inputs():
     w = ad.parameter(np.zeros((8, 4)))
     b = ad.parameter(np.zeros((1, 4)))
-    out = sg.embed_frame(make_frame([[0.0, 0.0]]), w, b)
+    out = sg.embed_features(ad.constant(make_frame([[0.0, 0.0]]).vehicles), w, b)
     assert np.array_equal(out.data, np.zeros((1, 4)))
 
 
@@ -98,37 +100,43 @@ def test_embed_matches_hand_computation():
     frame = make_frame(rng.uniform(-10, 10, (3, 2)), vel=rng.uniform(-5, 5, (3, 2)))
     w = ad.parameter(rng.standard_normal((8, 5)))
     b = ad.parameter(rng.standard_normal((1, 5)))
-    out = sg.embed_frame(frame, w, b).data
+    out = sg.embed_features(ad.constant(frame.vehicles), w, b).data
     z = frame.vehicles @ w.data + b.data
     expected = np.where(z >= 0, z, np.expm1(z))
     assert np.allclose(out, expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# attention
+# attention: a one-head averaging layer outputs ELU(alpha @ (h W))
 # ---------------------------------------------------------------------------
 
 
+def one_head_layer(w, a):
+    head = sg.GatHeadParams(w_s=ad.parameter(w), a=ad.parameter(a))
+    return sg.GatLayerParams(heads=[head], combine="average")
+
+
+def one_head_output(h, w, a, positions, radius):
+    src, dst = sg.edges_from_positions(np.asarray(positions, dtype=np.float64), radius)
+    return sg.gat_layer_edges(ad.constant(h), src, dst, one_head_layer(w, a)).data
+
+
+def elu(z):
+    return np.where(z >= 0, z, np.expm1(z))
+
+
 def test_attention_singleton_is_one(rng):
-    h = ad.constant(rng.standard_normal((1, 4)))
-    adj = sg.build_adjacency(make_frame([[0.0, 0.0]]), 30.0)
-    head = sg.GatHeadParams(
-        w_s=ad.parameter(rng.standard_normal((4, 4))),
-        a=ad.parameter(rng.standard_normal((8, 1))),
-    )
-    alpha = sg.gat_attention(h, adj, head)
-    assert np.allclose(alpha, [[1.0]])
+    h = rng.standard_normal((1, 4))
+    w = rng.standard_normal((4, 4))
+    out = one_head_output(h, w, rng.standard_normal((8, 1)), [[0.0, 0.0]], 30.0)
+    assert np.allclose(out, elu(h @ w), atol=1e-12)
 
 
 def test_attention_uniform_when_a_zero(rng):
-    h = ad.constant(rng.standard_normal((3, 4)))
-    adj = sg.build_adjacency(make_frame([[0, 0], [1, 0], [2, 0]]), 30.0)
-    head = sg.GatHeadParams(
-        w_s=ad.parameter(rng.standard_normal((4, 4))),
-        a=ad.parameter(np.zeros((8, 1))),
-    )
-    alpha = sg.gat_attention(h, adj, head)
-    assert np.allclose(alpha, np.full((3, 3), 1 / 3), atol=1e-12)
+    h = rng.standard_normal((3, 4))
+    w = rng.standard_normal((4, 4))
+    out = one_head_output(h, w, np.zeros((8, 1)), [[0, 0], [1, 0], [2, 0]], 30.0)
+    assert np.allclose(out, elu(np.tile((h @ w).mean(axis=0), (3, 1))), atol=1e-12)
 
 
 def test_attention_matches_per_pair_formula(rng):
@@ -137,9 +145,7 @@ def test_attention_matches_per_pair_formula(rng):
     h = rng.standard_normal((n, d))
     w = rng.standard_normal((d, d))
     a = rng.standard_normal((2 * d, 1))
-    adj = sg.build_adjacency(make_frame([[0, 0], [1, 0], [2, 0]]), 30.0)
-    head = sg.GatHeadParams(w_s=ad.parameter(w), a=ad.parameter(a))
-    alpha = sg.gat_attention(ad.constant(h), adj, head)
+    out = one_head_output(h, w, a, [[0, 0], [1, 0], [2, 0]], 30.0)
 
     wh = h @ w
     scores = np.zeros((n, n))
@@ -149,20 +155,22 @@ def test_attention_matches_per_pair_formula(rng):
             scores[i, j] = z if z >= 0 else 0.2 * z
     expected = np.exp(scores - scores.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
-    assert np.allclose(alpha, expected, atol=1e-12)
+    assert np.allclose(out, elu(expected @ wh), atol=1e-12)
 
 
 def test_attention_rows_sum_to_one(rng):
     pos = rng.uniform(-20, 20, size=(5, 2))
-    adj = sg.build_adjacency(make_frame(pos), 25.0)
-    h = ad.constant(rng.standard_normal((5, 4)))
-    head = sg.GatHeadParams(
-        w_s=ad.parameter(rng.standard_normal((4, 4))),
-        a=ad.parameter(rng.standard_normal((8, 1))),
-    )
-    alpha = sg.gat_attention(h, adj, head)
-    assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(alpha[adj.entries == 0] == 0)
+    h = rng.standard_normal((5, 4))
+    h[:, 0] = 1.0
+    w = rng.standard_normal((4, 4))
+    w[:, 0] = [1.0, 0.0, 0.0, 0.0]  # feature 0 of h W is 1 for every vehicle
+    a = rng.standard_normal((8, 1))
+    out = one_head_output(h, w, a, pos, 25.0)
+    # the weights of each row sum to one exactly when feature 0 stays ELU(1) = 1
+    assert np.allclose(out[:, 0], 1.0, atol=1e-12)
+    # and they vanish outside the neighbourhood: the dense oracle agrees
+    alpha = oracles.dense_attention(h, w, a, oracles.dense_adjacency(pos, 25.0))
+    assert np.allclose(out, elu(alpha @ (h @ w)), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +178,16 @@ def test_attention_rows_sum_to_one(rng):
 # ---------------------------------------------------------------------------
 
 
+def layer_forward(h, positions, radius, layer, counter=None):
+    src, dst = sg.edges_from_positions(np.asarray(positions, dtype=np.float64), radius)
+    return sg.gat_layer_edges(h, src, dst, layer, counter)
+
+
 def test_layer_identity_neighborhood(rng):
     # isolated nodes, W = I, nonnegative h: ELU passes values through
     h = np.abs(rng.standard_normal((3, 4)))
-    frame = make_frame([[0, 0], [100, 0], [200, 0]])
-    adj = sg.build_adjacency(frame, 30.0)
-    layer = sg.GatLayerParams(
-        heads=[sg.GatHeadParams(w_s=ad.parameter(np.eye(4)), a=ad.parameter(np.ones((8, 1))))],
-        combine="average",
-    )
-    out = sg.gat_layer_forward(ad.constant(h), adj, layer)
+    layer = one_head_layer(np.eye(4), np.ones((8, 1)))
+    out = layer_forward(ad.constant(h), [[0, 0], [100, 0], [200, 0]], 30.0, layer)
     assert np.allclose(out.data, h, atol=1e-12)
 
 
@@ -194,8 +202,8 @@ def test_layer_duplicate_heads_concat_halves_equal(rng):
         ],
         combine="concat",
     )
-    adj = sg.build_adjacency(make_frame([[0, 0], [5, 0], [9, 0]]), 30.0)
-    out = sg.gat_layer_forward(ad.constant(rng.standard_normal((3, d))), adj, layer).data
+    h = ad.constant(rng.standard_normal((3, d)))
+    out = layer_forward(h, [[0, 0], [5, 0], [9, 0]], 30.0, layer).data
     assert np.allclose(out[:, :2], out[:, 2:], atol=1e-12)
 
 
@@ -206,10 +214,8 @@ def test_layer_permutation_equivariance(rng):
     layer = random_layer(rng, d, 3, 2, "concat")
     perm = rng.permutation(n)
 
-    adj = sg.build_adjacency(make_frame(pos), 25.0)
-    out = sg.gat_layer_forward(ad.constant(h), adj, layer).data
-    adj_p = sg.build_adjacency(make_frame(pos[perm]), 25.0)
-    out_p = sg.gat_layer_forward(ad.constant(h[perm]), adj_p, layer).data
+    out = layer_forward(ad.constant(h), pos, 25.0, layer).data
+    out_p = layer_forward(ad.constant(h[perm]), pos[perm], 25.0, layer).data
     assert np.allclose(out_p, out[perm], atol=1e-10)
 
 
@@ -220,20 +226,18 @@ def test_layer_locality(rng):
     h2 = h1.copy()
     h2[2] += 7.0
     layer = random_layer(rng, 4, 4, 1, "average")
-    adj = sg.build_adjacency(make_frame(pos), 30.0)
-    out1 = sg.gat_layer_forward(ad.constant(h1), adj, layer).data
-    out2 = sg.gat_layer_forward(ad.constant(h2), adj, layer).data
+    out1 = layer_forward(ad.constant(h1), pos, 30.0, layer).data
+    out2 = layer_forward(ad.constant(h2), pos, 30.0, layer).data
     assert np.array_equal(out1[0], out2[0])
     assert np.array_equal(out1[1], out2[1])
 
 
 def test_work_counter_counts_edges_not_pairs(rng):
     pos = rng.uniform(0, 200, size=(12, 2))
-    adj = sg.build_adjacency(make_frame(pos), 30.0)
     layer = random_layer(rng, 4, 4, 1, "average")
     counter = sg.WorkCounter()
-    sg.gat_layer_forward(ad.constant(rng.standard_normal((12, 4))), adj, layer, counter)
-    assert counter.score_evals == int(adj.entries.sum())
+    layer_forward(ad.constant(rng.standard_normal((12, 4))), pos, 30.0, layer, counter)
+    assert counter.score_evals == int(oracles.dense_adjacency(pos, 30.0).sum())
     assert counter.all_pairs_equivalent == 12 * 12
     assert counter.score_evals < counter.all_pairs_equivalent
 
@@ -249,9 +253,9 @@ def test_layer_gradients(rng):
         for k in range(2)
     ]
     layer = sg.GatLayerParams(heads=heads, combine="average")
-    adj = sg.build_adjacency(make_frame([[0, 0], [8, 0], [16, 0]]), 30.0)
+    pos = [[0, 0], [8, 0], [16, 0]]
     h = ad.constant(rng.standard_normal((3, d)))
-    err = grad_check(lambda: ad.sum_all(ad.square(sg.gat_layer_forward(h, adj, layer))), store)
+    err = grad_check(lambda: ad.sum_all(ad.square(layer_forward(h, pos, 30.0, layer))), store)
     assert err < 1e-6
 
 
@@ -260,8 +264,8 @@ def test_layer_gradients(rng):
 def test_adjacency_matches_pairwise_scan(seed, n):
     rng = np.random.default_rng(seed)
     pos = rng.uniform(-50, 50, size=(n, 2))
-    adj = sg.build_adjacency(make_frame(pos), 35.0)
+    dense = dense_edges(pos, 35.0)
     for i in range(n):
         for j in range(n):
             expected = 1 if i == j else int(np.hypot(*(pos[i] - pos[j])) < 35.0)
-            assert adj.entries[i, j] == expected
+            assert dense[i, j] == expected

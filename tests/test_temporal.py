@@ -3,8 +3,12 @@ import numpy as np
 import pytest
 
 import fcw.autodiff as ad
+import fcw.model as md
+import fcw.scene_graph as sg
 import fcw.temporal as tp
 from fcw.optim import ParameterStore, grad_check
+
+from conftest import random_frames, tiny_config
 
 
 def zero_gru_layer(d_in, d_h):
@@ -77,7 +81,7 @@ def test_gru_encode_t1_is_single_cell(rng):
     layer = random_gru_layer(rng, 4, 4)
     params = tp.GruParams(layers=[layer])
     x = rng.standard_normal((1, 4))
-    seq = tp.gru_encode(ad.constant(x), params)
+    (seq,) = tp.gru_encode_steps([ad.constant(x)], params)
     cell = tp.gru_cell(ad.constant(x), ad.constant(np.zeros((1, 4))), layer)
     assert np.allclose(seq.data, cell.data, atol=1e-14)
 
@@ -85,12 +89,14 @@ def test_gru_encode_t1_is_single_cell(rng):
 def test_gru_encode_composes_cells(rng):
     layer = random_gru_layer(rng, 4, 5)
     params = tp.GruParams(layers=[layer])
-    xs = rng.standard_normal((3, 4))
-    seq = tp.gru_encode(ad.constant(xs), params).data
-    h = ad.constant(np.zeros((1, 5)))
-    for t in range(3):
-        h = tp.gru_cell(ad.constant(xs[t : t + 1]), h, layer)
-        assert np.allclose(seq[t], h.data[0], atol=1e-12)
+    # two sequences as the rows of each step; each row evolves on its own
+    xs = rng.standard_normal((3, 2, 4))
+    seq = tp.gru_encode_steps([ad.constant(x) for x in xs], params)
+    for row in range(2):
+        h = ad.constant(np.zeros((1, 5)))
+        for t in range(3):
+            h = tp.gru_cell(ad.constant(xs[t, row : row + 1]), h, layer)
+            assert np.allclose(seq[t].data[row], h.data[0], atol=1e-12)
 
 
 def test_gru_encode_empty_raises():
@@ -118,7 +124,7 @@ def test_mha_t1_projects_value(rng):
     d = 4
     p = random_mha(rng, d, 2)
     x = rng.standard_normal((1, d))
-    out = tp.multi_head_self_attention(ad.constant(x), p).data
+    out = tp.mha_blocks(ad.constant(x), p, 1).data
     v = np.concatenate([x @ h.w_v.data for h in p.heads], axis=1)
     assert np.allclose(out, v @ p.w_o.data, atol=1e-12)
 
@@ -128,7 +134,7 @@ def test_mha_uniform_when_query_zero(rng):
     p = random_mha(rng, d, 1)
     p.heads[0].w_q.data[:] = 0.0
     x = rng.standard_normal((t, d))
-    out = tp.multi_head_self_attention(ad.constant(x), p).data
+    out = tp.mha_blocks(ad.constant(x), p, t).data
     mean_v = np.tile((x @ p.heads[0].w_v.data).mean(axis=0), (t, 1))
     assert np.allclose(out, mean_v @ p.w_o.data, atol=1e-12)
 
@@ -137,7 +143,7 @@ def test_mha_matches_brute_force(rng):
     d, t = 4, 3
     p = random_mha(rng, d, 1)
     x = rng.standard_normal((t, d))
-    out = tp.multi_head_self_attention(ad.constant(x), p).data
+    out = tp.mha_blocks(ad.constant(x), p, t).data
 
     h = p.heads[0]
     q, k, v = x @ h.w_q.data, x @ h.w_k.data, x @ h.w_v.data
@@ -148,9 +154,10 @@ def test_mha_matches_brute_force(rng):
 
 
 def test_mha_divisibility_check(rng):
+    # rows of width 5 do not fit heads built for width 4 (two heads of 2)
     p = random_mha(rng, 4, 2)
     with pytest.raises(ValueError):
-        tp.multi_head_self_attention(ad.constant(rng.standard_normal((3, 5))), p)
+        tp.mha_blocks(ad.constant(rng.standard_normal((3, 5))), p, 3)
 
 
 def test_mha_block_batching_matches_per_sequence(rng):
@@ -160,16 +167,36 @@ def test_mha_block_batching_matches_per_sequence(rng):
     a = rng.standard_normal((t, d))
     b = rng.standard_normal((t, d))
     merged = tp.mha_blocks(ad.constant(np.concatenate([a, b])), p, t).data
-    out_a = tp.multi_head_self_attention(ad.constant(a), p).data
-    out_b = tp.multi_head_self_attention(ad.constant(b), p).data
+    out_a = tp.mha_blocks(ad.constant(a), p, t).data
+    out_b = tp.mha_blocks(ad.constant(b), p, t).data
     assert np.allclose(merged[:t], out_a, atol=1e-12)
     assert np.allclose(merged[t:], out_b, atol=1e-12)
 
 
-def test_collapse_takes_last_row(rng):
-    x = rng.standard_normal((4, 3))
-    out = tp.collapse_to_context(ad.constant(x))
-    assert np.array_equal(out.data, x[3:4])
+def test_collapse_takes_last_row():
+    # the context of each vehicle is the last time position of its attended
+    # sequence; rebuild it vehicle by vehicle from the temporal ops
+    cfg = tiny_config()
+    model = md.init_model(cfg, seed=4)
+    windows = [md.make_window(random_frames(n, cfg.t_obs, seed=n), cfg) for n in (2, 3)]
+    batch = md.prepare_batch(windows, cfg)
+    hf = md.forward_batch(model, batch).hf.data
+    rows = 0
+    for w in windows:
+        for v in range(w.n):
+            steps = []
+            for t in range(cfg.t_obs):
+                x = ad.constant(w.features[t])
+                h = sg.embed_features(x, model.embed_w, model.embed_b)
+                src, dst = w.edge_lists[t]
+                for layer in model.gat_layers:
+                    h = sg.gat_layer_edges(h, src, dst, layer)
+                steps.append(ad.rows(ad.linear(h, model.bridge_w, model.bridge_b), v, v + 1))
+            seq = ad.concat_rows(tp.gru_encode_steps(steps, model.gru))
+            attended = tp.mha_blocks(seq, model.mha, cfg.t_obs).data
+            assert np.allclose(hf[rows], attended[-1], atol=1e-12)
+            rows += 1
+    assert rows == hf.shape[0]
 
 
 def test_gru_attention_composite_gradient(rng):
@@ -199,8 +226,9 @@ def test_gru_attention_composite_gradient(rng):
     x = ad.constant(rng.standard_normal((3, d)))
 
     def f():
-        seq = tp.gru_encode(x, tp.GruParams(layers=[layer]))
-        att = tp.multi_head_self_attention(seq, mha)
-        return ad.sum_all(ad.square(tp.collapse_to_context(att)))
+        steps = [ad.rows(x, t, t + 1) for t in range(3)]
+        seq = ad.concat_rows(tp.gru_encode_steps(steps, tp.GruParams(layers=[layer])))
+        att = tp.mha_blocks(seq, mha, 3)
+        return ad.sum_all(ad.square(ad.rows(att, 2, 3)))
 
     assert grad_check(f, store) < 1e-4

@@ -448,7 +448,11 @@ def edge_aggregate(alpha: Tensor, msgs: Tensor, dst: np.ndarray, n_nodes: int) -
         raise ShapeMismatchError(f"edge_aggregate: alpha {alpha.shape} vs msgs {msgs.shape}")
     dst = np.asarray(dst, dtype=np.intp)
     acc = np.zeros((n_nodes, msgs.shape[1]))
-    np.add.at(acc, dst, alpha.data * msgs.data)
+    if len(dst):
+        # sum each run of equal dst, then scatter one row per run; a
+        # dst-sorted edge list has one run per node
+        starts = np.flatnonzero(np.concatenate([[True], dst[1:] != dst[:-1]]))
+        np.add.at(acc, dst[starts], np.add.reduceat(alpha.data * msgs.data, starts, axis=0))
     out = Tensor(acc, parents=(alpha, msgs))
 
     def backward(g):

@@ -194,7 +194,7 @@ def cmd_train(args) -> int:
     _apply_model_ablations(cfg.model, switches)
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
-    splits = scenario.make_dataset(episodes, cfg.model, split_seed=cfg.data.split_seed)
+    train_eps, _, _ = scenario.split_episodes(episodes, cfg.data.split_seed)
     log_lines = ["epoch,lr,loss,mse,pinball,collision"]
 
     def hook(rec):
@@ -205,7 +205,7 @@ def cmd_train(args) -> int:
         print(f"epoch {rec['epoch']:>3}  lr {rec['lr']:.2e}  loss {rec['loss']:.6f}")
 
     model, _ = train(
-        splits.train,
+        scenario.dataset_windows(train_eps, cfg.model),
         cfg.model,
         seed=cfg.train.seed,
         epochs=cfg.train.epochs,
@@ -232,11 +232,12 @@ def cmd_calibrate(args) -> int:
         model_cfg.alpha = args.alpha
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
-    splits = scenario.make_dataset(episodes, model_cfg, split_seed=cfg.data.split_seed)
-    if not splits.cal:
+    _, cal_eps, _ = scenario.split_episodes(episodes, cfg.data.split_seed)
+    cal = scenario.dataset_windows(cal_eps, model_cfg)
+    if not cal:
         print("error: calibration split is empty", file=sys.stderr)
         return 1
-    lower, upper, targets = cqr_mod.raw_intervals(model, splits.cal)
+    lower, upper, targets = cqr_mod.raw_intervals(model, cal)
     corr = cqr_mod.calibrate(lower, upper, targets, model_cfg.alpha)
     cqr_mod.save_correction(args.out, corr, fingerprint=str(traj))
     raw_coverage, _ = cqr_mod.empirical_coverage(lower, upper, targets)
@@ -255,7 +256,7 @@ def cmd_warn(args) -> int:
     corr = cqr_mod.load_correction(args.calibration) if args.calibration else None
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
-    splits = scenario.make_dataset(episodes, model_cfg, split_seed=cfg.data.split_seed)
+    _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
     weights = cfg.risk.weights()
     fixed = switches.get("fixed_threshold")
     fixed = float(fixed) if fixed not in (None, True) else (1.0 if fixed is True else None)
@@ -269,7 +270,7 @@ def cmd_warn(args) -> int:
             fixed_threshold=fixed,
             no_cqr="no_cqr" in switches,
         )
-        for ep in splits.test_episodes
+        for ep in test_eps
     ]
     pipeline.save_events(args.out, all_events)
     n_trig = sum(ev.triggered for ee in all_events for ev in ee.events)
@@ -287,17 +288,19 @@ def cmd_eval(args) -> int:
     model_cfg = cfg.model
     if args.checkpoint:
         model, model_cfg = _load_model(args.checkpoint)
-    splits = scenario.make_dataset(episodes, model_cfg, split_seed=cfg.data.split_seed)
+    _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
     if args.baseline == "cv":
-        prediction = pipeline.prediction_metrics(None, splits.test, model_cfg, baseline="cv")
+        test = scenario.dataset_windows(test_eps, model_cfg)
+        prediction = pipeline.prediction_metrics(None, test, model_cfg, baseline="cv")
     elif model is not None:
         corr = cqr_mod.load_correction(args.calibration) if args.calibration else None
-        prediction = pipeline.prediction_metrics(model, splits.test, model_cfg, corr=corr)
+        test = scenario.dataset_windows(test_eps, model_cfg)
+        prediction = pipeline.prediction_metrics(model, test, model_cfg, corr=corr)
 
     outcomes = None
     if args.events:
         events = pipeline.load_events(args.events)
-        outcomes = pipeline.outcomes_from_events(splits.test_episodes, events)
+        outcomes = pipeline.outcomes_from_events(test_eps, events)
 
     report = pipeline.build_report(prediction, outcomes)
     text = report.to_text()

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import scene_graph as sg
+
 
 def ade(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mean Euclidean distance over vehicles and steps; arrays (..., 2)."""
@@ -31,23 +33,20 @@ def fde(pred: np.ndarray, truth: np.ndarray) -> float:
 def collision_rate(window_preds: list[np.ndarray], threshold: float) -> float:
     """Fraction of windows whose predicted trajectories bring any pair below threshold.
 
-    Each entry is an (N, T', 2) predicted batch.
+    Each entry is an (N, T', 2) predicted batch. One neighbour search runs
+    over every (window, step) group of all windows at once.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if not window_preds:
         return 0.0
-    hits = 0
-    for pred in window_preds:
-        n = pred.shape[0]
-        if n < 2:
-            continue
-        diff = pred[:, None, :, :] - pred[None, :, :, :]  # (N, N, T', 2)
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        iu = np.triu_indices(n, k=1)
-        if (dist[iu] < threshold).any():
-            hits += 1
-    return hits / len(window_preds)
+    steps = [np.asarray(p, dtype=np.float64).transpose(1, 0, 2) for p in window_preds]  # (T', N, 2)
+    n_steps = [s.shape[0] for s in steps]
+    points = np.concatenate([s.reshape(-1, 2) for s in steps])
+    group = np.repeat(np.arange(sum(n_steps)), np.repeat([s.shape[1] for s in steps], n_steps))
+    i, _ = sg._radius_pairs(points, group, threshold)
+    hit_windows = np.repeat(np.arange(len(steps)), n_steps)[group[i]]
+    return len(np.unique(hit_windows)) / len(window_preds)
 
 
 @dataclass

@@ -241,7 +241,14 @@ def make_window(
     episode_id: int = -1,
     family: str = "",
     start: int = 0,
+    edges: list | None = None,
 ) -> WindowSample:
+    """Window sample of T observed frames (and T' future frames if given).
+
+    ``edges`` takes the frames' per-frame radius graphs when the caller has
+    already built them, e.g. once for a whole episode; otherwise all T
+    graphs are built here in one stacked call.
+    """
     if len(frames) != config.t_obs:
         raise ValueError(f"expected {config.t_obs} observed frames, got {len(frames)}")
     n = frames[0].n
@@ -254,7 +261,8 @@ def make_window(
     feats[:, :, 0:2] -= centroid
     # keep meter-scale inputs inside the well-conditioned range of tanh/ELU
     feats *= config.input_scale
-    edges = [sg.edges_from_positions(f.positions, config.radius) for f in frames]
+    if edges is None:
+        edges = sg.frame_edge_lists(frames, config.radius)
     target = None
     if future is not None:
         if len(future) != config.t_pred:

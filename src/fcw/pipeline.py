@@ -21,7 +21,7 @@ from .model import (
     prepare_batch,
 )
 from .scenario import Episode, cv_baseline
-from .scene_graph import SceneFrame, WorkCounter
+from .scene_graph import SceneFrame, WorkCounter, frame_edge_lists
 
 EVENT_HEADER = "episode_id,tick,time,risk,r_pred,r_kin,r_geo,mu,sigma,threshold,triggered"
 
@@ -43,8 +43,9 @@ def warn_episode(
 ) -> EpisodeEvents:
     """Replay one episode tick-by-tick; ego is vehicle 0, the rest are threats.
 
-    Every tick's window is predicted up front in one batched call; the
-    threshold state machine then steps through the ticks in order.
+    Every frame's radius graph is built once for the episode, and every
+    tick's window is predicted up front in one batched call; the threshold
+    state machine then steps through the ticks in order.
     """
     cfg = model.config
     track = TrackState(weights=weights, window_size=window_size, fixed_threshold=fixed_threshold)
@@ -52,7 +53,12 @@ def warn_episode(
     threats = list(range(1, episode.n))
     ticks = range(cfg.t_obs - 1, len(episode.frames))
     histories = [episode.frames[tick - cfg.t_obs + 1 : tick + 1] for tick in ticks]
-    preds = predict_windows(model, [make_window(history, cfg) for history in histories])
+    edges = frame_edge_lists(episode.frames, cfg.radius)
+    windows = [
+        make_window(history, cfg, edges=edges[tick - cfg.t_obs + 1 : tick + 1])
+        for tick, history in zip(ticks, histories)
+    ]
+    preds = predict_windows(model, windows)
     for tick, history, pred in zip(ticks, histories, preds):
         pred = cqr_mod.apply_correction(pred, None if no_cqr else corr)
         inputs = extract_risk_inputs(
@@ -238,6 +244,7 @@ class BenchReport:
     score_evals: list[int]
     all_pairs: list[int]
     latency_ms: dict[int, dict]
+    prep_p50_ms: list[float]  # median make_window time per N
     linear_r2_edges: float
     quadratic_r2_all_pairs: float
     linear_r2_all_pairs: float
@@ -248,12 +255,12 @@ class BenchReport:
             f"quadratic_r2_all_pairs={self.quadratic_r2_all_pairs:.6f}",
             f"linear_r2_all_pairs={self.linear_r2_all_pairs:.6f}",
             "",
-            "N      edges      all_pairs  p50_ms    p90_ms    p99_ms",
+            "N      edges      all_pairs  prep_p50_ms  p50_ms    p90_ms    p99_ms",
         ]
         for i, n in enumerate(self.n_grid):
             lat = self.latency_ms[n]
             lines.append(
-                f"{n:<6} {self.score_evals[i]:<10} {self.all_pairs[i]:<10} "
+                f"{n:<6} {self.score_evals[i]:<10} {self.all_pairs[i]:<10} {self.prep_p50_ms[i]:<12.3f} "
                 f"{lat['p50']:<9.3f} {lat['p90']:<9.3f} {lat['p99']:<9.3f}"
             )
         return "\n".join(lines) + "\n"
@@ -266,12 +273,19 @@ def run_bench(
     density: float = 0.02,
     seed: int = 0,
 ) -> BenchReport:
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     n_grid = n_grid or [10, 20, 40, 80, 120]
     cfg = model.config
-    score_evals, all_pairs, latency = [], [], {}
+    score_evals, all_pairs, latency, prep = [], [], {}, []
     for n in n_grid:
         frames = constant_density_frames(n, cfg, density, seed)
-        window = make_window(frames, cfg)
+        prep_samples = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            window = make_window(frames, cfg)
+            prep_samples.append((time.perf_counter() - t0) * 1000.0)
+        prep.append(float(np.median(prep_samples)))
         batch = prepare_batch([window], cfg)
         counter = WorkCounter()
         forward_batch(model, batch, counter)
@@ -289,6 +303,7 @@ def run_bench(
         score_evals=score_evals,
         all_pairs=all_pairs,
         latency_ms=latency,
+        prep_p50_ms=prep,
         linear_r2_edges=_fit_r2(xs, np.asarray(score_evals, dtype=np.float64), 1),
         quadratic_r2_all_pairs=_fit_r2(xs, np.asarray(all_pairs, dtype=np.float64), 2),
         linear_r2_all_pairs=_fit_r2(xs, np.asarray(all_pairs, dtype=np.float64), 1),

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import HstanConfig, WindowSample, make_window
-from .scene_graph import SceneFrame
+from .scene_graph import SceneFrame, frame_edge_lists
 
 FAMILIES = (
     "highway_merging",
@@ -359,11 +359,14 @@ class DatasetSplits:
 
 
 def episode_windows(episode: Episode, config: HstanConfig, stride: int = 1) -> list[WindowSample]:
+    """Sliding windows of one episode; every frame's radius graph is built
+    once, in one stacked call, and each window takes its slice."""
     span = config.t_obs + config.t_pred
     if len(episode.frames) < span:
         raise ValueError(
             f"episode {episode.episode_id} has {len(episode.frames)} frames, needs >= {span}"
         )
+    edges = frame_edge_lists(episode.frames, config.radius)
     out = []
     for start in range(0, len(episode.frames) - span + 1, stride):
         obs = episode.frames[start : start + config.t_obs]
@@ -376,18 +379,16 @@ def episode_windows(episode: Episode, config: HstanConfig, stride: int = 1) -> l
                 episode_id=episode.episode_id,
                 family=episode.family,
                 start=start,
+                edges=edges[start : start + config.t_obs],
             )
         )
     return out
 
 
-def make_dataset(
-    episodes: list[Episode],
-    config: HstanConfig,
-    split_seed: int = 0,
-    stride: int = 1,
-) -> DatasetSplits:
-    """Sliding windows split by episode (never by window) into 70/15/15."""
+def split_episodes(
+    episodes: list[Episode], split_seed: int = 0
+) -> tuple[list[Episode], list[Episode], list[Episode]]:
+    """(train, cal, test) episode lists, 70/15/15 by episode, each in input order."""
     if not episodes:
         raise ValueError("no episodes")
     rng = np.random.default_rng(split_seed)
@@ -397,20 +398,33 @@ def make_dataset(
     n_cal = max(1, round(0.15 * n)) if n >= 3 else 0
     test_ids = set(order[:n_test])
     cal_ids = set(order[n_test : n_test + n_cal])
+    train = [ep for i, ep in enumerate(episodes) if i not in test_ids and i not in cal_ids]
+    cal = [ep for i, ep in enumerate(episodes) if i in cal_ids]
+    test = [ep for i, ep in enumerate(episodes) if i in test_ids]
+    return train, cal, test
 
-    splits = DatasetSplits()
-    for i, ep in enumerate(episodes):
-        windows = episode_windows(ep, config, stride)
-        if i in test_ids:
-            splits.test.extend(windows)
-            splits.test_episodes.append(ep)
-        elif i in cal_ids:
-            splits.cal.extend(windows)
-            splits.cal_episodes.append(ep)
-        else:
-            splits.train.extend(windows)
-            splits.train_episodes.append(ep)
-    return splits
+
+def dataset_windows(episodes: list[Episode], config: HstanConfig, stride: int = 1) -> list[WindowSample]:
+    """Sliding windows of every episode, in episode order."""
+    return [w for ep in episodes for w in episode_windows(ep, config, stride)]
+
+
+def make_dataset(
+    episodes: list[Episode],
+    config: HstanConfig,
+    split_seed: int = 0,
+    stride: int = 1,
+) -> DatasetSplits:
+    """Sliding windows split by episode (never by window) into 70/15/15."""
+    train, cal, test = split_episodes(episodes, split_seed)
+    return DatasetSplits(
+        train=dataset_windows(train, config, stride),
+        cal=dataset_windows(cal, config, stride),
+        test=dataset_windows(test, config, stride),
+        train_episodes=train,
+        cal_episodes=cal,
+        test_episodes=test,
+    )
 
 
 # ---------------------------------------------------------------------------

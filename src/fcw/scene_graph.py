@@ -52,18 +52,78 @@ class WorkCounter:
     all_pairs_equivalent: int = 0
 
 
+def _radius_pairs(points: np.ndarray, group: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered pairs (i, j), i != j, of rows of ``points`` (M, 2) that share a
+    ``group`` label (a non-negative integer per row) and lie strictly closer
+    than ``radius``.
+
+    Sort and sweep: the finite points are sorted along the longer axis of
+    their bounding box, with the groups laid end to end on that axis, and
+    each point's candidates are the later points inside its +radius band.
+    A candidate is kept only if it passes the same distance test as a dense
+    scan. Work and memory are linear in M times the band occupancy, with no
+    loop over points or groups. A non-finite point never matches.
+    """
+    empty = np.zeros(0, dtype=np.intp)
+    rows = np.flatnonzero(np.isfinite(points).all(axis=1))
+    if len(rows) < 2 or not radius > 0:
+        return empty, empty
+    pts = points[rows]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    axis = int(np.argmax(hi - lo))
+    span = hi[axis] - lo[axis]
+    reach = min(radius, span)  # no two points lie further than span apart on the axis
+    # groups sit one stride apart on the axis, so a band never reaches into
+    # the next group; the same-group test below keeps the result exact anyway
+    stride = span + 2.0 * reach + 1.0
+    key = (pts[:, axis] - lo[axis]) + group[rows] * stride
+    order = np.argsort(key)
+    key = key[order]
+    # pad the band so that rounding in the key never drops a true neighbour
+    band = reach + 64.0 * np.finfo(np.float64).eps * (key[-1] + reach)
+    ends = np.searchsorted(key, key + band, side="right")
+    first = np.arange(len(key))
+    count = np.maximum(ends - first - 1, 0)
+    a = np.repeat(first, count)
+    run_start = np.repeat(np.cumsum(count) - count, count)
+    b = a + 1 + np.arange(len(a)) - run_start
+    i, j = rows[order[a]], rows[order[b]]
+    diff = points[i] - points[j]
+    keep = (group[i] == group[j]) & (np.sqrt((diff**2).sum(axis=1)) < radius)
+    return i[keep], j[keep]
+
+
 def edges_from_positions(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Directed radius-graph edges (src, dst); message flows src -> dst.
 
-    j is a neighbour of i when their centre distance is strictly below
-    ``radius``; every vehicle is its own neighbour.
+    ``positions`` is (..., N, 2): one frame or a stack of frames. j is a
+    neighbour of i when both sit in the same frame and their centre distance
+    is strictly below ``radius``; every vehicle is its own neighbour.
+    Indices run over the flattened rows, and the edges are sorted by
+    (frame, dst, src).
     """
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    within = dist < radius
-    np.fill_diagonal(within, True)
-    dst, src = np.nonzero(within)
+    positions = np.asarray(positions, dtype=np.float64)
+    n = positions.shape[-2]
+    points = positions.reshape(-1, 2)
+    rows = np.arange(len(points))
+    i, j = _radius_pairs(points, rows // max(n, 1), radius)
+    total = len(points)
+    code = np.concatenate([i * total + j, j * total + i, rows * (total + 1)])
+    code.sort()
+    dst, src = np.divmod(code, max(total, 1))
     return src, dst
+
+
+def frame_edge_lists(frames: list[SceneFrame], radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-frame local (src, dst) radius graphs of a fixed-roster frame
+    sequence, from one stacked ``edges_from_positions`` call."""
+    n = frames[0].n
+    if any(f.n != n for f in frames):
+        raise ValueError("vehicle roster changed between frames")
+    src, dst = edges_from_positions(np.stack([f.positions for f in frames]), radius)
+    frame = dst // n
+    bounds = np.searchsorted(frame, np.arange(1, len(frames)))
+    return list(zip(np.split(src - frame * n, bounds), np.split(dst - frame * n, bounds)))
 
 
 def embed_features(x: Tensor, w_e: Tensor, b_e: Tensor) -> Tensor:

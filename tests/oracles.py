@@ -20,6 +20,22 @@ def dense_adjacency(positions, radius):
     return entries
 
 
+def dense_collision_rate(window_preds, threshold):
+    """Fraction of (N, T', 2) windows in which some pair i < j comes closer
+    than ``threshold`` at some step, from the full (N, N, T') distance array."""
+    hits = 0
+    for pred in window_preds:
+        n = pred.shape[0]
+        if n < 2:
+            continue
+        diff = pred[:, None, :, :] - pred[None, :, :, :]  # (N, N, T', 2)
+        dist = np.sqrt((diff**2).sum(axis=-1))
+        iu = np.triu_indices(n, k=1)
+        if (dist[iu] < threshold).any():
+            hits += 1
+    return hits / len(window_preds)
+
+
 def dense_attention(h, w_s, a, adjacency, slope=0.2):
     """(N, N) attention weights of one GAT head, scored pair by pair.
 

@@ -136,6 +136,25 @@ def test_edge_softmax_matches_dense_softmax():
     assert np.allclose(alpha.data.reshape(n, n), dense.data, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "empty"])
+def test_edge_aggregate_matches_scatter_add(order):
+    rng = np.random.default_rng(8)
+    n, d = 7, 3
+    # nodes 2 and 5 receive no edges; node 0 receives the most
+    dst = np.sort(rng.choice([0, 0, 1, 3, 4, 6], size=25))
+    if order == "shuffled":
+        dst = rng.permutation(dst)
+    elif order == "empty":
+        dst = dst[:0]
+    alpha = rng.uniform(0.1, 1.0, size=(len(dst), 1))
+    msgs = rng.standard_normal((len(dst), d))
+    want = np.zeros((n, d))
+    np.add.at(want, dst, alpha * msgs)
+    got = ad.edge_aggregate(ad.constant(alpha), ad.constant(msgs), dst, n).data
+    assert got.shape == (n, d)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_block_matmul_matches_dense_blocks():
     rng = np.random.default_rng(6)
     block, nblocks, d = 3, 2, 4

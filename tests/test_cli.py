@@ -188,6 +188,56 @@ def test_calibrate_one_pass_matches_prediction_metrics(tmp_path, cfg_file, capsy
     ) in printed
 
 
+def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_file, capsys):
+    import fcw.cqr as cq
+    import fcw.model as md
+    import fcw.pipeline as pl
+    import fcw.scenario as sc
+    from fcw.checkpoint import save_checkpoint
+
+    data, ckpt, calib = tmp_path / "data", tmp_path / "model.ckpt", tmp_path / "calib.json"
+    events, report = tmp_path / "events.csv", tmp_path / "report.txt"
+    assert run(["gen", "--config", cfg_file, "--seed", "3", "--out", str(data)]) == 0
+    assert run(["train", "--config", cfg_file, "--seed", "3", "--data", str(data), "--out", str(ckpt)]) == 0
+    assert run(["calibrate", "--config", cfg_file, "--checkpoint", str(ckpt),
+                "--data", str(data), "--alpha", "0.2", "--out", str(calib)]) == 0
+    assert run(["warn", "--config", cfg_file, "--checkpoint", str(ckpt), "--calibration", str(calib),
+                "--data", str(data), "--out", str(events)]) == 0
+    assert run(["eval", "--config", cfg_file, "--data", str(data), "--events", str(events),
+                "--checkpoint", str(ckpt), "--calibration", str(calib), "--out", str(report)]) == 0
+    capsys.readouterr()
+
+    # the same artifacts written from make_dataset, which windows every split
+    cfg = cli.parse_config_file(cfg_file)
+    traj, labels = data / "trajectories.csv", data / "labels.csv"
+    splits = sc.make_dataset(sc.load_dataset(traj, labels), cfg.model, split_seed=cfg.data.split_seed)
+    assert splits.cal and splits.test_episodes
+    model, _ = md.train(splits.train, cfg.model, seed=3, epochs=cfg.train.epochs,
+                        batch_size=cfg.train.batch_size, base_lr=cfg.train.lr)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    save_checkpoint(ref / "model.ckpt", model.params, cfg.model.to_dict())
+    assert (ref / "model.ckpt").read_bytes() == ckpt.read_bytes()
+
+    model, model_cfg = cli._load_model(str(ckpt))
+    model_cfg.alpha = 0.2
+    lower, upper, targets = cq.raw_intervals(model, splits.cal)
+    corr = cq.calibrate(lower, upper, targets, model_cfg.alpha)
+    cq.save_correction(ref / "calib.json", corr, fingerprint=str(traj))
+    assert (ref / "calib.json").read_bytes() == calib.read_bytes()
+
+    replayed = [
+        pl.warn_episode(model, corr, ep, cfg.risk.weights(), window_size=cfg.risk.window_size)
+        for ep in splits.test_episodes
+    ]
+    pl.save_events(ref / "events.csv", replayed)
+    assert (ref / "events.csv").read_bytes() == events.read_bytes()
+
+    prediction = pl.prediction_metrics(model, splits.test, model_cfg, corr=corr)
+    outcomes = pl.outcomes_from_events(splits.test_episodes, replayed)
+    assert pl.build_report(prediction, outcomes).to_text() == report.read_text()
+
+
 def test_train_is_bit_identical_across_runs(tmp_path, cfg_file):
     data = tmp_path / "data"
     assert run(["gen", "--config", cfg_file, "--seed", "1", "--out", str(data)]) == 0

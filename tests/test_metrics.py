@@ -1,8 +1,13 @@
 """Evaluation metrics against hand arithmetic and brute-force recomputation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fcw.metrics as mt
+
+import oracles
 
 
 def outcome(eid, danger, contact, warnings):
@@ -76,6 +81,30 @@ def test_collision_rate_empty_and_validation():
     assert mt.collision_rate([], threshold=1.0) == 0.0
     with pytest.raises(ValueError):
         mt.collision_rate([np.zeros((2, 2, 2))], threshold=0.0)
+
+
+# Grid coordinates put pairs exactly at the threshold along an axis, and
+# NaN stands for a vehicle with no prediction at that step.
+THRESHOLD = 2.0
+PRED_COORD = st.one_of(
+    st.integers(-5, 5).map(float),
+    st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False),
+    st.just(np.nan),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 12), st.integers(1, 5)).flatmap(
+            lambda shape: hnp.arrays(np.float64, (*shape, 2), elements=PRED_COORD)
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_collision_rate_matches_dense_reference(windows):
+    assert mt.collision_rate(windows, THRESHOLD) == oracles.dense_collision_rate(windows, THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

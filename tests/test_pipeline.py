@@ -104,6 +104,35 @@ def test_warn_episode_matches_per_tick_loop(no_cqr):
         assert g.threshold == pytest.approx(e.threshold, rel=0.0, abs=1e-12)
 
 
+def test_warn_episode_reuses_one_graph_build(monkeypatch):
+    import fcw.scene_graph as sg
+
+    # vehicle pairs 25.2 m apart close to 25.1 m, so the graph changes over the episode
+    model, cfg = small_model(radius=25.15)
+    ep = sc.gen_scenario(sc.ScenarioSpec(family="congested_traffic", duration=2.0, seed=1), 1)
+    calls, seen = [], []
+    real_edges, real_predict = sg.edges_from_positions, pl.predict_windows
+
+    def counting(positions, radius):
+        calls.append(positions.shape)
+        return real_edges(positions, radius)
+
+    def capturing(model, windows):
+        seen.extend(windows)
+        return real_predict(model, windows)
+
+    monkeypatch.setattr(sg, "edges_from_positions", counting)
+    monkeypatch.setattr(pl, "predict_windows", capturing)
+    pl.warn_episode(model, None, ep, RiskWeights())
+    assert calls == [(len(ep.frames), ep.n, 2)]  # one stacked call for the whole episode
+    monkeypatch.undo()
+    assert len(seen) == len(ep.frames) - cfg.t_obs + 1
+    for tick, w in enumerate(seen, start=cfg.t_obs - 1):
+        fresh = md.make_window(ep.frames[tick - cfg.t_obs + 1 : tick + 1], cfg)
+        for (src, dst), (want_src, want_dst) in zip(w.edge_lists, fresh.edge_lists, strict=True):
+            assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+
+
 def test_no_cqr_zeroes_uncertainty():
     model, cfg = small_model()
     ep = sc.gen_scenario(sc.ScenarioSpec(family="cut_in", duration=3.0, seed=4), 0)
@@ -199,4 +228,7 @@ def test_run_bench_smoke():
     assert report.score_evals[-1] < report.all_pairs[-1]
     text = report.to_text()
     assert "linear_r2_edges=" in text
-    assert "p50_ms" in text
+    assert "p50_ms" in text and "prep_p50_ms" in text
+    assert len(report.prep_p50_ms) == 4 and all(t > 0 for t in report.prep_p50_ms)
+    with pytest.raises(ValueError, match="repeats"):
+        pl.run_bench(model, n_grid=[8], repeats=0)

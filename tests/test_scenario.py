@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcw.model as md
 import fcw.scenario as sc
+import fcw.scene_graph as sg
 from fcw.scene_graph import SceneFrame
 
 from conftest import tiny_config
@@ -283,6 +285,41 @@ def test_split_fractions_and_determinism():
 def test_make_dataset_empty_raises():
     with pytest.raises(ValueError):
         sc.make_dataset([], tiny_config())
+
+
+def test_split_episodes_matches_make_dataset():
+    cfg = tiny_config()
+    eps = sc.cv_episodes(12, n_vehicles=2, duration=2.0, seed=3)
+    train, cal, test = sc.split_episodes(eps, split_seed=4)
+    splits = sc.make_dataset(eps, cfg, split_seed=4)
+    for got, want in ((train, splits.train_episodes), (cal, splits.cal_episodes), (test, splits.test_episodes)):
+        assert [e.episode_id for e in got] == [e.episode_id for e in want]
+        assert [e.episode_id for e in got] == sorted(e.episode_id for e in got)  # input order
+    assert sorted(e.episode_id for e in train + cal + test) == list(range(12))
+    windows = sc.dataset_windows(cal, cfg)
+    assert [(w.episode_id, w.start) for w in windows] == [(w.episode_id, w.start) for w in splits.cal]
+
+
+def test_episode_windows_reuse_one_graph_build(monkeypatch):
+    # vehicle pairs 25.2 m apart close to 25.1 m, so the graph changes over the episode
+    cfg = tiny_config(radius=25.15)
+    ep = sc.gen_scenario(sc.ScenarioSpec(family="congested_traffic", duration=2.0, seed=1), 0)
+    calls = []
+    real = sg.edges_from_positions
+
+    def counting(positions, radius):
+        calls.append(positions.shape)
+        return real(positions, radius)
+
+    monkeypatch.setattr(sg, "edges_from_positions", counting)
+    windows = sc.episode_windows(ep, cfg)
+    assert calls == [(len(ep.frames), ep.n, 2)]  # one stacked call for the whole episode
+    monkeypatch.undo()
+    for w in windows:
+        fresh = md.make_window(ep.frames[w.start : w.start + cfg.t_obs], cfg)
+        assert len(w.edge_lists) == cfg.t_obs
+        for (src, dst), (want_src, want_dst) in zip(w.edge_lists, fresh.edge_lists):
+            assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
 
 
 # ---------------------------------------------------------------------------

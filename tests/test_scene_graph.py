@@ -1,10 +1,16 @@
 """Radius graph and multi-head graph attention."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fcw.autodiff as ad
+import fcw.metrics as mt
+import fcw.model as md
+import fcw.pipeline as pl
 import fcw.scene_graph as sg
 from fcw.optim import ParameterStore, grad_check
 
@@ -81,6 +87,103 @@ def test_edges_match_adjacency():
     src, dst = sg.edges_from_positions(pos, 45.0)
     assert len(src) == len(set(zip(src.tolist(), dst.tolist())))  # no duplicate edges
     assert np.array_equal(dense_edges(pos, 45.0), oracles.dense_adjacency(pos, 45.0))
+
+
+# Grid coordinates two steps apart sit exactly RADIUS apart along an axis;
+# grid draws also give duplicate points and shared x or y values.
+GRID = 7.5
+RADIUS = 2 * GRID
+COORD = st.one_of(
+    st.integers(-4, 4).map(lambda k: k * GRID),
+    st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def position_stacks(draw):
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 40)), 2)
+    pos = draw(hnp.arrays(np.float64, shape, elements=COORD))
+    # a far offset makes the sort key round; the band padding must absorb it
+    return pos + draw(st.sampled_from([0.0, 1e6 + 0.1, -3.7e7]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(position_stacks())
+def test_stacked_edges_match_dense_adjacency(pos):
+    t, n, _ = pos.shape
+    src, dst = sg.edges_from_positions(pos, RADIUS)
+    frame = dst // n
+    assert np.array_equal(src // n, frame)
+    assert (np.diff(frame) >= 0).all()
+    for k in range(t):
+        dense_dst, dense_src = np.nonzero(oracles.dense_adjacency(pos[k], RADIUS))
+        assert np.array_equal(src[frame == k] - k * n, dense_src)
+        assert np.array_equal(dst[frame == k] - k * n, dense_dst)
+
+
+def test_band_padding_keeps_pairs_just_inside_radius():
+    # a tall stack puts large frame offsets into the sort key, whose rounding
+    # can push a pair just inside the radius out of an unpadded band
+    rng = np.random.default_rng(0)
+    pos = rng.uniform(-40, 40, size=(1000, 2, 2))
+    pos[:, 1, 1] = pos[:, 0, 1]
+    pos[:, 1, 0] = pos[:, 0, 0] + (RADIUS - rng.integers(1, 4, size=1000) * 1e-14)
+    src, dst = sg.edges_from_positions(pos, RADIUS)
+    diff = pos[:, 0] - pos[:, 1]
+    near = np.flatnonzero(np.sqrt((diff**2).sum(axis=1)) < RADIUS)
+    pairs = src != dst
+    assert sorted(dst[pairs].tolist()) == sorted([2 * k for k in near] + [2 * k + 1 for k in near])
+    assert np.array_equal(src[pairs] // 2, dst[pairs] // 2)
+
+
+def test_single_frame_edges_are_intp_in_nonzero_order():
+    pos = np.random.default_rng(3).uniform(-30, 30, size=(12, 2))
+    src, dst = sg.edges_from_positions(pos, 20.0)
+    dense_dst, dense_src = np.nonzero(oracles.dense_adjacency(pos, 20.0))
+    assert src.dtype == dense_src.dtype == np.intp and dst.dtype == np.intp
+    assert np.array_equal(src, dense_src) and np.array_equal(dst, dense_dst)
+
+
+def test_non_finite_point_keeps_only_its_self_loop():
+    pos = np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0], [np.inf, 0.0]])
+    dense = dense_edges(pos, 10.0)
+    assert np.array_equal(dense, [[1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_frame_edge_lists_split_the_stacked_build():
+    frames = [make_frame(p) for p in np.random.default_rng(4).uniform(-30, 30, size=(5, 6, 2))]
+    lists = sg.frame_edge_lists(frames, 25.0)
+    assert len(lists) == 5
+    for frame, (src, dst) in zip(frames, lists):
+        want_src, want_dst = sg.edges_from_positions(frame.positions, 25.0)
+        assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+    with pytest.raises(ValueError, match="roster"):
+        sg.frame_edge_lists([frames[0], make_frame([[0.0, 0.0]])], 25.0)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda pos, cfg: sg.edges_from_positions(pos, cfg.radius),
+        lambda pos, cfg: mt.collision_rate([pos[:, None, :]], cfg.collision_radius / 2.0),
+    ],
+    ids=["edges_from_positions", "collision_rate"],
+)
+def test_graph_build_memory_grows_linearly(build):
+    # at fixed density a 4x larger scene must cost about 4x the memory;
+    # a dense N x N build costs 16x
+    cfg = md.desk_config()
+    small, large = (pl.constant_density_frames(n, cfg)[0].positions for n in (1000, 4000))
+    assert _peak_bytes(lambda: build(large, cfg)) < 6 * _peak_bytes(lambda: build(small, cfg))
 
 
 # ---------------------------------------------------------------------------

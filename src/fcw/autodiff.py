@@ -15,10 +15,6 @@ class ShapeMismatchError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-class DegenerateRowError(ValueError):
-    """Raised when a softmax row has no unmasked entries."""
-
-
 def _as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim == 0:
@@ -240,20 +236,6 @@ def elu(x: Tensor) -> Tensor:
     return _elementwise(x, v, np.where(x.data > 0.0, 1.0, e))
 
 
-def activation(x: Tensor, kind: str, slope: float = 0.2) -> Tensor:
-    if kind == "leaky_relu":
-        return leaky_relu(x, slope)
-    if kind == "elu":
-        return elu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return tanh(x)
-    if kind == "relu":
-        return relu(x)
-    raise ValueError(f"unknown activation kind: {kind}")
-
-
 def square(x: Tensor) -> Tensor:
     return mul(x, x)
 
@@ -279,23 +261,9 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction.
-
-    With a boolean mask, masked entries are exactly zero and each row
-    normalizes over its unmasked entries. A fully masked row is an error;
-    graph construction guarantees self-loops upstream.
-    """
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeMismatchError(f"softmax mask {mask.shape} vs input {x.shape}")
-        if not mask.any(axis=1).all():
-            raise DegenerateRowError("softmax row with every entry masked")
-        z = np.where(mask, x.data, -np.inf)
-    else:
-        z = x.data
-    z = z - z.max(axis=1, keepdims=True)
+def softmax_rows(x: Tensor) -> Tensor:
+    """Row-wise softmax, stabilized by row-max subtraction."""
+    z = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
     out = Tensor(p, parents=(x,))

@@ -29,18 +29,24 @@ def save_checkpoint(path: str | Path, params: ParameterStore, config: dict) -> N
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParameterStore, dict]:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        store = ParameterStore()
-        for entry in header["params"]:
-            r, c = entry["shape"]
-            raw = fh.read(r * c * 8)
-            if len(raw) != r * c * 8:
-                raise ValueError(f"{path}: truncated parameter data for {entry['path']}")
-            data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(r, c)
-            store.add(entry["path"], data)
+    blob = Path(path).read_bytes()
+    if blob[:8] != MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file (bad magic {blob[:8]!r})")
+    pos = 16 + int.from_bytes(blob[8:16], "little")  # past the header length and the header
+    if len(blob) < pos:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    header = json.loads(blob[16:pos].decode("utf-8"))
+    if not isinstance(header, dict) or set(header) != {"config", "params"}:
+        raise ValueError(f"{path}: checkpoint header needs exactly the keys config and params")
+    store = ParameterStore()
+    for entry in header["params"]:
+        r, c = entry["shape"]
+        raw = blob[pos : pos + r * c * 8]
+        if len(raw) != r * c * 8:
+            raise ValueError(f"{path}: truncated parameter data for {entry['path']}")
+        data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(r, c)
+        store.add(entry["path"], data)
+        pos += len(raw)
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after the parameter data")
     return store, header["config"]

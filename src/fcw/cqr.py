@@ -127,5 +127,10 @@ def save_correction(path: str | Path, corr: ConformalCorrection, fingerprint: st
 
 def load_correction(path: str | Path) -> ConformalCorrection:
     payload = json.loads(Path(path).read_text())
-    q = np.asarray(payload["q"], dtype=np.float64).reshape(payload["q_shape"])
+    if not isinstance(payload, dict) or not {"alpha", "n_cal", "q", "q_shape"} <= set(payload):
+        raise ValueError(f"{path}: calibration needs the keys alpha, n_cal, q and q_shape")
+    try:
+        q = np.asarray(payload["q"], dtype=np.float64).reshape(payload["q_shape"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: q does not match q_shape ({exc})") from None
     return ConformalCorrection(q=q, alpha=payload["alpha"], n_cal=payload["n_cal"])

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import PredictionBatch
-from .scene_graph import SceneFrame
 
 LAMBDA_PRESETS = {"highway": 2.6, "urban": 2.0, "default": 2.2}
 WARMUP_MIN_SAMPLES = 5
@@ -74,10 +73,6 @@ def risk_kin(inp: RiskInputs, w: RiskWeights) -> float:
 
 def risk_geo(inp: RiskInputs, w: RiskWeights) -> float:
     return 1.0 + w.beta * abs(inp.kappa) * inp.v_ego
-
-
-def risk_total(inp: RiskInputs, w: RiskWeights) -> float:
-    return w.w_pred * risk_pred(inp, w) + w.w_kin * risk_kin(inp, w) + w.w_geo * risk_geo(inp, w)
 
 
 class SlidingWindow:
@@ -152,7 +147,7 @@ class TrackState:
         rp = risk_pred(inputs, w)
         rk = risk_kin(inputs, w)
         rg = risk_geo(inputs, w)
-        risk = risk_total(inputs, w)
+        risk = w.w_pred * rp + w.w_kin * rk + w.w_geo * rg
         mu, sigma = window_stats(self.window)
         if self.fixed_threshold is not None:
             threshold = self.fixed_threshold
@@ -181,7 +176,7 @@ def extract_risk_inputs(
     pred: PredictionBatch,
     ego_index: int,
     threat_indices: list[int],
-    frames: list[SceneFrame],
+    last: np.ndarray,
     curvature: float,
     dt: float,
     r_collision: float = 4.0,
@@ -191,9 +186,9 @@ def extract_risk_inputs(
     d_min scans every (step, threat) pair of predicted center distances;
     predicted time to contact is dt times the first 1-based step whose
     distance is at or below r_collision. Kinematics project the last
-    observed relative state onto the ego-to-nearest-threat line.
+    observed relative state, ``last`` (N, 8), onto the ego-to-nearest-threat
+    line.
     """
-    last = frames[-1].vehicles
     ego_v = last[ego_index, 2:4]
     ego_a = last[ego_index, 4:6]
     v_ego = float(np.hypot(*ego_v))

@@ -9,7 +9,7 @@ displacements from each vehicle's last observed position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -74,6 +74,12 @@ class HstanConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HstanConfig":
+        """Config from ``to_dict`` output; every field must be present, and no other key."""
+        names = {f.name for f in fields(cls)}
+        keys = set(d) if isinstance(d, dict) else set()
+        if keys != names:
+            unknown, missing = sorted(keys - names), sorted(names - keys)
+            raise ValueError(f"model config keys differ: unknown {unknown}, missing {missing}")
         return cls(**d)
 
 
@@ -234,52 +240,49 @@ class WindowSample:
         return self.features.shape[1]
 
 
-def make_window(
-    frames: list[SceneFrame],
+def window_from_states(
+    states: np.ndarray,
     config: HstanConfig,
-    future: list[SceneFrame] | None = None,
+    future_pos: np.ndarray | None = None,
+    edges: list | None = None,
     episode_id: int = -1,
     family: str = "",
     start: int = 0,
-    edges: list | None = None,
 ) -> WindowSample:
-    """Window sample of T observed frames (and T' future frames if given).
+    """Window sample of T observed vehicle states (T, N, 8), with the T'
+    future positions (T', N, 2) as its target when given.
 
     ``edges`` takes the frames' per-frame radius graphs when the caller has
     already built them, e.g. once for a whole episode; otherwise all T
     graphs are built here in one stacked call.
     """
-    if len(frames) != config.t_obs:
-        raise ValueError(f"expected {config.t_obs} observed frames, got {len(frames)}")
-    n = frames[0].n
-    for f in frames:
-        if f.n != n:
-            raise ValueError("vehicle roster changed within the observation window")
-    centroid = frames[0].positions.mean(axis=0)
-    feats = np.stack([f.vehicles for f in frames])  # (T, N, C)
-    feats = feats.copy()
+    if len(states) != config.t_obs:
+        raise ValueError(f"expected {config.t_obs} observed frames, got {len(states)}")
+    centroid = states[0, :, 0:2].mean(axis=0)
+    feats = states.copy()  # (T, N, C)
     feats[:, :, 0:2] -= centroid
     # keep meter-scale inputs inside the well-conditioned range of tanh/ELU
     feats *= config.input_scale
     if edges is None:
-        edges = sg.frame_edge_lists(frames, config.radius)
-    target = None
-    if future is not None:
-        if len(future) != config.t_pred:
-            raise ValueError(f"expected {config.t_pred} future frames, got {len(future)}")
-        for f in future:
-            if f.n != n:
-                raise ValueError("vehicle roster changed within the prediction horizon")
-        target = np.stack([f.positions for f in future])  # (T', N, 2)
+        edges = sg.frame_edge_lists(states[:, :, 0:2], config.radius)
+    if future_pos is not None and len(future_pos) != config.t_pred:
+        raise ValueError(f"expected {config.t_pred} future frames, got {len(future_pos)}")
     return WindowSample(
         features=feats,
-        last_pos=frames[-1].positions.copy(),
+        last_pos=states[-1, :, 0:2].copy(),
         edge_lists=edges,
-        target_abs=target,
+        target_abs=future_pos,
         episode_id=episode_id,
         family=family,
         start=start,
     )
+
+
+def make_window(frames: list[SceneFrame], config: HstanConfig) -> WindowSample:
+    """Window sample of T observed frames: one stack, then ``window_from_states``."""
+    if len({f.n for f in frames}) > 1:
+        raise ValueError("vehicle roster changed within the observation window")
+    return window_from_states(np.stack([f.vehicles for f in frames]), config)
 
 
 @dataclass

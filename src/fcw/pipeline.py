@@ -19,6 +19,7 @@ from .model import (
     make_window,
     predict_windows,
     prepare_batch,
+    window_from_states,
 )
 from .scenario import Episode, cv_baseline
 from .scene_graph import SceneFrame, WorkCounter, frame_edge_lists
@@ -51,18 +52,18 @@ def warn_episode(
     track = TrackState(weights=weights, window_size=window_size, fixed_threshold=fixed_threshold)
     out = EpisodeEvents(episode_id=episode.episode_id)
     threats = list(range(1, episode.n))
-    ticks = range(cfg.t_obs - 1, len(episode.frames))
-    histories = [episode.frames[tick - cfg.t_obs + 1 : tick + 1] for tick in ticks]
-    edges = frame_edge_lists(episode.frames, cfg.radius)
+    states = episode.frames
+    ticks = range(cfg.t_obs - 1, len(states))
+    edges = frame_edge_lists(states[:, :, 0:2], cfg.radius)
     windows = [
-        make_window(history, cfg, edges=edges[tick - cfg.t_obs + 1 : tick + 1])
-        for tick, history in zip(ticks, histories)
+        window_from_states(states[lo : lo + cfg.t_obs], cfg, edges=edges[lo : lo + cfg.t_obs])
+        for lo in range(len(ticks))
     ]
     preds = predict_windows(model, windows)
-    for tick, history, pred in zip(ticks, histories, preds):
+    for tick, pred in zip(ticks, preds):
         pred = cqr_mod.apply_correction(pred, None if no_cqr else corr)
         inputs = extract_risk_inputs(
-            pred, 0, threats, history, episode.curvature, episode.dt, cfg.collision_radius
+            pred, 0, threats, states[tick], episode.curvature, episode.dt, cfg.collision_radius
         )
         if no_cqr:
             inputs = replace(inputs, sigma_pred=0.0)
@@ -137,8 +138,11 @@ def prediction_metrics(
     truth = np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows])  # (sumN, T', 2)
     if baseline == "cv":
         preds = None
-        # rebuild absolute observed frames from the window features
-        points = [cv_baseline(_frames_from_window(w, config), config.t_pred, config.dt) for w in windows]
+        # the last observed velocities are model inputs, stored scaled
+        points = [
+            cv_baseline(w.last_pos, w.features[-1, :, 2:4] / config.input_scale, config.t_pred, config.dt)
+            for w in windows
+        ]
     else:
         preds = predict_windows(model, windows)
         points = [p.point for p in preds]
@@ -155,19 +159,6 @@ def prediction_metrics(
         lower, upper = cqr_mod.conformal_interval(lower, upper, corr)
         out["coverage"], out["mean_width"] = cqr_mod.empirical_coverage(lower, upper, truth)
     return out
-
-
-def _frames_from_window(w: WindowSample, config: HstanConfig) -> list[SceneFrame]:
-    """Reconstruct absolute frames for the baseline from a window sample."""
-    t_obs = w.features.shape[0]
-    scaled = w.features / config.input_scale
-    centroid = w.last_pos.mean(axis=0) - scaled[-1, :, 0:2].mean(axis=0)
-    frames = []
-    for t in range(t_obs):
-        feats = scaled[t].copy()
-        feats[:, 0:2] += centroid
-        frames.append(SceneFrame(timestamp=t, vehicles=feats))
-    return frames
 
 
 def build_report(

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import HstanConfig, WindowSample, make_window
-from .scene_graph import SceneFrame, frame_edge_lists
+from .model import HstanConfig, WindowSample, window_from_states
+from .scene_graph import FEATURE_DIM, check_vehicle_states, frame_edge_lists
 
 FAMILIES = (
     "highway_merging",
@@ -78,17 +78,27 @@ class ScenarioSpec:
 
 @dataclass
 class Episode:
+    """One episode as one array, validated once when built: ``frames[t, i]``
+    holds vehicle i's 8 features at ``times[t]``."""
+
     episode_id: int
     family: str
     dt: float
-    frames: list[SceneFrame]
+    frames: np.ndarray  # (F, N, 8) vehicle states
+    times: np.ndarray  # (F,) timestamps
     danger: bool
     contact_time: float | None
     curvature: float = 0.0
 
+    def __post_init__(self):
+        self.frames = check_vehicle_states(self.frames, 3)
+        self.times = np.asarray(self.times, dtype=np.float64)
+        if self.times.shape != self.frames.shape[:1] or not np.isfinite(self.times).all():
+            raise ValueError(f"episode {self.episode_id}: needs one finite timestamp per frame")
+
     @property
     def n(self) -> int:
-        return self.frames[0].n
+        return self.frames.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +303,19 @@ def _derive_kinematics(pos: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarr
     return vel, acc
 
 
+def _states(pos: np.ndarray, vel: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """(F, N, 8) vehicle states from (F, N, 2) kinematics and the standard size."""
+    dims = np.broadcast_to([VEHICLE_LENGTH, VEHICLE_WIDTH], pos.shape)
+    return np.concatenate([pos, vel, acc, dims], axis=2)
+
+
 def gen_scenario(spec: ScenarioSpec, episode_id: int = 0) -> Episode:
     rng = np.random.default_rng(spec.seed)
     true_pos = _GENERATORS[spec.family](spec, rng)
-    steps, n, _ = true_pos.shape
-
-    if n >= 2:
-        diff = true_pos[0, :, None, :] - true_pos[0, None, :, :]
-        d0 = np.sqrt((diff**2).sum(axis=2))
-        d0[np.diag_indices(n)] = np.inf
-        if (d0 < CONTACT_THRESHOLD).any():
-            raise ValueError(f"infeasible spec: vehicles overlap at t=0 ({spec})")
 
     contact_idx = _contact_scan(true_pos)
+    if contact_idx == 0:
+        raise ValueError(f"infeasible spec: vehicles overlap at t=0 ({spec})")
     danger = contact_idx is not None
     contact_time = contact_idx * spec.dt if danger else None
 
@@ -314,31 +324,21 @@ def gen_scenario(spec: ScenarioSpec, episode_id: int = 0) -> Episode:
         obs_pos = true_pos + rng.normal(0.0, spec.noise, size=true_pos.shape)
     vel, acc = _derive_kinematics(obs_pos, spec.dt)
 
-    frames = []
-    dims = np.tile([VEHICLE_LENGTH, VEHICLE_WIDTH], (n, 1))
-    for t in range(steps):
-        features = np.concatenate([obs_pos[t], vel[t], acc[t], dims], axis=1)
-        frames.append(SceneFrame(timestamp=t * spec.dt, vehicles=features))
-
     curvature = spec.curvature if spec.family == "curved_road" else 0.0
     return Episode(
         episode_id=episode_id,
         family=spec.family,
         dt=spec.dt,
-        frames=frames,
+        frames=_states(obs_pos, vel, acc),
+        times=np.arange(len(true_pos)) * spec.dt,
         danger=danger,
         contact_time=contact_time,
         curvature=curvature,
     )
 
 
-def cv_baseline(history: list[SceneFrame], t_pred: int, dt: float) -> np.ndarray:
-    """Constant-velocity extrapolation of the last observed frame: (N, T', 2)."""
-    if len(history) < 2:
-        raise ValueError("constant-velocity baseline needs at least 2 frames")
-    last = history[-1].vehicles
-    pos = last[:, 0:2]
-    vel = last[:, 2:4]
+def cv_baseline(pos: np.ndarray, vel: np.ndarray, t_pred: int, dt: float) -> np.ndarray:
+    """Constant-velocity extrapolation of (N, 2) positions and velocities: (N, T', 2)."""
     ks = np.arange(1, t_pred + 1)[:, None, None] * dt
     return (pos[None, :, :] + vel[None, :, :] * ks).transpose(1, 0, 2)
 
@@ -361,28 +361,23 @@ class DatasetSplits:
 def episode_windows(episode: Episode, config: HstanConfig, stride: int = 1) -> list[WindowSample]:
     """Sliding windows of one episode; every frame's radius graph is built
     once, in one stacked call, and each window takes its slice."""
+    states = episode.frames
     span = config.t_obs + config.t_pred
-    if len(episode.frames) < span:
-        raise ValueError(
-            f"episode {episode.episode_id} has {len(episode.frames)} frames, needs >= {span}"
+    if len(states) < span:
+        raise ValueError(f"episode {episode.episode_id} has {len(states)} frames, needs >= {span}")
+    edges = frame_edge_lists(states[:, :, 0:2], config.radius)
+    return [
+        window_from_states(
+            states[start : start + config.t_obs],
+            config,
+            future_pos=states[start + config.t_obs : start + span, :, 0:2],
+            edges=edges[start : start + config.t_obs],
+            episode_id=episode.episode_id,
+            family=episode.family,
+            start=start,
         )
-    edges = frame_edge_lists(episode.frames, config.radius)
-    out = []
-    for start in range(0, len(episode.frames) - span + 1, stride):
-        obs = episode.frames[start : start + config.t_obs]
-        fut = episode.frames[start + config.t_obs : start + span]
-        out.append(
-            make_window(
-                obs,
-                config,
-                future=fut,
-                episode_id=episode.episode_id,
-                family=episode.family,
-                start=start,
-                edges=edges[start : start + config.t_obs],
-            )
-        )
-    return out
+        for start in range(0, len(states) - span + 1, stride)
+    ]
 
 
 def split_episodes(
@@ -438,11 +433,9 @@ LABELS_HEADER = "episode_id,danger,contact_time,family,dt,curvature"
 def save_dataset(traj_path: str | Path, labels_path: str | Path, episodes: list[Episode]) -> None:
     lines = [TRAJECTORY_HEADER]
     for ep in episodes:
-        for frame in ep.frames:
-            for vid in range(frame.n):
-                row = frame.vehicles[vid]
-                fields = ",".join(repr(float(v)) for v in row)
-                lines.append(f"{ep.episode_id},{frame.timestamp!r},{vid},{fields}")
+        for t, states in zip(ep.times.tolist(), ep.frames.tolist()):
+            for vid, row in enumerate(states):
+                lines.append(f"{ep.episode_id},{t!r},{vid}," + ",".join(map(repr, row)))
     Path(traj_path).write_text("\n".join(lines) + "\n")
 
     lab = [LABELS_HEADER]
@@ -454,51 +447,78 @@ def save_dataset(traj_path: str | Path, labels_path: str | Path, episodes: list[
     Path(labels_path).write_text("\n".join(lab) + "\n")
 
 
-def load_dataset(traj_path: str | Path, labels_path: str | Path) -> list[Episode]:
+def _load_labels(labels_path: str | Path) -> dict[int, dict]:
     meta: dict[int, dict] = {}
     lab_lines = Path(labels_path).read_text().strip().split("\n")
     if lab_lines[0] != LABELS_HEADER:
         raise ValueError(f"{labels_path}: unexpected header {lab_lines[0]!r}")
-    for line in lab_lines[1:]:
-        eid, danger, ct, family, dt, curvature = line.split(",")
-        meta[int(eid)] = {
-            "danger": bool(int(danger)),
-            "contact_time": float(ct) if ct else None,
-            "family": family,
-            "dt": float(dt),
-            "curvature": float(curvature),
-        }
+    for lineno, line in enumerate(lab_lines[1:], 2):
+        try:
+            eid, danger, ct, family, dt, curvature = line.split(",")
+            if int(eid) in meta:
+                raise ValueError(f"second label row for episode {eid}")
+            meta[int(eid)] = dict(
+                danger=bool(int(danger)),
+                contact_time=float(ct) if ct else None,
+                family=family,
+                dt=float(dt),
+                curvature=float(curvature),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{labels_path}:{lineno}: {exc}") from None
+    return meta
 
-    rows: dict[int, dict[float, dict[int, np.ndarray]]] = {}
+
+def load_dataset(traj_path: str | Path, labels_path: str | Path) -> list[Episode]:
+    """Episodes from the two dataset files, in episode-id order.
+
+    The trajectory rows are parsed in one pass into a (rows, 11) table,
+    sorted by (episode, t, vehicle), and cut into one (F, N, 8) array per
+    episode. Malformed rows, non-integer ids, duplicate rows, a vehicle set
+    that changes between frames, an episode with no label row and invalid
+    vehicle states each raise ``ValueError`` naming the file.
+    """
+    meta = _load_labels(labels_path)
     traj_lines = Path(traj_path).read_text().strip().split("\n")
     if traj_lines[0] != TRAJECTORY_HEADER:
         raise ValueError(f"{traj_path}: unexpected header {traj_lines[0]!r}")
-    for line in traj_lines[1:]:
-        parts = line.split(",")
-        eid, t, vid = int(parts[0]), float(parts[1]), int(parts[2])
-        rows.setdefault(eid, {}).setdefault(t, {})[vid] = np.array(
-            [float(v) for v in parts[3:]]
-        )
+    rows = [line.split(",") for line in traj_lines[1:]]
+    if not rows:
+        return []
+    n_fields = 3 + FEATURE_DIM
+    bad_line = next((i for i, row in enumerate(rows, 2) if len(row) != n_fields), None)
+    if bad_line is not None:
+        raise ValueError(f"{traj_path}:{bad_line}: expected {n_fields} fields")
+    try:
+        table = np.array(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{traj_path}: malformed trajectory field ({exc})") from None
+    if not np.isfinite(table[:, :3]).all() or (table[:, [0, 2]] % 1 != 0).any():
+        raise ValueError(f"{traj_path}: episode ids, times and vehicle ids must be finite, ids integer")
+    table = table[np.lexsort((table[:, 2], table[:, 1], table[:, 0]))]
+    key = table[:, :3]
+    dup = np.flatnonzero((key[1:] == key[:-1]).all(axis=1))
+    if len(dup):
+        eid, t, vid = key[dup[0]].tolist()
+        raise ValueError(f"{traj_path}: duplicate row for episode {int(eid)}, t={t!r}, vehicle {int(vid)}")
 
     episodes = []
-    for eid in sorted(rows):
-        m = meta[eid]
-        frames = []
-        for t in sorted(rows[eid]):
-            by_vid = rows[eid][t]
-            features = np.stack([by_vid[v] for v in sorted(by_vid)])
-            frames.append(SceneFrame(timestamp=t, vehicles=features))
-        episodes.append(
-            Episode(
-                episode_id=eid,
-                family=m["family"],
-                dt=m["dt"],
-                frames=frames,
-                danger=m["danger"],
-                contact_time=m["contact_time"],
-                curvature=m["curvature"],
-            )
-        )
+    bounds = np.flatnonzero(key[1:, 0] != key[:-1, 0]) + 1
+    for block in np.split(table, bounds):
+        eid = int(block[0, 0])
+        n_frames = 1 + np.count_nonzero(block[1:, 1] != block[:-1, 1])
+        # a fixed roster makes every frame one row of the grid, with one time
+        # per row and the same vehicle ids in every row
+        grid = block.reshape(n_frames, -1, n_fields) if len(block) % n_frames == 0 else None
+        if grid is None or (grid[:, :, 1] != grid[:, :1, 1]).any() or (grid[:, :, 2] != grid[:1, :, 2]).any():
+            raise ValueError(f"{traj_path}: episode {eid}: vehicle set changes between frames")
+        if eid not in meta:
+            raise ValueError(f"{labels_path}: no label row for episode {eid}")
+        states, times = np.ascontiguousarray(grid[:, :, 3:]), grid[:, 0, 1].copy()
+        try:
+            episodes.append(Episode(episode_id=eid, frames=states, times=times, **meta[eid]))
+        except ValueError as exc:
+            raise ValueError(f"{traj_path}: episode {eid}: {exc}") from None
     return episodes
 
 
@@ -520,21 +540,14 @@ def cv_episodes(
         vel = rng.uniform(-max_speed, max_speed, size=(n_vehicles, 2))
         pos = pos0[None, :, :] + vel[None, :, :] * times[:, None, None]
         v_arr, a_arr = _derive_kinematics(pos, dt)
-        dims = np.tile([VEHICLE_LENGTH, VEHICLE_WIDTH], (n_vehicles, 1))
-        frames = [
-            SceneFrame(
-                timestamp=t * dt,
-                vehicles=np.concatenate([pos[t], v_arr[t], a_arr[t], dims], axis=1),
-            )
-            for t in range(steps)
-        ]
         contact_idx = _contact_scan(pos)
         episodes.append(
             Episode(
                 episode_id=eid,
                 family="cv",
                 dt=dt,
-                frames=frames,
+                frames=_states(pos, v_arr, a_arr),
+                times=times,
                 danger=contact_idx is not None,
                 contact_time=contact_idx * dt if contact_idx is not None else None,
             )

@@ -17,6 +17,22 @@ from .autodiff import Tensor
 FEATURE_DIM = 8
 
 
+def check_vehicle_states(states, ndim: int) -> np.ndarray:
+    """Validated float64 vehicle states of shape (..., N, 8) with ``ndim``
+    axes: at least one vehicle (and frame), finite features, and positive
+    length and width."""
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != ndim or states.shape[-1] != FEATURE_DIM:
+        raise ValueError(f"expected {ndim}-axis (..., N, {FEATURE_DIM}) vehicle states, got {states.shape}")
+    if 0 in states.shape:
+        raise ValueError(f"vehicle states need at least one vehicle and one frame, got {states.shape}")
+    if not np.isfinite(states).all():
+        raise ValueError("non-finite vehicle features")
+    if (states[..., 6:8] <= 0).any():
+        raise ValueError("vehicle length/width must be positive")
+    return states
+
+
 @dataclass
 class SceneFrame:
     """One time slice of the scene: N vehicles, 8 features each."""
@@ -25,15 +41,7 @@ class SceneFrame:
     vehicles: np.ndarray  # (N, 8)
 
     def __post_init__(self):
-        self.vehicles = np.asarray(self.vehicles, dtype=np.float64)
-        if self.vehicles.ndim != 2 or self.vehicles.shape[1] != FEATURE_DIM:
-            raise ValueError(f"SceneFrame expects (N, {FEATURE_DIM}) features, got {self.vehicles.shape}")
-        if self.vehicles.shape[0] < 1:
-            raise ValueError("SceneFrame needs at least one vehicle")
-        if not np.isfinite(self.vehicles).all():
-            raise ValueError("non-finite vehicle features")
-        if (self.vehicles[:, 6:8] <= 0).any():
-            raise ValueError("vehicle length/width must be positive")
+        self.vehicles = check_vehicle_states(self.vehicles, 2)
 
     @property
     def n(self) -> int:
@@ -114,15 +122,13 @@ def edges_from_positions(positions: np.ndarray, radius: float) -> tuple[np.ndarr
     return src, dst
 
 
-def frame_edge_lists(frames: list[SceneFrame], radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-frame local (src, dst) radius graphs of a fixed-roster frame
-    sequence, from one stacked ``edges_from_positions`` call."""
-    n = frames[0].n
-    if any(f.n != n for f in frames):
-        raise ValueError("vehicle roster changed between frames")
-    src, dst = edges_from_positions(np.stack([f.positions for f in frames]), radius)
+def frame_edge_lists(positions: np.ndarray, radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-frame local (src, dst) radius graphs of a (F, N, 2) position
+    stack, from one stacked ``edges_from_positions`` call."""
+    n_frames, n = positions.shape[:2]
+    src, dst = edges_from_positions(positions, radius)
     frame = dst // n
-    bounds = np.searchsorted(frame, np.arange(1, len(frames)))
+    bounds = np.searchsorted(frame, np.arange(1, n_frames))
     return list(zip(np.split(src - frame * n, bounds), np.split(dst - frame * n, bounds)))
 
 

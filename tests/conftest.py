@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fcw.model import HstanConfig
+from fcw.model import HstanConfig, window_from_states
 from fcw.scene_graph import SceneFrame
 
 
@@ -39,6 +39,17 @@ def random_frames(n_vehicles: int, n_frames: int, seed: int = 0, spread: float =
             SceneFrame(timestamp=0.1 * t, vehicles=np.concatenate([p, v, acc, dims], axis=1))
         )
     return frames
+
+
+def scene_frames(episode):
+    """The episode's (F, N, 8) array as a list of one ``SceneFrame`` per frame."""
+    return [SceneFrame(timestamp=t, vehicles=v) for t, v in zip(episode.times, episode.frames)]
+
+
+def labelled_window(frames, config: HstanConfig):
+    """Window of the first T frames, with the positions of the rest as its target."""
+    states = np.stack([f.vehicles for f in frames])
+    return window_from_states(states[: config.t_obs], config, future_pos=states[config.t_obs :, :, 0:2])
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ compare the two.
 import numpy as np
 
 import fcw.model as md
-from fcw.drta import TrackState
+from fcw.drta import TrackState, risk_geo, risk_kin, risk_pred
 
 
 def dense_adjacency(positions, radius):
@@ -59,6 +59,11 @@ def predict_one(model, window):
     """Raw prediction of a single window through its own forward pass."""
     batch = md.prepare_batch([window], model.config)
     return md.outputs_to_predictions(md.forward_batch(model, batch), batch, model.config)[0]
+
+
+def risk_total(inp, w):
+    """The weighted risk of one tick, from the three component terms."""
+    return w.w_pred * risk_pred(inp, w) + w.w_kin * risk_kin(inp, w) + w.w_geo * risk_geo(inp, w)
 
 
 def replay_stream(stream, weights, window_size=50, fixed_threshold=None):

@@ -20,7 +20,7 @@ import fcw.scenario as sc
 from fcw.drta import RiskWeights
 from fcw.optim import grad_check
 
-from conftest import random_frames, tiny_config
+from conftest import labelled_window, random_frames, tiny_config
 
 import oracles
 
@@ -110,7 +110,7 @@ def test_criterion_1_gradient_correctness(capfd):
     config = tiny_config()  # 3 vehicles below; T=4, T'=3, D_h=8
     model = md.init_model(config, seed=0)
     frames = random_frames(3, config.t_obs + config.t_pred, seed=1)
-    window = md.make_window(frames[: config.t_obs], config, future=frames[config.t_obs :])
+    window = labelled_window(frames, config)
     batch = md.prepare_batch([window], config)
 
     def f():

@@ -69,12 +69,6 @@ def test_softmax_hand_value():
     assert np.allclose(out.data, [[0.25, 0.75]])
 
 
-def test_softmax_mask():
-    mask = np.array([[True, False, True]])
-    out = ad.softmax_rows(ad.constant([[1.0, 1.0, 1.0]]), mask=mask)
-    assert np.allclose(out.data, [[0.5, 0.0, 0.5]])
-
-
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(7)
     out = ad.softmax_rows(ad.constant(rng.standard_normal((5, 9))))
@@ -94,27 +88,12 @@ def test_softmax_large_values_stable():
     assert np.allclose(out.data, [[0.5, 0.5]])
 
 
-def test_softmax_fully_masked_row_raises():
-    mask = np.array([[False, False]])
-    with pytest.raises(ad.DegenerateRowError):
-        ad.softmax_rows(ad.constant([[1.0, 2.0]]), mask=mask)
-
-
 def test_activation_values():
     x = ad.constant([[-1.0, 0.0, 1.0]])
     assert np.allclose(ad.leaky_relu(x, 0.2).data, [[-0.2, 0.0, 1.0]])
     assert np.allclose(ad.sigmoid(ad.constant([[0.0]])).data, [[0.5]])
     assert np.allclose(ad.elu(x).data, [[np.expm1(-1.0), 0.0, 1.0]])
     assert np.allclose(ad.tanh(ad.constant([[0.0]])).data, [[0.0]])
-
-
-def test_activation_kind_dispatch():
-    x = ad.constant([[-2.0, 3.0]])
-    for kind in ("leaky_relu", "elu", "sigmoid", "tanh", "relu"):
-        out = ad.activation(x, kind)
-        assert out.shape == (1, 2)
-    with pytest.raises(ValueError):
-        ad.activation(x, "swish")
 
 
 def test_edge_softmax_groups_by_destination():
@@ -206,12 +185,6 @@ def test_grad_maximum():
 
 def test_grad_softmax():
     check_op(lambda a: ad.mul(ad.softmax_rows(a), a), 1, [(4, 4)], seed=14)
-
-
-def test_grad_softmax_masked():
-    mask = np.random.default_rng(2).random((4, 4)) > 0.3
-    mask[:, 0] = True
-    check_op(lambda a: ad.mul(ad.softmax_rows(a, mask=mask), a), 1, [(4, 4)], seed=15)
 
 
 def test_grad_concat_gather():

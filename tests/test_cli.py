@@ -314,3 +314,84 @@ def test_lambda_presets_via_mode(tmp_path, cfg_file):
     ns = type("A", (), {"config": cfg_file, "seed": None, "alpha": None, "mode": "highway", "lam": None})()
     loaded = cli._load_config(ns)
     assert loaded.risk.lam == pytest.approx(2.6)
+
+
+# ---------------------------------------------------------------------------
+# malformed checkpoint and calibration files end in a clean error
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def artifacts(tmp_path, cfg_file):
+    """A dataset, an untrained checkpoint and its calibration."""
+    import fcw.model as md
+    from fcw.checkpoint import save_checkpoint
+
+    data, ckpt, calib = tmp_path / "data", tmp_path / "model.ckpt", tmp_path / "calib.json"
+    assert run(["gen", "--config", cfg_file, "--seed", "0", "--out", str(data)]) == 0
+    model_cfg = cli.parse_config_file(cfg_file).model
+    save_checkpoint(ckpt, md.init_model(model_cfg, seed=0).params, model_cfg.to_dict())
+    assert run(["calibrate", "--config", cfg_file, "--checkpoint", str(ckpt),
+                "--data", str(data), "--out", str(calib)]) == 0
+    return data, ckpt, calib
+
+
+def assert_clean_error(argv, capsys, *needles):
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def calibrate_argv(cfg_file, data, ckpt, tmp_path):
+    return ["calibrate", "--config", cfg_file, "--checkpoint", str(ckpt),
+            "--data", str(data), "--out", str(tmp_path / "out.json")]
+
+
+def test_truncated_checkpoint_header_is_clean_error(tmp_path, cfg_file, capsys, artifacts):
+    data, ckpt, _ = artifacts
+    blob = ckpt.read_bytes()
+    for cut in (12, 40):  # inside the length field, inside the header
+        ckpt.write_bytes(blob[:cut])
+        assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, str(ckpt), "truncated")
+
+
+def test_trailing_checkpoint_bytes_are_clean_error(tmp_path, cfg_file, capsys, artifacts):
+    data, ckpt, _ = artifacts
+    ckpt.write_bytes(ckpt.read_bytes() + b"\0")
+    assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, str(ckpt), "trailing")
+
+
+@pytest.mark.parametrize("change", ["unknown", "missing"])
+def test_checkpoint_config_keys_are_checked(tmp_path, cfg_file, capsys, artifacts, change):
+    from fcw.checkpoint import load_checkpoint, save_checkpoint
+
+    data, ckpt, _ = artifacts
+    store, config = load_checkpoint(ckpt)
+    if change == "unknown":
+        config["flux_capacitor"] = 1
+    else:
+        del config["radius"]
+    save_checkpoint(ckpt, store, config)
+    key = "flux_capacitor" if change == "unknown" else "radius"
+    assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, f"{change} ['{key}']")
+
+
+@pytest.mark.parametrize("change", ["no n_cal", "q not q_shape"])
+def test_malformed_calibration_is_clean_error(tmp_path, cfg_file, capsys, artifacts, change):
+    import json
+
+    data, ckpt, calib = artifacts
+    payload = json.loads(calib.read_text())
+    if change == "no n_cal":
+        del payload["n_cal"]
+    else:
+        payload["q"] = payload["q"][:-1]
+    calib.write_text(json.dumps(payload))
+    assert_clean_error(
+        ["warn", "--config", cfg_file, "--checkpoint", str(ckpt), "--calibration", str(calib),
+         "--data", str(data), "--out", str(tmp_path / "events.csv")],
+        capsys, str(calib),
+    )

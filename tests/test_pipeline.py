@@ -9,7 +9,7 @@ import fcw.pipeline as pl
 import fcw.scenario as sc
 from fcw.drta import RiskWeights
 
-from conftest import random_frames, tiny_config
+from conftest import scene_frames, tiny_config
 
 import oracles
 
@@ -24,15 +24,6 @@ def small_model(**cfg_overrides):
 # ---------------------------------------------------------------------------
 
 
-def test_frames_from_window_inverts_make_window():
-    cfg = tiny_config()
-    frames = random_frames(3, cfg.t_obs, seed=2)
-    w = md.make_window(frames, cfg)
-    back = pl._frames_from_window(w, cfg)
-    for orig, rec in zip(frames, back):
-        assert np.allclose(rec.vehicles, orig.vehicles, atol=1e-9)
-
-
 def test_cv_baseline_metrics_near_zero_on_cv_data():
     cfg = tiny_config()
     eps = sc.cv_episodes(4, n_vehicles=2, duration=2.0, seed=0)
@@ -40,6 +31,22 @@ def test_cv_baseline_metrics_near_zero_on_cv_data():
     stats = pl.prediction_metrics(None, windows, cfg, baseline="cv")
     assert stats["ade"] < 1e-9
     assert stats["fde"] < 1e-9
+
+
+def test_cv_baseline_metrics_match_extrapolation_from_the_episode():
+    # braking with tracker noise: the velocity changes from frame to frame
+    cfg = tiny_config()
+    ep = sc.gen_scenario(sc.ScenarioSpec(family="sudden_braking", duration=3.0, noise=0.05, seed=2), 0)
+    windows = sc.episode_windows(ep, cfg)
+    errors = []
+    for w in windows:
+        tick = w.start + cfg.t_obs - 1
+        steps = np.arange(1, cfg.t_pred + 1)[:, None, None]
+        guess = ep.frames[tick, :, 0:2] + ep.frames[tick, :, 2:4] * (steps * cfg.dt)
+        errors.append(np.hypot(*(guess - ep.frames[tick + 1 : tick + 1 + cfg.t_pred, :, 0:2]).T))
+    stats = pl.prediction_metrics(None, windows, cfg, baseline="cv")
+    assert stats["ade"] == pytest.approx(np.mean(errors), rel=1e-12)
+    assert stats["fde"] == pytest.approx(np.mean([e[:, -1] for e in errors]), rel=1e-12)
 
 
 def test_prediction_metrics_with_correction_reports_coverage():
@@ -86,11 +93,11 @@ def test_warn_episode_matches_per_tick_loop(no_cqr):
     track = TrackState(weights=weights, window_size=20)
     expected = []
     for tick in range(cfg.t_obs - 1, len(ep.frames)):
-        history = ep.frames[tick - cfg.t_obs + 1 : tick + 1]
+        history = scene_frames(ep)[tick - cfg.t_obs + 1 : tick + 1]
         pred = oracles.predict_one(model, md.make_window(history, cfg))
         pred = cq.apply_correction(pred, None if no_cqr else corr)
         inputs = extract_risk_inputs(
-            pred, 0, list(range(1, ep.n)), history, ep.curvature, ep.dt, cfg.collision_radius
+            pred, 0, list(range(1, ep.n)), history[-1].vehicles, ep.curvature, ep.dt, cfg.collision_radius
         )
         if no_cqr:
             inputs = dataclasses.replace(inputs, sigma_pred=0.0)
@@ -128,7 +135,8 @@ def test_warn_episode_reuses_one_graph_build(monkeypatch):
     monkeypatch.undo()
     assert len(seen) == len(ep.frames) - cfg.t_obs + 1
     for tick, w in enumerate(seen, start=cfg.t_obs - 1):
-        fresh = md.make_window(ep.frames[tick - cfg.t_obs + 1 : tick + 1], cfg)
+        fresh = md.make_window(scene_frames(ep)[tick - cfg.t_obs + 1 : tick + 1], cfg)
+        assert np.array_equal(w.features, fresh.features) and np.array_equal(w.last_pos, fresh.last_pos)
         for (src, dst), (want_src, want_dst) in zip(w.edge_lists, fresh.edge_lists, strict=True):
             assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
 

@@ -1,17 +1,19 @@
 """Synthetic scenario families, car-following dynamics, labels, datasets."""
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import fcw.cli as cli
 import fcw.model as md
 import fcw.scenario as sc
 import fcw.scene_graph as sg
-from fcw.scene_graph import SceneFrame
-
-from conftest import tiny_config
+from conftest import scene_frames, tiny_config
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,7 @@ def test_congested_zero_noise_no_contact():
     ep = sc.gen_scenario(spec)
     assert not ep.danger
     # stop-and-go: the wave forces some near-stopped and some moving ticks
-    speeds = np.array([np.hypot(*f.vehicles[0, 2:4]) for f in ep.frames])
+    speeds = np.hypot(*ep.frames[:, 0, 2:4].T)
     assert speeds.min() < 2.0 < speeds.max()
 
 
@@ -112,8 +114,7 @@ def test_same_seed_identical_episodes():
     spec = sc.ScenarioSpec(family="cut_in", duration=6.0, noise=0.1, seed=11)
     a = sc.gen_scenario(spec)
     b = sc.gen_scenario(spec)
-    for fa, fb in zip(a.frames, b.frames):
-        assert np.array_equal(fa.vehicles, fb.vehicles)
+    assert np.array_equal(a.frames, b.frames) and np.array_equal(a.times, b.times)
     assert (a.danger, a.contact_time) == (b.danger, b.contact_time)
 
 
@@ -126,10 +127,9 @@ def test_infeasible_overlap_rejected():
 def test_every_family_generates():
     for fi, family in enumerate(sc.FAMILIES):
         ep = sc.gen_scenario(sc.ScenarioSpec(family=family, duration=6.0, seed=fi))
-        assert len(ep.frames) == 61
+        assert ep.frames.shape == (61, ep.n, 8)
+        assert np.array_equal(ep.times, np.arange(61) * 0.1)
         assert ep.family == family
-        rosters = {f.n for f in ep.frames}
-        assert len(rosters) == 1
 
 
 def test_danger_label_matches_bruteforce_scan():
@@ -138,9 +138,9 @@ def test_danger_label_matches_bruteforce_scan():
         ep = sc.gen_scenario(spec)
         hit = None
         for t, f in enumerate(ep.frames):
-            pos = f.vehicles[:, 0:2]
-            for i in range(f.n):
-                for j in range(i + 1, f.n):
+            pos = f[:, 0:2]
+            for i in range(ep.n):
+                for j in range(i + 1, ep.n):
                     if np.hypot(*(pos[i] - pos[j])) < sc.CONTACT_THRESHOLD:
                         hit = t if hit is None else hit
         assert ep.danger == (hit is not None)
@@ -151,19 +151,19 @@ def test_danger_label_matches_bruteforce_scan():
 def test_kinematic_consistency_noiseless():
     ep = sc.gen_scenario(sc.ScenarioSpec(family="highway_merging", duration=5.0, seed=3))
     for t in range(len(ep.frames) - 1):
-        fd = (ep.frames[t + 1].vehicles[:, 0:2] - ep.frames[t].vehicles[:, 0:2]) / ep.dt
-        assert np.allclose(ep.frames[t].vehicles[:, 2:4], fd, atol=1e-9)
+        fd = (ep.frames[t + 1, :, 0:2] - ep.frames[t, :, 0:2]) / ep.dt
+        assert np.allclose(ep.frames[t, :, 2:4], fd, atol=1e-9)
 
 
 def test_curved_road_preserves_speed():
     ep = sc.gen_scenario(sc.ScenarioSpec(family="curved_road", duration=5.0, seed=4))
-    speeds = np.array([np.hypot(*f.vehicles[0, 2:4]) for f in ep.frames[:-2]])
+    speeds = np.hypot(*ep.frames[:-2, 0, 2:4].T)
     assert speeds.std() / speeds.mean() < 1e-3
 
 
 def test_cut_in_crosses_into_lane():
     ep = sc.gen_scenario(sc.ScenarioSpec(family="cut_in", duration=6.0, seed=5))
-    y = np.array([f.vehicles[1, 1] for f in ep.frames])
+    y = ep.frames[:, 1, 1]
     assert y[0] == pytest.approx(3.5, abs=0.1)  # starts in the adjacent lane
     assert abs(y[-1]) < 0.1  # ends in the ego lane
 
@@ -173,27 +173,11 @@ def test_cut_in_crosses_into_lane():
 # ---------------------------------------------------------------------------
 
 
-def make_linear_history(pos0, vel, n_frames, dt):
-    frames = []
-    n = pos0.shape[0]
-    dims = np.tile([4.5, 1.8], (n, 1))
-    for t in range(n_frames):
-        p = pos0 + vel * (t * dt)
-        frames.append(
-            SceneFrame(
-                timestamp=t * dt,
-                vehicles=np.concatenate([p, vel, np.zeros((n, 2)), dims], axis=1),
-            )
-        )
-    return frames
-
-
 def test_cv_baseline_exact_on_linear_motion(rng):
     pos0 = rng.uniform(-20, 20, (3, 2))
     vel = rng.uniform(-10, 10, (3, 2))
     dt, t_pred = 0.1, 5
-    hist = make_linear_history(pos0, vel, 4, dt)
-    pred = sc.cv_baseline(hist, t_pred, dt)
+    pred = sc.cv_baseline(pos0 + vel * (3 * dt), vel, t_pred, dt)
     for k in range(t_pred):
         truth = pos0 + vel * ((3 + k + 1) * dt)
         assert np.allclose(pred[:, k, :], truth, atol=1e-12)
@@ -202,34 +186,17 @@ def test_cv_baseline_exact_on_linear_motion(rng):
 def test_cv_baseline_braking_fde_closed_form():
     # truth decelerates at a from the last observed frame: FDE = 0.5*a*(T'*dt)^2
     a, dt, t_pred, v = 4.0, 0.1, 10, 20.0
-    dims = np.array([[4.5, 1.8]])
-    hist = [
-        SceneFrame(
-            timestamp=t * dt,
-            vehicles=np.concatenate(
-                [[[v * t * dt, 0.0]], [[v, 0.0]], [[0.0, 0.0]], dims], axis=1
-            ),
-        )
-        for t in range(2)
-    ]
-    pred = sc.cv_baseline(hist, t_pred, dt)
+    t0 = dt  # last observed time
+    pred = sc.cv_baseline(np.array([[v * t0, 0.0]]), np.array([[v, 0.0]]), t_pred, dt)
     h = t_pred * dt
-    t0 = hist[-1].timestamp
     truth_x = v * t0 + v * h - 0.5 * a * h**2
     fde = abs(pred[0, -1, 0] - truth_x)
     assert fde == pytest.approx(0.5 * a * h**2, abs=1e-12)
 
 
 def test_cv_baseline_stationary():
-    hist = make_linear_history(np.array([[3.0, 4.0]]), np.zeros((1, 2)), 3, 0.1)
-    pred = sc.cv_baseline(hist, 4, 0.1)
+    pred = sc.cv_baseline(np.array([[3.0, 4.0]]), np.zeros((1, 2)), 4, 0.1)
     assert np.allclose(pred, [[[3.0, 4.0]] * 4], atol=1e-12)
-
-
-def test_cv_baseline_needs_two_frames():
-    hist = make_linear_history(np.zeros((1, 2)), np.zeros((1, 2)), 1, 0.1)
-    with pytest.raises(ValueError):
-        sc.cv_baseline(hist, 3, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +283,10 @@ def test_episode_windows_reuse_one_graph_build(monkeypatch):
     assert calls == [(len(ep.frames), ep.n, 2)]  # one stacked call for the whole episode
     monkeypatch.undo()
     for w in windows:
-        fresh = md.make_window(ep.frames[w.start : w.start + cfg.t_obs], cfg)
+        fresh = md.make_window(scene_frames(ep)[w.start : w.start + cfg.t_obs], cfg)
+        assert np.array_equal(w.features, fresh.features) and np.array_equal(w.last_pos, fresh.last_pos)
+        future = scene_frames(ep)[w.start + cfg.t_obs : w.start + cfg.t_obs + cfg.t_pred]
+        assert np.array_equal(w.target_abs, np.stack([f.positions for f in future]))
         assert len(w.edge_lists) == cfg.t_obs
         for (src, dst), (want_src, want_dst) in zip(w.edge_lists, fresh.edge_lists):
             assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
@@ -342,9 +312,8 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         assert back.contact_time == orig.contact_time
         assert back.dt == orig.dt
         assert back.curvature == orig.curvature
-        for fa, fb in zip(orig.frames, back.frames):
-            assert np.array_equal(fa.vehicles, fb.vehicles)
-            assert fa.timestamp == fb.timestamp
+        assert np.array_equal(orig.frames, back.frames)
+        assert np.array_equal(orig.times, back.times)
 
 
 def test_load_rejects_wrong_header(tmp_path):
@@ -355,11 +324,106 @@ def test_load_rejects_wrong_header(tmp_path):
         sc.load_dataset(traj, labels)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_save_load_roundtrip_property(tmp_path_factory, data):
+    episodes = []
+    for eid in data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3, unique=True)):
+        n_frames, n = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 6))
+        dt = data.draw(st.floats(1e-3, 10.0))
+        states = data.draw(hnp.arrays(np.float64, (n_frames, n, 8), elements=st.floats(-1e6, 1e6)))
+        states[..., 6:8] = np.abs(states[..., 6:8]) + 0.5  # positive length and width
+        contact = data.draw(st.none() | st.floats(0.0, 100.0))
+        episodes.append(
+            sc.Episode(
+                episode_id=eid,
+                family=data.draw(st.sampled_from(sc.FAMILIES)),
+                dt=dt,
+                frames=states,
+                times=np.arange(n_frames) * dt,
+                danger=data.draw(st.booleans()),
+                contact_time=contact,
+                curvature=data.draw(st.floats(-0.1, 0.1)),
+            )
+        )
+    out = tmp_path_factory.mktemp("roundtrip")
+    sc.save_dataset(out / "t.csv", out / "l.csv", episodes)
+    loaded = sc.load_dataset(out / "t.csv", out / "l.csv")
+    assert len(loaded) == len(episodes)
+    for orig, back in zip(sorted(episodes, key=lambda e: e.episode_id), loaded):
+        assert np.array_equal(orig.frames, back.frames) and np.array_equal(orig.times, back.times)
+        labels = ("episode_id", "family", "dt", "danger", "contact_time", "curvature")
+        assert [getattr(back, k) for k in labels] == [getattr(orig, k) for k in labels]
+
+
+def test_episode_validates_its_array():
+    ep = sc.cv_episodes(1, n_vehicles=2, duration=0.4, seed=0)[0]  # 5 frames
+    nan, thin = ep.frames.copy(), ep.frames.copy()
+    nan[2, 1, 3] = np.nan
+    thin[0, 0, 7] = 0.0
+    bad = [
+        dict(frames=ep.frames[0]),  # one frame, not an episode
+        dict(frames=ep.frames[:, :0]),  # no vehicles
+        dict(frames=ep.frames[:, :, :7]),  # a feature missing
+        dict(frames=nan),
+        dict(frames=thin),
+        dict(times=ep.times[:-1]),
+        dict(times=np.full(5, np.inf)),
+    ]
+    for change in bad:
+        with pytest.raises(ValueError):
+            dataclasses.replace(ep, **change)
+
+
+def _rows(text):
+    return [line.split(",") for line in text.strip().split("\n")]
+
+
+def _set(row, col, value):
+    def mutate(rows):
+        rows[row][col] = value
+    return mutate
+
+
+# each mutation of a valid two-episode file, the file its error names, and
+# a fragment of the error
+MALFORMED = {
+    "wrong field count": (lambda rows: rows[3].pop(), "traj", ":4: expected 11 fields"),
+    "field does not parse": (_set(3, 4, "abc"), "traj", "could not convert"),
+    "non-integer episode id": (_set(3, 0, "0.5"), "traj", "ids integer"),
+    "non-integer vehicle id": (_set(3, 2, "1.5"), "traj", "ids integer"),
+    "non-finite time": (_set(3, 1, "nan"), "traj", "must be finite"),
+    "duplicate row": (lambda rows: rows.append(list(rows[3])), "traj", "duplicate row for episode 0"),
+    "vehicle missing from a frame": (lambda rows: rows.pop(3), "traj", "vehicle set changes"),
+    "vehicle replaced in a frame": (_set(3, 2, "7"), "traj", "vehicle set changes"),
+    "non-finite value": (_set(3, 5, "inf"), "traj", "non-finite vehicle features"),
+    "zero width": (_set(3, 10, "0.0"), "traj", "length/width must be positive"),
+    "episode without a label row": (lambda rows: rows.pop(2), "labels", "no label row for episode 1"),
+    "second label row": (lambda rows: rows.append(list(rows[1])), "labels", "second label row"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_rejects_malformed_dataset(tmp_path, capsys, case):
+    mutate, named, fragment = MALFORMED[case]
+    traj, labels = tmp_path / "trajectories.csv", tmp_path / "labels.csv"
+    sc.save_dataset(traj, labels, sc.cv_episodes(2, n_vehicles=2, duration=0.3, seed=4))
+    path = traj if named == "traj" else labels
+    rows = _rows(path.read_text())
+    mutate(rows)
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))) as caught:
+        sc.load_dataset(traj, labels)
+    assert fragment in str(caught.value)
+    assert cli.main(["eval", "--data", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cv_episodes_respect_max_speed():
     eps = sc.cv_episodes(5, n_vehicles=3, duration=2.0, max_speed=6.0, seed=3)
     for ep in eps:
-        for f in ep.frames[:-1]:
-            assert np.all(np.abs(f.vehicles[:, 2:4]) <= 6.0 + 1e-9)
+        assert np.all(np.abs(ep.frames[:-1, :, 2:4]) <= 6.0 + 1e-9)
 
 
 @settings(max_examples=15, deadline=None)
@@ -368,4 +432,4 @@ def test_generation_deterministic_property(seed, family):
     spec = sc.ScenarioSpec(family=family, duration=4.0, noise=0.05, seed=seed)
     a = sc.gen_scenario(spec)
     b = sc.gen_scenario(spec)
-    assert all(np.array_equal(x.vehicles, y.vehicles) for x, y in zip(a.frames, b.frames))
+    assert np.array_equal(a.frames, b.frames)

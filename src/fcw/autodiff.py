@@ -46,9 +46,12 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # copy on the first write: one array may reach several parents (add
+        # hands the same g to both), so a stored gradient never aliases g
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this node; seeds with ones for a 1x1 scalar."""
@@ -187,14 +190,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ bias row). The shared affine primitive behind every layer."""
+    """x @ w (+ bias row) as one node. The shared affine primitive behind every layer."""
     if x.shape[1] != w.shape[0]:
         raise ShapeMismatchError(f"linear: input {x.shape} vs weight {w.shape}")
-    if b is not None:
-        if b.shape != (1, w.shape[1]):
-            raise ShapeMismatchError(f"linear: bias {b.shape} vs weight {w.shape}")
-        return add(matmul(x, w), b)
-    return matmul(x, w)
+    if b is None:
+        return matmul(x, w)
+    if b.shape != (1, w.shape[1]):
+        raise ShapeMismatchError(f"linear: bias {b.shape} vs weight {w.shape}")
+    out = Tensor(x.data @ w.data + b.data, parents=(x, w, b))
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0, keepdims=True))
+
+    out._backward = backward
+    return out
 
 
 def _elementwise(x: Tensor, value: np.ndarray, dvalue: np.ndarray) -> Tensor:
@@ -208,32 +222,19 @@ def _elementwise(x: Tensor, value: np.ndarray, dvalue: np.ndarray) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    v = 1.0 / (1.0 + np.exp(-x.data))
-    return _elementwise(x, v, v * (1.0 - v))
-
-
-def tanh(x: Tensor) -> Tensor:
-    v = np.tanh(x.data)
-    return _elementwise(x, v, 1.0 - v * v)
-
-
 def relu(x: Tensor) -> Tensor:
     v = np.maximum(x.data, 0.0)
     return _elementwise(x, v, (x.data > 0.0).astype(np.float64))
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must be in (0,1), got {slope}")
-    v = np.where(x.data > 0.0, x.data, slope * x.data)
-    return _elementwise(x, v, np.where(x.data > 0.0, 1.0, slope))
+def elu_and_derivative(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ELU of an array and its derivative; fused ops that end in ELU share it."""
+    e = np.exp(np.minimum(z, 0.0))
+    return np.where(z > 0.0, z, e - 1.0), np.where(z > 0.0, 1.0, e)
 
 
 def elu(x: Tensor) -> Tensor:
-    e = np.exp(np.minimum(x.data, 0.0))
-    v = np.where(x.data > 0.0, x.data, e - 1.0)
-    return _elementwise(x, v, np.where(x.data > 0.0, 1.0, e))
+    return _elementwise(x, *elu_and_derivative(x.data))
 
 
 def square(x: Tensor) -> Tensor:
@@ -261,23 +262,6 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction."""
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p, parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            inner = (g * p).sum(axis=1, keepdims=True)
-            gx = p * (g - inner)
-            x._accumulate(gx)
-
-    out._backward = backward
-    return out
-
-
 def concat_rows(parts: list[Tensor]) -> Tensor:
     cols = parts[0].shape[1]
     for p in parts:
@@ -291,25 +275,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
             n = p.shape[0]
             if p.requires_grad:
                 p._accumulate(g[start : start + n])
-            start += n
-
-    out._backward = backward
-    return out
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.shape[0] != rows:
-            raise ShapeMismatchError("concat_cols: row mismatch")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), parents=tuple(parts))
-
-    def backward(g):
-        start = 0
-        for p in parts:
-            n = p.shape[1]
-            if p.requires_grad:
-                p._accumulate(g[:, start : start + n])
             start += n
 
     out._backward = backward
@@ -375,106 +340,6 @@ def mean_all(x: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             x._accumulate(np.full_like(x.data, g[0, 0] / n))
-
-    out._backward = backward
-    return out
-
-
-def edge_softmax(scores: Tensor, dst: np.ndarray, n_nodes: int) -> Tensor:
-    """Softmax of per-edge scores grouped by destination node.
-
-    ``scores`` is (E, 1); entries with the same ``dst`` index normalize
-    together. Max-subtraction per group for stability.
-    """
-    if scores.shape[1] != 1:
-        raise ShapeMismatchError(f"edge_softmax expects (E,1) scores, got {scores.shape}")
-    dst = np.asarray(dst, dtype=np.intp)
-    s = scores.data[:, 0]
-    gmax = np.full(n_nodes, -np.inf)
-    np.maximum.at(gmax, dst, s)
-    e = np.exp(s - gmax[dst])
-    gsum = np.zeros(n_nodes)
-    np.add.at(gsum, dst, e)
-    alpha = e / gsum[dst]
-    out = Tensor(alpha.reshape(-1, 1), parents=(scores,))
-
-    def backward(g):
-        if scores.requires_grad:
-            gv = g[:, 0]
-            inner = np.zeros(n_nodes)
-            np.add.at(inner, dst, alpha * gv)
-            gs = alpha * (gv - inner[dst])
-            scores._accumulate(gs.reshape(-1, 1))
-
-    out._backward = backward
-    return out
-
-
-def edge_aggregate(alpha: Tensor, msgs: Tensor, dst: np.ndarray, n_nodes: int) -> Tensor:
-    """out[i] = sum over edges e with dst[e]==i of alpha[e] * msgs[e]."""
-    if alpha.shape != (msgs.shape[0], 1):
-        raise ShapeMismatchError(f"edge_aggregate: alpha {alpha.shape} vs msgs {msgs.shape}")
-    dst = np.asarray(dst, dtype=np.intp)
-    acc = np.zeros((n_nodes, msgs.shape[1]))
-    if len(dst):
-        # sum each run of equal dst, then scatter one row per run; a
-        # dst-sorted edge list has one run per node
-        starts = np.flatnonzero(np.concatenate([[True], dst[1:] != dst[:-1]]))
-        np.add.at(acc, dst[starts], np.add.reduceat(alpha.data * msgs.data, starts, axis=0))
-    out = Tensor(acc, parents=(alpha, msgs))
-
-    def backward(g):
-        ge = g[dst]
-        if alpha.requires_grad:
-            alpha._accumulate((ge * msgs.data).sum(axis=1, keepdims=True))
-        if msgs.requires_grad:
-            msgs._accumulate(ge * alpha.data)
-
-    out._backward = backward
-    return out
-
-
-def block_matmul_nt(q: Tensor, k: Tensor, block: int) -> Tensor:
-    """Block-diagonal Q @ K^T: rows grouped in blocks of size ``block``.
-
-    Both inputs are (B*block, d); output is (B*block, block) where row
-    (b, t) holds the scores of query (b, t) against block b's keys.
-    """
-    if q.shape != k.shape or q.shape[0] % block != 0:
-        raise ShapeMismatchError(f"block_matmul_nt: {q.shape} vs {k.shape}, block {block}")
-    nb = q.shape[0] // block
-    q3 = q.data.reshape(nb, block, -1)
-    k3 = k.data.reshape(nb, block, -1)
-    s = np.einsum("btd,bsd->bts", q3, k3)
-    out = Tensor(s.reshape(nb * block, block), parents=(q, k))
-
-    def backward(g):
-        g3 = g.reshape(nb, block, block)
-        if q.requires_grad:
-            q._accumulate(np.einsum("bts,bsd->btd", g3, k3).reshape(q.shape))
-        if k.requires_grad:
-            k._accumulate(np.einsum("bts,btd->bsd", g3, q3).reshape(k.shape))
-
-    out._backward = backward
-    return out
-
-
-def block_matmul_nn(p: Tensor, v: Tensor, block: int) -> Tensor:
-    """Block-diagonal P @ V: p is (B*block, block), v is (B*block, d)."""
-    if p.shape[0] != v.shape[0] or p.shape[1] != block or p.shape[0] % block != 0:
-        raise ShapeMismatchError(f"block_matmul_nn: {p.shape} vs {v.shape}, block {block}")
-    nb = p.shape[0] // block
-    p3 = p.data.reshape(nb, block, block)
-    v3 = v.data.reshape(nb, block, -1)
-    o = np.einsum("bts,bsd->btd", p3, v3)
-    out = Tensor(o.reshape(v.shape), parents=(p, v))
-
-    def backward(g):
-        g3 = g.reshape(nb, block, -1)
-        if p.requires_grad:
-            p._accumulate(np.einsum("btd,bsd->bts", g3, v3).reshape(p.shape))
-        if v.requires_grad:
-            v._accumulate(np.einsum("bts,btd->bsd", p3, g3).reshape(v.shape))
 
     out._backward = backward
     return out

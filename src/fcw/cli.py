@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import cqr as cqr_mod
 from . import pipeline, scenario
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_sha256, load_checkpoint, save_checkpoint
 from .drta import LAMBDA_PRESETS, RiskWeights
 from .model import HstanConfig, desk_config, rebuild_model, train
 from .pipeline import run_bench
@@ -225,6 +225,13 @@ def _load_model(ckpt_path: str):
     return rebuild_model(model_cfg, store), model_cfg
 
 
+def _load_calibration(args):
+    """The ``--calibration`` correction, which must have been fitted for ``--checkpoint``."""
+    if not args.calibration:
+        return None
+    return cqr_mod.load_correction(args.calibration, checkpoint_sha256(args.checkpoint))
+
+
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     model, model_cfg = _load_model(args.checkpoint)
@@ -239,7 +246,7 @@ def cmd_calibrate(args) -> int:
         return 1
     lower, upper, targets = cqr_mod.raw_intervals(model, cal)
     corr = cqr_mod.calibrate(lower, upper, targets, model_cfg.alpha)
-    cqr_mod.save_correction(args.out, corr, fingerprint=str(traj))
+    cqr_mod.save_correction(args.out, corr, checkpoint_sha256(args.checkpoint))
     raw_coverage, _ = cqr_mod.empirical_coverage(lower, upper, targets)
     coverage, width = cqr_mod.empirical_coverage(*cqr_mod.conformal_interval(lower, upper, corr), targets)
     print(
@@ -253,7 +260,7 @@ def cmd_warn(args) -> int:
     cfg = _load_config(args)
     switches = _parse_ablations(args.ablation, WARN_ABLATIONS)
     model, model_cfg = _load_model(args.checkpoint)
-    corr = cqr_mod.load_correction(args.calibration) if args.calibration else None
+    corr = _load_calibration(args)
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
     _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
@@ -293,7 +300,7 @@ def cmd_eval(args) -> int:
         test = scenario.dataset_windows(test_eps, model_cfg)
         prediction = pipeline.prediction_metrics(None, test, model_cfg, baseline="cv")
     elif model is not None:
-        corr = cqr_mod.load_correction(args.calibration) if args.calibration else None
+        corr = _load_calibration(args)
         test = scenario.dataset_windows(test_eps, model_cfg)
         prediction = pipeline.prediction_metrics(model, test, model_cfg, corr=corr)
 

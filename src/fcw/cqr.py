@@ -114,21 +114,30 @@ def apply_correction(pred: PredictionBatch, corr: ConformalCorrection | None) ->
     return PredictionBatch(point=pred.point, lower=lo, upper=up, conformal_applied=True)
 
 
-def save_correction(path: str | Path, corr: ConformalCorrection, fingerprint: str = "") -> None:
+def save_correction(path: str | Path, corr: ConformalCorrection, checkpoint_sha256: str) -> None:
+    """Write the correction with the sha256 of the checkpoint it was fitted for."""
     payload = {
         "alpha": corr.alpha,
         "n_cal": corr.n_cal,
         "q_shape": list(np.asarray(corr.q).shape),
         "q": np.asarray(corr.q).reshape(-1).tolist(),
-        "fingerprint": fingerprint,
+        "checkpoint_sha256": checkpoint_sha256,
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
-def load_correction(path: str | Path) -> ConformalCorrection:
+def load_correction(path: str | Path, checkpoint_sha256: str | None = None) -> ConformalCorrection:
+    """Read a correction; with ``checkpoint_sha256``, also require that it
+    was fitted for the checkpoint with that hash."""
     payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or not {"alpha", "n_cal", "q", "q_shape"} <= set(payload):
-        raise ValueError(f"{path}: calibration needs the keys alpha, n_cal, q and q_shape")
+    keys = {"alpha", "n_cal", "q", "q_shape", "checkpoint_sha256"}
+    if not isinstance(payload, dict) or not keys <= set(payload):
+        raise ValueError(f"{path}: calibration needs the keys alpha, checkpoint_sha256, n_cal, q and q_shape")
+    if checkpoint_sha256 is not None and payload["checkpoint_sha256"] != checkpoint_sha256:
+        raise ValueError(
+            f"{path}: calibration was fitted for the checkpoint with sha256 "
+            f"{payload['checkpoint_sha256']!r}, not for this one ({checkpoint_sha256})"
+        )
     try:
         q = np.asarray(payload["q"], dtype=np.float64).reshape(payload["q_shape"])
     except (TypeError, ValueError) as exc:

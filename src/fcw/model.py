@@ -347,29 +347,24 @@ class ForwardOutputs:
 
 def forward_batch(model: HstanModel, batch: PreparedBatch, counter: WorkCounter | None = None) -> ForwardOutputs:
     cfg = model.config
-    sam_steps = []
-    for t in range(cfg.t_obs):
-        h = sg.embed_features(ad.constant(batch.x_steps[t]), model.embed_w, model.embed_b)
-        if not cfg.no_sam:
-            src, dst = batch.edges[t]
+    total = batch.offsets[-1]
+    frame = lambda t: (t * total, (t + 1) * total)
+    # every frame is embedded at once; row t*total + v is vehicle v at step t
+    h = sg.embed_features(ad.constant(np.concatenate(batch.x_steps)), model.embed_w, model.embed_b)
+    if not cfg.no_sam:
+        sam_steps = []
+        for t, (src, dst) in enumerate(batch.edges):
+            ht = ad.rows(h, *frame(t))
             for layer in model.gat_layers:
-                h = sg.gat_layer_edges(h, src, dst, layer, counter)
-        sam_steps.append(h)
+                ht = sg.gat_layer_edges(ht, src, dst, layer, counter)
+            sam_steps.append(ht)
+        h = ad.concat_rows(sam_steps)
 
     if cfg.no_tam:
-        hf = ad.linear(sam_steps[-1], model.bridge_w, model.bridge_b)
+        hf = ad.linear(ad.rows(h, *frame(cfg.t_obs - 1)), model.bridge_w, model.bridge_b)
     else:
-        g_steps = [ad.linear(s, model.bridge_w, model.bridge_b) for s in sam_steps]
-        h_steps = tp.gru_encode_steps(g_steps, model.gru)
-        total = batch.offsets[-1]
-        t_obs = cfg.t_obs
-        time_major = ad.concat_rows(h_steps)  # row t*total + v
-        perm = np.arange(total * t_obs).reshape(total, t_obs)
-        perm = (perm % t_obs) * total + (perm // t_obs)
-        hv = ad.gather_rows(time_major, perm.reshape(-1))
-        attended = tp.mha_blocks(hv, model.mha, t_obs)
-        last_idx = np.arange(total) * t_obs + (t_obs - 1)
-        hf = ad.gather_rows(attended, last_idx)
+        g = ad.linear(h, model.bridge_w, model.bridge_b)
+        hf = tp.mha_blocks(tp.gru_encode_steps(g, model.gru, cfg.t_obs), model.mha, cfg.t_obs)
 
     return ForwardOutputs(
         hf=hf,

@@ -150,28 +150,22 @@ class GatLayerParams:
     leaky_slope: float = 0.2
 
 
-def _head_attention(
-    h: Tensor,
-    src: np.ndarray,
-    dst: np.ndarray,
-    head: GatHeadParams,
-    slope: float,
-    counter: WorkCounter | None,
-) -> tuple[Tensor, Tensor]:
-    """Per-edge attention weights and transformed features for one head."""
-    d_out = head.w_s.shape[1]
-    wh = ad.matmul(h, head.w_s)
-    # first half of the attention vector pairs with the destination node
-    a_dst = ad.rows(head.a, 0, d_out)
-    a_src = ad.rows(head.a, d_out, 2 * d_out)
-    s_src = ad.matmul(wh, a_src)
-    s_dst = ad.matmul(wh, a_dst)
-    e = ad.leaky_relu(ad.add(ad.gather_rows(s_src, src), ad.gather_rows(s_dst, dst)), slope)
-    if counter is not None:
-        counter.score_evals += len(src)
-        counter.all_pairs_equivalent += h.shape[0] * h.shape[0]
-    alpha = ad.edge_softmax(e, dst, h.shape[0])
-    return alpha, wh
+def _runs(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets of the runs of a sorted ``index``, and each run's value."""
+    starts = np.flatnonzero(np.concatenate([[True], index[1:] != index[:-1]]))
+    return starts, index[starts]
+
+
+def _run_reduce(ufunc, values: np.ndarray, runs: tuple[np.ndarray, np.ndarray], n: int, fill: float = 0.0):
+    """Per-node ``ufunc`` reduction of per-edge ``values`` (..., E) over the
+    sorted runs of their last axis, as (..., n); a node without edges gets
+    ``fill``. Edge-sized arrays keep the edges on the last, contiguous axis,
+    where ``reduceat`` is fast."""
+    starts, owners = runs
+    out = np.full((*values.shape[:-1], n), fill)
+    if values.shape[-1]:
+        out[..., owners] = ufunc.reduceat(values, starts, axis=-1)
+    return out
 
 
 def gat_layer_edges(
@@ -181,20 +175,86 @@ def gat_layer_edges(
     layer: GatLayerParams,
     counter: WorkCounter | None = None,
 ) -> Tensor:
-    """One GAT layer over an explicit edge list."""
-    n = h.shape[0]
-    outs = []
-    for head in layer.heads:
-        alpha, wh = _head_attention(h, src, dst, head, layer.leaky_slope, counter)
-        msgs = ad.gather_rows(wh, src)
-        agg = ad.edge_aggregate(alpha, msgs, dst, n)
-        outs.append(agg)
-    if layer.combine == "concat":
-        return ad.concat_cols([ad.elu(o) for o in outs])
-    if layer.combine == "average":
-        acc = outs[0]
-        for o in outs[1:]:
-            acc = ad.add(acc, o)
-        return ad.elu(ad.scale(acc, 1.0 / len(outs)))
-    raise ValueError(f"unknown combine mode: {layer.combine}")
+    """One GAT layer over an explicit edge list, all heads as one node.
 
+    Per head, edge e = (src -> dst) scores LeakyReLU(a_dst . Wh[dst] +
+    a_src . Wh[src]); the scores are softmax-normalised over each
+    destination's edges and weight the messages Wh[src]. Hidden layers
+    concatenate the heads, the final layer averages them; ELU follows.
+    The heads' transforms run as one (D, K*d_out) matmul and the edge work
+    runs head by head. Edges in any order are accepted: unless dst is
+    already sorted they are stably sorted by dst, so each destination's
+    edges form one run for the ``reduceat`` sums and maxima.
+    """
+    if layer.combine not in ("concat", "average"):
+        raise ValueError(f"unknown combine mode: {layer.combine}")
+    heads, slope = layer.heads, layer.leaky_slope
+    n, k, d_out = h.shape[0], len(heads), heads[0].w_s.shape[1]
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    if counter is not None:
+        counter.score_evals += k * len(src)
+        counter.all_pairs_equivalent += k * n * n
+    if (dst[1:] < dst[:-1]).any():
+        by_dst = np.argsort(dst, kind="stable")
+        src, dst = src[by_dst], dst[by_dst]
+    dst_runs = _runs(dst)
+    w = np.concatenate([head.w_s.data for head in heads], axis=1)
+    wh = h.data @ w  # (n, K*d_out), head i in columns [i*d_out, (i+1)*d_out)
+    # first half of each attention vector pairs with the destination node
+    a_dst = [head.a.data[:d_out, 0] for head in heads]
+    a_src = [head.a.data[d_out:, 0] for head in heads]
+    alphas, leaky_slopes, aggs = [], [], []
+    for i in range(k):
+        whi = wh[:, i * d_out : (i + 1) * d_out]
+        z = (whi @ a_src[i])[src] + (whi @ a_dst[i])[dst]
+        leaky = np.where(z > 0.0, 1.0, slope)
+        score = z * leaky
+        ex = np.exp(score - _run_reduce(np.maximum, score, dst_runs, n, -np.inf)[dst])
+        alpha = ex / _run_reduce(np.add, ex, dst_runs, n)[dst]
+        alphas.append(alpha)
+        leaky_slopes.append(leaky)
+        msgs = np.take(whi.T, src, axis=1)  # (d_out, E)
+        msgs *= alpha
+        aggs.append(_run_reduce(np.add, msgs, dst_runs, n).T)
+    if layer.combine == "concat":
+        pre = np.concatenate(aggs, axis=1)
+    else:
+        pre = aggs[0]
+        for agg in aggs[1:]:
+            pre = pre + agg
+        pre = pre * (1.0 / k)
+    value, d_elu = ad.elu_and_derivative(pre)
+    params = [t for head in heads for t in (head.w_s, head.a)]
+    out = Tensor(value, parents=(h, *params))
+
+    def backward(g):
+        g_pre = g * d_elu
+        # one stable sort by src turns the scatter onto source nodes into runs too
+        by_src = np.argsort(src, kind="stable")
+        src_runs = _runs(src[by_src])
+        g_wh = np.empty_like(wh)
+        for i, head in enumerate(heads):
+            cols = slice(i * d_out, (i + 1) * d_out)
+            whi = wh[:, cols]
+            g_agg = g_pre[:, cols] if layer.combine == "concat" else g_pre * (1.0 / k)
+            alpha = alphas[i]
+            g_msgs = np.take(g_agg.T, dst, axis=1)  # (d_out, E)
+            g_alpha = np.einsum("de,de->e", g_msgs, np.take(whi.T, src, axis=1))
+            inner = _run_reduce(np.add, alpha * g_alpha, dst_runs, n)
+            g_z = alpha * (g_alpha - inner[dst]) * leaky_slopes[i]
+            g_s_dst = _run_reduce(np.add, g_z, dst_runs, n)
+            g_msgs *= alpha
+            g_src = _run_reduce(np.add, np.take(np.vstack([g_msgs, g_z]), by_src, axis=1), src_runs, n)
+            g_wh[:, cols] = g_src[:d_out].T + np.outer(g_src[d_out], a_src[i]) + np.outer(g_s_dst, a_dst[i])
+            if head.a.requires_grad:
+                head.a._accumulate(np.concatenate([whi.T @ g_s_dst, whi.T @ g_src[d_out]])[:, None])
+        g_w = h.data.T @ g_wh
+        for i, head in enumerate(heads):
+            if head.w_s.requires_grad:
+                head.w_s._accumulate(g_w[:, i * d_out : (i + 1) * d_out])
+        if h.requires_grad:
+            h._accumulate(g_wh @ w.T)
+
+    out._backward = backward
+    return out

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import fcw.autodiff as ad
 from fcw.model import HstanConfig, window_from_states
 from fcw.scene_graph import SceneFrame
 
@@ -55,3 +56,29 @@ def labelled_window(frames, config: HstanConfig):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def assert_matches_oracle(fused, unfused, store, seed=0, rtol=1e-12):
+    """The fused op and its unfused oracle agree in value and in the
+    gradient of every parameter in ``store``, to ``rtol`` relative to the
+    largest magnitude. Both are zero-argument builders of the output tensor;
+    the gradients come from a random linear read-out of that output."""
+    outs, grads = [], []
+    weight = None
+    for build in (fused, unfused):
+        store.zero_grad()
+        out = build()
+        if weight is None:
+            weight = np.random.default_rng(seed).standard_normal(out.shape)
+        outs.append(out.data.copy())
+        ad.sum_all(ad.mul(out, ad.constant(weight))).backward()
+        grads.append({path: None if t.grad is None else t.grad.copy() for path, t in store.items()})
+    store.zero_grad()
+    assert outs[0].shape == outs[1].shape
+    assert np.abs(outs[0] - outs[1]).max() <= rtol * max(1.0, np.abs(outs[1]).max())
+    for path in grads[1]:
+        want = grads[1][path]
+        got = grads[0][path]
+        assert (got is None) == (want is None), path
+        if want is not None:
+            assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max()), path

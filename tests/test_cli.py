@@ -193,7 +193,7 @@ def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_f
     import fcw.model as md
     import fcw.pipeline as pl
     import fcw.scenario as sc
-    from fcw.checkpoint import save_checkpoint
+    from fcw.checkpoint import checkpoint_sha256, save_checkpoint
 
     data, ckpt, calib = tmp_path / "data", tmp_path / "model.ckpt", tmp_path / "calib.json"
     events, report = tmp_path / "events.csv", tmp_path / "report.txt"
@@ -223,7 +223,7 @@ def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_f
     model_cfg.alpha = 0.2
     lower, upper, targets = cq.raw_intervals(model, splits.cal)
     corr = cq.calibrate(lower, upper, targets, model_cfg.alpha)
-    cq.save_correction(ref / "calib.json", corr, fingerprint=str(traj))
+    cq.save_correction(ref / "calib.json", corr, checkpoint_sha256(ckpt))
     assert (ref / "calib.json").read_bytes() == calib.read_bytes()
 
     replayed = [
@@ -395,3 +395,81 @@ def test_malformed_calibration_is_clean_error(tmp_path, cfg_file, capsys, artifa
          "--data", str(data), "--out", str(tmp_path / "events.csv")],
         capsys, str(calib),
     )
+
+
+def rewrite_header(ckpt, change):
+    """Apply ``change`` to the checkpoint's JSON header in place, keeping the data bytes."""
+    import json
+
+    blob = ckpt.read_bytes()
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:end])
+    change(header)
+    text = json.dumps(header).encode("utf-8")
+    ckpt.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text + blob[end:])
+
+
+def set_entry(i, **fields):
+    def change(header):
+        header["params"][i].update(fields)
+    return change
+
+
+def drop_key(i, key):
+    def change(header):
+        del header["params"][i][key]
+    return change
+
+
+PARAM_ENTRY_CASES = {
+    "params not a list": (lambda h: h.update(params={"embed/w": [8, 8]}), "must be a list"),
+    "entry not a dict": (lambda h: h["params"].__setitem__(0, ["embed/w", [8, 8]]), "parameter entry 0"),
+    "no path": (drop_key(0, "path"), "parameter entry 0"),
+    "no shape": (drop_key(0, "shape"), "parameter entry 0"),
+    "shape of one integer": (set_entry(0, shape=[64]), "two non-negative integers"),
+    "negative shape": (set_entry(0, shape=[-8, -8]), "two non-negative integers"),
+    "fractional shape": (set_entry(0, shape=[8.0, 8]), "two non-negative integers"),
+    "duplicate path": (lambda h: h["params"][1].update(path=h["params"][0]["path"]), "duplicate parameter"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAM_ENTRY_CASES))
+def test_checkpoint_parameter_entries_are_checked(tmp_path, cfg_file, capsys, artifacts, case):
+    data, ckpt, calib = artifacts
+    change, needle = PARAM_ENTRY_CASES[case]
+    rewrite_header(ckpt, change)
+    common = ["--config", cfg_file, "--checkpoint", str(ckpt), "--data", str(data)]
+    for argv in (
+        calibrate_argv(cfg_file, data, ckpt, tmp_path),
+        ["warn", *common, "--calibration", str(calib), "--out", str(tmp_path / "events.csv")],
+        ["eval", *common, "--out", str(tmp_path / "report.txt")],
+    ):
+        assert_clean_error(argv, capsys, str(ckpt), needle)
+
+
+def test_calibration_is_bound_to_its_checkpoint(tmp_path, cfg_file, capsys, artifacts):
+    import json
+
+    import fcw.model as md
+    from fcw.checkpoint import checkpoint_sha256, save_checkpoint
+
+    data, ckpt, calib = artifacts  # calibrated on the seed-0 model
+    assert json.loads(calib.read_text())["checkpoint_sha256"] == checkpoint_sha256(ckpt)
+    other = tmp_path / "seed1.ckpt"
+    model_cfg = cli.parse_config_file(cfg_file).model
+    save_checkpoint(other, md.init_model(model_cfg, seed=1).params, model_cfg.to_dict())
+    for model in (other, ckpt):
+        warn = ["warn", "--config", cfg_file, "--checkpoint", str(model), "--calibration", str(calib),
+                "--data", str(data), "--out", str(tmp_path / "events.csv")]
+        evaluate = ["eval", "--config", cfg_file, "--checkpoint", str(model), "--calibration", str(calib),
+                    "--data", str(data), "--out", str(tmp_path / "report.txt")]
+        if model == other:
+            assert_clean_error(warn, capsys, str(calib), checkpoint_sha256(other))
+            assert_clean_error(evaluate, capsys, str(calib), checkpoint_sha256(other))
+        else:
+            assert run(warn) == 0 and run(evaluate) == 0
+    # a calibration without the hash is refused too
+    payload = json.loads(calib.read_text())
+    del payload["checkpoint_sha256"]
+    calib.write_text(json.dumps(payload))
+    assert_clean_error(warn, capsys, str(calib), "checkpoint_sha256")

@@ -188,8 +188,10 @@ def test_correction_file_roundtrip(tmp_path):
         q=np.arange(6, dtype=np.float64).reshape(3, 2), alpha=0.1, n_cal=42
     )
     path = tmp_path / "corr.json"
-    cq.save_correction(path, corr, fingerprint="abc")
-    loaded = cq.load_correction(path)
-    assert loaded.alpha == corr.alpha
-    assert loaded.n_cal == corr.n_cal
-    assert np.array_equal(loaded.q, corr.q)
+    cq.save_correction(path, corr, "abc")
+    for loaded in (cq.load_correction(path), cq.load_correction(path, "abc")):
+        assert loaded.alpha == corr.alpha
+        assert loaded.n_cal == corr.n_cal
+        assert np.array_equal(loaded.q, corr.q)
+    with pytest.raises(ValueError, match="abd"):
+        cq.load_correction(path, "abd")

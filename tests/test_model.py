@@ -300,6 +300,31 @@ def test_end_to_end_gradient_check():
     assert grad_check(f, model.params) < 1e-4
 
 
+def graph_size(root):
+    """Distinct autodiff nodes reachable from ``root`` through its parents."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("flag", ["full", "no_sam", "no_tam"])
+def test_training_step_node_count(flag):
+    # fused layers keep the graph of a desk-config step of 32 windows small:
+    # one node per GRU layer, per GAT layer and frame, one attention node
+    cfg = md.desk_config(**({} if flag == "full" else {flag: True}))
+    model = md.init_model(cfg, seed=0)
+    windows = [episode_windows(cfg, n_vehicles=2 + k % 3, seed=k, count=1)[0] for k in range(32)]
+    batch = md.prepare_batch(windows, cfg)
+    loss, _ = md.training_loss(md.forward_batch(model, batch), batch, cfg)
+    assert len(batch.pair_i) > 0  # the collision term is part of the graph
+    assert graph_size(loss) <= 150
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import fcw.pipeline as pl
 import fcw.scene_graph as sg
 from fcw.optim import ParameterStore, grad_check
 
+from conftest import assert_matches_oracle
+
 import oracles
 
 
@@ -358,6 +360,40 @@ def test_layer_gradients(rng):
     h = ad.constant(rng.standard_normal((3, d)))
     err = grad_check(lambda: ad.sum_all(ad.square(layer_forward(h, pos, 30.0, layer))), store)
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("combine", ["concat", "average"])
+def test_gat_fused_matches_unfused_and_central_differences(combine, k, order):
+    rng = np.random.default_rng(100 * k + len(order))
+    # two clusters plus two vehicles whose only edge is their self edge
+    pos = np.concatenate([rng.uniform(0, 10, (3, 2)), rng.uniform(200, 210, (3, 2)), [[500.0, 0.0], [900.0, 0.0]]])
+    n, d_in, d_out = len(pos), 5, 3
+    src, dst = sg.edges_from_positions(pos, 30.0)
+    assert np.array_equal(np.bincount(dst)[6:], [1, 1])
+    if order == "shuffled":
+        perm = rng.permutation(len(src))
+        src, dst = src[perm], dst[perm]
+    store = ParameterStore()
+    h = store.add("h", rng.standard_normal((n, d_in)))
+    heads = [
+        sg.GatHeadParams(
+            w_s=store.add(f"h{i}/w", rng.standard_normal((d_in, d_out))),
+            a=store.add(f"h{i}/a", rng.standard_normal((2 * d_out, 1))),
+        )
+        for i in range(k)
+    ]
+    layer = sg.GatLayerParams(heads=heads, combine=combine)
+    fused = lambda counter=None: sg.gat_layer_edges(h, src, dst, layer, counter)
+    counters = sg.WorkCounter(), sg.WorkCounter()
+    out = fused(counters[0])
+    oracles.gat_layer(h, src, dst, layer, counters[1])
+    assert counters[0] == counters[1] and counters[0].score_evals == k * len(src)
+    assert out._parents == (h, *(t for head in heads for t in (head.w_s, head.a)))  # one node
+    assert out.shape == (n, d_out * (k if combine == "concat" else 1))
+    assert_matches_oracle(fused, lambda: oracles.gat_layer(h, src, dst, layer), store, seed=k)
+    assert grad_check(lambda: ad.sum_all(ad.square(fused())), store, rng=rng) < 1e-6
 
 
 @settings(max_examples=20, deadline=None)

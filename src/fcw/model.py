@@ -23,6 +23,8 @@ from .temporal import GruLayerParams, GruParams, MhaHeadParams, MhaParams
 
 # Windows per forward pass at inference; bounds the rows of one batch.
 PREDICT_CHUNK = 64
+# Edges per run of frames that one GAT call takes; a larger frame runs alone.
+GAT_EDGE_BUDGET = 2**15
 
 
 @dataclass
@@ -74,12 +76,26 @@ class HstanConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HstanConfig":
-        """Config from ``to_dict`` output; every field must be present, and no other key."""
+        """Config from ``to_dict`` output; every field must be present, and
+        no other key, each value of its field's type: an int (not a bool),
+        a float or int, a bool, or for ``decoder_hidden`` a list of positive
+        ints."""
         names = {f.name for f in fields(cls)}
         keys = set(d) if isinstance(d, dict) else set()
         if keys != names:
             unknown, missing = sorted(keys - names), sorted(names - keys)
             raise ValueError(f"model config keys differ: unknown {unknown}, missing {missing}")
+        is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+        valid = {
+            "int": is_int,
+            "float": lambda v: is_int(v) or isinstance(v, float),
+            "bool": lambda v: isinstance(v, bool),
+            "tuple": lambda v: isinstance(v, (list, tuple)) and all(is_int(u) and u > 0 for u in v),
+        }
+        for f in fields(cls):
+            if not valid[f.type](d[f.name]):
+                kind = "a list of positive ints" if f.type == "tuple" else f"of type {f.type}"
+                raise ValueError(f"model config {f.name} must be {kind}, got {d[f.name]!r}")
         return cls(**d)
 
 
@@ -287,8 +303,8 @@ def make_window(frames: list[SceneFrame], config: HstanConfig) -> WindowSample:
 
 @dataclass
 class PreparedBatch:
-    x_steps: list[np.ndarray]  # T arrays (sumN, C)
-    edges: list[tuple[np.ndarray, np.ndarray]]  # per-frame merged edge lists
+    x: np.ndarray  # (T*sumN, C) time-major: row t*sumN + v is vehicle v at step t
+    edges: list[tuple[int, int, np.ndarray, np.ndarray]]  # frame runs (t_lo, t_hi, src, dst)
     offsets: list[int]  # per-window vehicle offsets; trailing total
     last_pos: np.ndarray  # (sumN, 2)
     target_disp: np.ndarray | None  # (sumN, T'*2)
@@ -296,23 +312,47 @@ class PreparedBatch:
     pair_j: np.ndarray
 
 
+def _frame_runs(windows: list[WindowSample], offsets: list[int], t_obs: int) -> list:
+    """The batch's T frame graphs as one block-diagonal graph over the
+    time-major rows, cut into runs of whole consecutive frames.
+
+    A run holds at most ``GAT_EDGE_BUDGET`` edges unless it is one frame.
+    Each run is (t_lo, t_hi, src, dst) with indices local to its rows
+    [t_lo*total, t_hi*total); edges keep the (frame, window, dst, src)
+    order, so dst is sorted within a run.
+    """
+    total = offsets[-1]
+    pieces = [w.edge_lists[t] for t in range(t_obs) for w in windows]
+    counts = np.array([len(s) for s, _ in pieces], dtype=np.intp)
+    frame_edges = counts.reshape(t_obs, len(windows)).sum(axis=1)
+    starts, size = [0], 0
+    for t in range(t_obs):
+        if t > starts[-1] and size + frame_edges[t] > GAT_EDGE_BUDGET:
+            starts.append(t)
+            size = 0
+        size += frame_edges[t]
+    bounds = np.array([*starts, t_obs])
+    # frame t of window w starts at row (t - t_lo)*total + offset_w of its run
+    t_lo = np.repeat(bounds[:-1], np.diff(bounds))
+    row0 = (np.arange(t_obs) - t_lo)[:, None] * total + np.asarray(offsets[:-1])[None, :]
+    shift = np.repeat(row0.reshape(-1), counts)
+    src = np.concatenate([s for s, _ in pieces])
+    dst = np.concatenate([d for _, d in pieces])
+    src += shift
+    dst += shift
+    edge_bounds = np.concatenate([[0], np.cumsum(frame_edges)])[bounds]
+    return [
+        (lo, hi, src[e_lo:e_hi], dst[e_lo:e_hi])
+        for lo, hi, e_lo, e_hi in zip(starts, bounds[1:].tolist(), edge_bounds[:-1], edge_bounds[1:])
+    ]
+
+
 def prepare_batch(windows: list[WindowSample], config: HstanConfig) -> PreparedBatch:
-    t_obs = config.t_obs
     offsets = [0]
     for w in windows:
         offsets.append(offsets[-1] + w.n)
     total = offsets[-1]
-    x_steps = [
-        np.concatenate([w.features[t] for w in windows], axis=0) for t in range(t_obs)
-    ]
-    edges = []
-    for t in range(t_obs):
-        srcs, dsts = [], []
-        for w, off in zip(windows, offsets):
-            s, d = w.edge_lists[t]
-            srcs.append(s + off)
-            dsts.append(d + off)
-        edges.append((np.concatenate(srcs), np.concatenate(dsts)))
+    x = np.concatenate([w.features for w in windows], axis=1).reshape(config.t_obs * total, -1)
     last_pos = np.concatenate([w.last_pos for w in windows], axis=0)
     target_disp = None
     if all(w.target_abs is not None for w in windows):
@@ -327,8 +367,8 @@ def prepare_batch(windows: list[WindowSample], config: HstanConfig) -> PreparedB
     pair_i = np.repeat(rows, later)
     run_start = np.repeat(np.cumsum(later) - later, later)
     return PreparedBatch(
-        x_steps=x_steps,
-        edges=edges,
+        x=x,
+        edges=_frame_runs(windows, offsets, config.t_obs),
         offsets=offsets,
         last_pos=last_pos,
         target_disp=target_disp,
@@ -348,20 +388,22 @@ class ForwardOutputs:
 def forward_batch(model: HstanModel, batch: PreparedBatch, counter: WorkCounter | None = None) -> ForwardOutputs:
     cfg = model.config
     total = batch.offsets[-1]
-    frame = lambda t: (t * total, (t + 1) * total)
     # every frame is embedded at once; row t*total + v is vehicle v at step t
-    h = sg.embed_features(ad.constant(np.concatenate(batch.x_steps)), model.embed_w, model.embed_b)
+    h = sg.embed_features(ad.constant(batch.x), model.embed_w, model.embed_b)
     if not cfg.no_sam:
-        sam_steps = []
-        for t, (src, dst) in enumerate(batch.edges):
-            ht = ad.rows(h, *frame(t))
+        # each run of frames is one block-diagonal graph: one GAT call per layer
+        whole = len(batch.edges) == 1
+        runs = []
+        for t_lo, t_hi, src, dst in batch.edges:
+            hr = h if whole else ad.rows(h, t_lo * total, t_hi * total)
             for layer in model.gat_layers:
-                ht = sg.gat_layer_edges(ht, src, dst, layer, counter)
-            sam_steps.append(ht)
-        h = ad.concat_rows(sam_steps)
+                hr = sg.gat_layer_edges(hr, src, dst, layer, counter, frames=t_hi - t_lo)
+            runs.append(hr)
+        h = runs[0] if whole else ad.concat_rows(runs)
 
     if cfg.no_tam:
-        hf = ad.linear(ad.rows(h, *frame(cfg.t_obs - 1)), model.bridge_w, model.bridge_b)
+        last = (cfg.t_obs - 1) * total
+        hf = ad.linear(ad.rows(h, last, last + total), model.bridge_w, model.bridge_b)
     else:
         g = ad.linear(h, model.bridge_w, model.bridge_b)
         hf = tp.mha_blocks(tp.gru_encode_steps(g, model.gru, cfg.t_obs), model.mha, cfg.t_obs)

@@ -8,6 +8,7 @@ so finite-difference consistency holds by construction.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -472,27 +473,32 @@ def _load_labels(labels_path: str | Path) -> dict[int, dict]:
 def load_dataset(traj_path: str | Path, labels_path: str | Path) -> list[Episode]:
     """Episodes from the two dataset files, in episode-id order.
 
-    The trajectory rows are parsed in one pass into a (rows, 11) table,
+    The trajectory rows are parsed straight into a (rows, 11) float table,
     sorted by (episode, t, vehicle), and cut into one (F, N, 8) array per
-    episode. Malformed rows, non-integer ids, duplicate rows, a vehicle set
-    that changes between frames, an episode with no label row and invalid
-    vehicle states each raise ``ValueError`` naming the file.
+    episode. Malformed rows (blank and ``#`` lines included), non-integer
+    ids, duplicate rows, a vehicle set that changes between frames, an
+    episode with no label row and invalid vehicle states each raise
+    ``ValueError`` naming the file.
     """
     meta = _load_labels(labels_path)
-    traj_lines = Path(traj_path).read_text().strip().split("\n")
-    if traj_lines[0] != TRAJECTORY_HEADER:
-        raise ValueError(f"{traj_path}: unexpected header {traj_lines[0]!r}")
-    rows = [line.split(",") for line in traj_lines[1:]]
-    if not rows:
+    header, _, body = Path(traj_path).read_text().strip().partition("\n")
+    if header != TRAJECTORY_HEADER:
+        raise ValueError(f"{traj_path}: unexpected header {header!r}")
+    if not body:
         return []
     n_fields = 3 + FEATURE_DIM
-    bad_line = next((i for i, row in enumerate(rows, 2) if len(row) != n_fields), None)
-    if bad_line is not None:
-        raise ValueError(f"{traj_path}:{bad_line}: expected {n_fields} fields")
     try:
-        table = np.array(rows, dtype=np.float64)
+        table = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+        # loadtxt skips blank lines; every line must be a row of every field
+        error = None if table.shape == (body.count("\n") + 1, n_fields) else "blank line or wrong width"
     except ValueError as exc:
-        raise ValueError(f"{traj_path}: malformed trajectory field ({exc})") from None
+        error = exc
+    if error is not None:
+        lines = enumerate(body.split("\n"), 2)
+        bad_line = next((i for i, line in lines if line.count(",") != n_fields - 1), None)
+        if bad_line is not None:
+            raise ValueError(f"{traj_path}:{bad_line}: expected {n_fields} fields")
+        raise ValueError(f"{traj_path}: malformed trajectory field ({error})")
     if not np.isfinite(table[:, :3]).all() or (table[:, [0, 2]] % 1 != 0).any():
         raise ValueError(f"{traj_path}: episode ids, times and vehicle ids must be finite, ids integer")
     table = table[np.lexsort((table[:, 2], table[:, 1], table[:, 0]))]

@@ -174,6 +174,7 @@ def gat_layer_edges(
     dst: np.ndarray,
     layer: GatLayerParams,
     counter: WorkCounter | None = None,
+    frames: int = 1,
 ) -> Tensor:
     """One GAT layer over an explicit edge list, all heads as one node.
 
@@ -185,16 +186,23 @@ def gat_layer_edges(
     runs head by head. Edges in any order are accepted: unless dst is
     already sorted they are stably sorted by dst, so each destination's
     edges form one run for the ``reduceat`` sums and maxima.
+
+    ``h`` may stack ``frames`` disjoint frame graphs of equal size, as one
+    block-diagonal graph (``forward_batch`` passes a run of frames per
+    call); the all-pairs count is then K * n_frame^2 per frame, as if each
+    frame had its own call.
     """
     if layer.combine not in ("concat", "average"):
         raise ValueError(f"unknown combine mode: {layer.combine}")
     heads, slope = layer.heads, layer.leaky_slope
     n, k, d_out = h.shape[0], len(heads), heads[0].w_s.shape[1]
+    if frames < 1 or n % frames:
+        raise ValueError(f"{n} rows do not split into {frames} equal frames")
     src = np.asarray(src, dtype=np.intp)
     dst = np.asarray(dst, dtype=np.intp)
     if counter is not None:
         counter.score_evals += k * len(src)
-        counter.all_pairs_equivalent += k * n * n
+        counter.all_pairs_equivalent += k * frames * (n // frames) ** 2
     if (dst[1:] < dst[:-1]).any():
         by_dst = np.argsort(dst, kind="stable")
         src, dst = src[by_dst], dst[by_dst]

@@ -10,6 +10,8 @@ import numpy as np
 
 import fcw.autodiff as ad
 import fcw.model as md
+import fcw.scene_graph as sg
+import fcw.temporal as tp
 from fcw.autodiff import ShapeMismatchError, Tensor
 from fcw.drta import TrackState, risk_geo, risk_kin, risk_pred
 
@@ -304,3 +306,35 @@ def gat_layer(h, src, dst, layer, counter=None):
     for o in outs[1:]:
         acc = ad.add(acc, o)
     return ad.elu(ad.scale(acc, 1.0 / len(outs)))
+
+
+def frame_edges(windows, t):
+    """Frame t's radius graphs of every window, merged over the batch rows
+    (window after window), as ``prepare_batch`` built them before frame runs."""
+    offsets = np.cumsum([0] + [w.n for w in windows[:-1]])
+    return tuple(
+        np.concatenate([w.edge_lists[t][i] + off for w, off in zip(windows, offsets)]) for i in (0, 1)
+    )
+
+
+def forward_per_frame(model, windows, counter=None):
+    """``fcw.model.forward_batch`` with the spatial stage run frame by frame,
+    each frame embedded on its own and passed through the unfused
+    ``gat_layer``; the temporal stage and decoders are the program's."""
+    cfg = model.config
+    steps = []
+    for t in range(cfg.t_obs):
+        x = ad.constant(np.concatenate([w.features[t] for w in windows]))
+        h = sg.embed_features(x, model.embed_w, model.embed_b)
+        src, dst = frame_edges(windows, t)
+        for layer in model.gat_layers:
+            h = gat_layer(h, src, dst, layer, counter)
+        steps.append(h)
+    g = ad.linear(ad.concat_rows(steps), model.bridge_w, model.bridge_b)
+    hf = tp.mha_blocks(tp.gru_encode_steps(g, model.gru, cfg.t_obs), model.mha, cfg.t_obs)
+    return md.ForwardOutputs(
+        hf=hf,
+        point_disp=md._mlp(hf, model.point_decoder),
+        lower_disp=md._mlp(hf, model.lower_decoder),
+        upper_disp=md._mlp(hf, model.upper_decoder),
+    )

@@ -433,6 +433,32 @@ PARAM_ENTRY_CASES = {
 }
 
 
+CONFIG_VALUE_CASES = {
+    "int as string": ("d_h", "8"),
+    "int as bool": ("k_heads", True),
+    "int as float": ("l_s", 1.0),
+    "float as string": ("radius", "30.0"),
+    "bool as int": ("no_sam", 0),
+    "hidden not a list": ("decoder_hidden", 8),
+    "hidden of zero width": ("decoder_hidden", [8, 0]),
+    "hidden of strings": ("decoder_hidden", ["8"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_VALUE_CASES))
+def test_checkpoint_config_value_types_are_checked(tmp_path, cfg_file, capsys, artifacts, case):
+    data, ckpt, _ = artifacts
+    key, value = CONFIG_VALUE_CASES[case]
+    rewrite_header(ckpt, lambda h: h["config"].update({key: value}))
+    assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, f"model config {key} must be")
+
+
+def test_checkpoint_config_accepts_an_int_for_a_float(tmp_path, cfg_file, artifacts):
+    data, ckpt, _ = artifacts
+    rewrite_header(ckpt, lambda h: h["config"].update(radius=30))
+    assert run(calibrate_argv(cfg_file, data, ckpt, tmp_path)) == 0
+
+
 @pytest.mark.parametrize("case", sorted(PARAM_ENTRY_CASES))
 def test_checkpoint_parameter_entries_are_checked(tmp_path, cfg_file, capsys, artifacts, case):
     data, ckpt, calib = artifacts

@@ -1,14 +1,16 @@
 """End-to-end predictor: windowing, forward invariances, losses, training."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fcw.autodiff as ad
 import fcw.model as md
 from fcw.checkpoint import load_checkpoint, save_checkpoint
 from fcw.optim import grad_check
-from fcw.scene_graph import SceneFrame
+from fcw.scene_graph import SceneFrame, WorkCounter
 
-from conftest import labelled_window, random_frames, tiny_config
+from conftest import assert_matches_oracle, labelled_window, random_frames, tiny_config
 
 import oracles
 
@@ -217,6 +219,59 @@ def test_predict_windows_matches_per_window_loop():
     assert md.predict_windows(model, []) == []
 
 
+def prepare_with_budget(windows, cfg, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(md, "GAT_EDGE_BUDGET", budget)
+        return md.prepare_batch(windows, cfg)
+
+
+def forward_readout(out):
+    return oracles.concat_cols([out.hf, out.point_disp, out.lower_disp, out.upper_disp])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 8), min_size=1, max_size=6),
+    st.sampled_from([8.0, 20.0, 60.0]),
+    st.integers(0, 2**16),
+)
+def test_frame_runs_match_the_per_frame_path(counts, spread, seed):
+    cfg = tiny_config()
+    model = md.init_model(cfg, seed=seed % 7)
+    windows = [
+        md.make_window(random_frames(n, cfg.t_obs, seed=seed + k, spread=spread), cfg)
+        for k, n in enumerate(counts)
+    ]
+    total = sum(counts)
+    frames = [oracles.frame_edges(windows, t) for t in range(cfg.t_obs)]
+    n_edges = sum(len(src) for src, _ in frames)
+    k = cfg.k_heads
+    reference = WorkCounter()
+    oracles.forward_per_frame(model, windows, reference)
+    assert reference.score_evals == cfg.l_s * k * n_edges
+    assert reference.all_pairs_equivalent == cfg.l_s * k * cfg.t_obs * total**2
+    budgets = (0, 300, 10**9)
+    batches = [prepare_with_budget(windows, cfg, b) for b in budgets]
+    for budget, batch in zip(budgets, batches):
+        assert [r[0] for r in batch.edges] == [0] + [r[1] for r in batch.edges[:-1]]
+        assert batch.edges[-1][1] == cfg.t_obs
+        for t_lo, t_hi, src, dst in batch.edges:
+            assert t_lo < t_hi
+            assert len(src) <= budget or t_hi - t_lo == 1
+            assert (np.diff(dst) >= 0).all()
+            for got, i in ((src, 0), (dst, 1)):
+                want = np.concatenate([frames[t][i] + (t - t_lo) * total for t in range(t_lo, t_hi)])
+                assert np.array_equal(got, want)
+        counter = WorkCounter()
+        md.forward_batch(model, batch, counter)
+        assert counter == reference
+    assert len(batches[0].edges) == cfg.t_obs and len(batches[-1].edges) == 1
+    whole = lambda: forward_readout(md.forward_batch(model, batches[-1]))
+    assert_matches_oracle(whole, lambda: forward_readout(oracles.forward_per_frame(model, windows)), model.params)
+    for batch in batches[:-1]:
+        assert_matches_oracle(lambda: forward_readout(md.forward_batch(model, batch)), whole, model.params)
+
+
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -254,7 +309,7 @@ def test_collision_penalty_hand_value():
     cfg = tiny_config(collision_weight=0.5, collision_radius=2.0, pinball_weight=0.0)
     n, tp2 = 2, cfg.t_pred * 2
     batch = md.PreparedBatch(
-        x_steps=[],
+        x=np.zeros((0, cfg.c)),
         edges=[],
         offsets=[0, n],
         last_pos=np.array([[0.0, 0.0], [1.0, 0.0]]),
@@ -315,14 +370,15 @@ def graph_size(root):
 @pytest.mark.parametrize("flag", ["full", "no_sam", "no_tam"])
 def test_training_step_node_count(flag):
     # fused layers keep the graph of a desk-config step of 32 windows small:
-    # one node per GRU layer, per GAT layer and frame, one attention node
+    # one node per GRU layer, one per GAT layer (the batch's frames are one
+    # run), one attention node
     cfg = md.desk_config(**({} if flag == "full" else {flag: True}))
     model = md.init_model(cfg, seed=0)
     windows = [episode_windows(cfg, n_vehicles=2 + k % 3, seed=k, count=1)[0] for k in range(32)]
     batch = md.prepare_batch(windows, cfg)
     loss, _ = md.training_loss(md.forward_batch(model, batch), batch, cfg)
     assert len(batch.pair_i) > 0  # the collision term is part of the graph
-    assert graph_size(loss) <= 150
+    assert graph_size(loss) <= 120
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,20 @@ def test_fit_r2_exact_fits():
     assert pl._fit_r2(x, x**2, 1) < 0.99
 
 
+@pytest.mark.parametrize("budget", [0, 10**9])
+def test_run_bench_counts_work_per_frame(monkeypatch, budget):
+    # frame runs change how many GAT calls a forward makes, not the counted
+    # work: l_s*k*sum|E_t| scores and l_s*k*T*N^2 all-pairs per forward
+    monkeypatch.setattr(md, "GAT_EDGE_BUDGET", budget)
+    model, cfg = small_model()
+    n_grid = [8, 40, 120]
+    report = pl.run_bench(model, n_grid=n_grid, repeats=1, density=0.005, seed=0)
+    for n, evals, pairs in zip(n_grid, report.score_evals, report.all_pairs):
+        window = md.make_window(pl.constant_density_frames(n, cfg, 0.005, 0), cfg)
+        assert evals == cfg.l_s * cfg.k_heads * sum(len(src) for src, _ in window.edge_lists)
+        assert pairs == cfg.l_s * cfg.k_heads * cfg.t_obs * n * n
+
+
 def test_run_bench_smoke():
     model, _ = small_model()
     report = pl.run_bench(model, n_grid=[8, 16, 32, 64], repeats=2, seed=0)

@@ -389,6 +389,10 @@ def _set(row, col, value):
 # a fragment of the error
 MALFORMED = {
     "wrong field count": (lambda rows: rows[3].pop(), "traj", ":4: expected 11 fields"),
+    "a field missing from every row": (lambda rows: [r.pop() for r in rows[1:]], "traj", ":2: expected 11 fields"),
+    "blank interior line": (lambda rows: rows.insert(3, [""]), "traj", ":4: expected 11 fields"),
+    "comment line": (lambda rows: rows.insert(3, ["# vehicle 1 left"]), "traj", ":4: expected 11 fields"),
+    "commented-out row": (lambda rows: rows[3].__setitem__(0, "#" + rows[3][0]), "traj", "could not convert"),
     "field does not parse": (_set(3, 4, "abc"), "traj", "could not convert"),
     "non-integer episode id": (_set(3, 0, "0.5"), "traj", "ids integer"),
     "non-integer vehicle id": (_set(3, 2, "1.5"), "traj", "ids integer"),

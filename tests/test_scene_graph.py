@@ -345,6 +345,22 @@ def test_work_counter_counts_edges_not_pairs(rng):
     assert counter.score_evals < counter.all_pairs_equivalent
 
 
+def test_work_counter_counts_pairs_per_stacked_frame(rng):
+    # three frames of 5 vehicles as one block-diagonal graph count like three calls
+    pos = rng.uniform(0, 60, size=(3, 5, 2))
+    layer = random_layer(rng, 4, 4, 2, "concat")
+    h = ad.constant(rng.standard_normal((15, 4)))
+    src, dst = sg.edges_from_positions(pos, 30.0)
+    stacked, per_frame = sg.WorkCounter(), sg.WorkCounter()
+    sg.gat_layer_edges(h, src, dst, layer, stacked, frames=3)
+    for t, (s, d) in enumerate(sg.frame_edge_lists(pos, 30.0)):
+        sg.gat_layer_edges(ad.rows(h, 5 * t, 5 * t + 5), s, d, layer, per_frame)
+    assert stacked == per_frame
+    assert stacked.all_pairs_equivalent == 2 * 3 * 5 * 5
+    with pytest.raises(ValueError, match="equal frames"):
+        sg.gat_layer_edges(h, src, dst, layer, frames=2)
+
+
 def test_layer_gradients(rng):
     store = ParameterStore()
     d = 3

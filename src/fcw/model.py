@@ -155,13 +155,55 @@ def _build_decoder(store: ParameterStore, rng, prefix: str, in_dim: int, hidden:
     return layers
 
 
-def _mlp(x: Tensor, layers: list) -> Tensor:
-    h = x
-    for i, (w, b) in enumerate(layers):
-        h = ad.linear(h, w, b)
-        if i < len(layers) - 1:
-            h = ad.relu(h)
-    return h
+def decode(hf: Tensor, decoders: list) -> Tensor:
+    """Every decoder over ``hf`` (n, H) as one node: (n, P*out), the P
+    decoders' outputs side by side.
+
+    A decoder is a list of ``(w, b)`` layers with ReLU between them. The
+    first layers run as one packed (H, P*h0) matmul; each later layer runs
+    the P decoders as one stacked ``np.matmul`` over (P, n, .). Parameters
+    stay stored per decoder and are packed at entry.
+    """
+    n, paths = hf.shape[0], len(decoders)
+    w0 = np.concatenate([dec[0][0].data for dec in decoders], axis=1)
+    b0 = np.concatenate([dec[0][1].data for dec in decoders], axis=1)
+    later = [
+        (np.stack([dec[i][0].data for dec in decoders]), np.stack([dec[i][1].data for dec in decoders]))
+        for i in range(1, len(decoders[0]))
+    ]
+    a = (hf.data @ w0 + b0).reshape(n, paths, -1).transpose(1, 0, 2)  # (P, n, h0)
+    acts = []  # the ReLU outputs that feed the later layers
+    for w, b in later:
+        a = np.maximum(a, 0.0)
+        acts.append(a)
+        a = np.matmul(a, w) + b
+    out = Tensor(a.transpose(1, 0, 2).reshape(n, -1), parents=(hf, *[t for dec in decoders for wb in dec for t in wb]))
+
+    def backward(g):
+        g = g.reshape(n, paths, -1).transpose(1, 0, 2)
+        for i in range(len(later), 0, -1):
+            w, act = later[i - 1][0], acts[i - 1]
+            g_w = np.matmul(act.transpose(0, 2, 1), g)
+            g_b = g.sum(axis=1, keepdims=True)
+            for p, dec in enumerate(decoders):
+                for param, grad in zip(dec[i], (g_w[p], g_b[p])):
+                    if param.requires_grad:
+                        param._accumulate(grad)
+            g = np.matmul(g, w.transpose(0, 2, 1)) * (act > 0.0)
+        g = g.transpose(1, 0, 2).reshape(n, -1)  # (n, P*h0)
+        g_w0 = hf.data.T @ g
+        g_b0 = g.sum(axis=0, keepdims=True)
+        width = w0.shape[1] // paths
+        for p, dec in enumerate(decoders):
+            cols = slice(p * width, (p + 1) * width)
+            for param, grad in zip(dec[0], (g_w0[:, cols], g_b0[:, cols])):
+                if param.requires_grad:
+                    param._accumulate(grad)
+        if hf.requires_grad:
+            hf._accumulate(g @ w0.T)
+
+    out._backward = backward
+    return out
 
 
 def init_model(config: HstanConfig, seed: int = 0) -> HstanModel:
@@ -303,38 +345,39 @@ def make_window(frames: list[SceneFrame], config: HstanConfig) -> WindowSample:
 
 @dataclass
 class PreparedBatch:
-    x: np.ndarray  # (T*sumN, C) time-major: row t*sumN + v is vehicle v at step t
+    x: np.ndarray  # (F*sumN, C) time-major: row f*sumN + v is vehicle v at the f-th laid-out frame
     edges: list[tuple[int, int, np.ndarray, np.ndarray]]  # frame runs (t_lo, t_hi, src, dst)
     offsets: list[int]  # per-window vehicle offsets; trailing total
     last_pos: np.ndarray  # (sumN, 2)
     target_disp: np.ndarray | None  # (sumN, T'*2)
-    pair_i: np.ndarray  # within-window vehicle pairs, global row indices
+    pair_i: np.ndarray  # within-window vehicle pairs, global row indices; empty without targets
     pair_j: np.ndarray
 
 
-def _frame_runs(windows: list[WindowSample], offsets: list[int], t_obs: int) -> list:
-    """The batch's T frame graphs as one block-diagonal graph over the
-    time-major rows, cut into runs of whole consecutive frames.
+def _frame_runs(windows: list[WindowSample], offsets: list[int], frames: range) -> list:
+    """The batch's graphs of the observed ``frames`` as one block-diagonal
+    graph over the time-major rows, cut into runs of whole consecutive
+    frames.
 
     A run holds at most ``GAT_EDGE_BUDGET`` edges unless it is one frame.
-    Each run is (t_lo, t_hi, src, dst) with indices local to its rows
-    [t_lo*total, t_hi*total); edges keep the (frame, window, dst, src)
-    order, so dst is sorted within a run.
+    Each run is (t_lo, t_hi, src, dst), t counting the laid-out frames,
+    with indices local to its rows [t_lo*total, t_hi*total); edges keep the
+    (frame, window, dst, src) order, so dst is sorted within a run.
     """
-    total = offsets[-1]
-    pieces = [w.edge_lists[t] for t in range(t_obs) for w in windows]
+    total, count = offsets[-1], len(frames)
+    pieces = [w.edge_lists[t] for t in frames for w in windows]
     counts = np.array([len(s) for s, _ in pieces], dtype=np.intp)
-    frame_edges = counts.reshape(t_obs, len(windows)).sum(axis=1)
+    frame_edges = counts.reshape(count, len(windows)).sum(axis=1)
     starts, size = [0], 0
-    for t in range(t_obs):
+    for t in range(count):
         if t > starts[-1] and size + frame_edges[t] > GAT_EDGE_BUDGET:
             starts.append(t)
             size = 0
         size += frame_edges[t]
-    bounds = np.array([*starts, t_obs])
+    bounds = np.array([*starts, count])
     # frame t of window w starts at row (t - t_lo)*total + offset_w of its run
     t_lo = np.repeat(bounds[:-1], np.diff(bounds))
-    row0 = (np.arange(t_obs) - t_lo)[:, None] * total + np.asarray(offsets[:-1])[None, :]
+    row0 = (np.arange(count) - t_lo)[:, None] * total + np.asarray(offsets[:-1])[None, :]
     shift = np.repeat(row0.reshape(-1), counts)
     src = np.concatenate([s for s, _ in pieces])
     dst = np.concatenate([d for _, d in pieces])
@@ -348,47 +391,53 @@ def _frame_runs(windows: list[WindowSample], offsets: list[int], t_obs: int) -> 
 
 
 def prepare_batch(windows: list[WindowSample], config: HstanConfig) -> PreparedBatch:
+    """The windows' rows stacked for one forward pass.
+
+    Only the frames the model reads are laid out: all T observed frames,
+    or under ``no_tam`` the last one. The within-window collision pairs
+    are built only when every window has a target, since only the
+    training loss reads them.
+    """
     offsets = [0]
     for w in windows:
         offsets.append(offsets[-1] + w.n)
     total = offsets[-1]
-    x = np.concatenate([w.features for w in windows], axis=1).reshape(config.t_obs * total, -1)
+    frames = range(config.t_obs - 1 if config.no_tam else 0, config.t_obs)
+    x = np.concatenate([w.features[frames.start :] for w in windows], axis=1).reshape(len(frames) * total, -1)
     last_pos = np.concatenate([w.last_pos for w in windows], axis=0)
     target_disp = None
+    pair_i = pair_j = np.zeros(0, dtype=np.intp)
     if all(w.target_abs is not None for w in windows):
-        target_disp = np.zeros((total, config.t_pred * 2))
-        for w, off in zip(windows, offsets):
-            disp = w.target_abs - w.last_pos[None, :, :]  # (T', N, 2)
-            target_disp[off : off + w.n] = disp.transpose(1, 0, 2).reshape(w.n, -1)
-    # within-window pairs i < j in row-major order: row r pairs with every
-    # later row of its own window (one batch-wide build, no per-window calls)
-    rows = np.arange(total)
-    later = np.repeat(offsets[1:], [w.n for w in windows]) - rows - 1
-    pair_i = np.repeat(rows, later)
-    run_start = np.repeat(np.cumsum(later) - later, later)
+        disp = np.concatenate([w.target_abs for w in windows], axis=1) - last_pos  # (T', sumN, 2)
+        target_disp = disp.transpose(1, 0, 2).reshape(total, -1)
+        # within-window pairs i < j in row-major order: row r pairs with every
+        # later row of its own window (one batch-wide build, no per-window calls)
+        rows = np.arange(total)
+        later = np.repeat(offsets[1:], [w.n for w in windows]) - rows - 1
+        pair_i = np.repeat(rows, later)
+        run_start = np.repeat(np.cumsum(later) - later, later)
+        pair_j = pair_i + 1 + np.arange(len(pair_i)) - run_start
     return PreparedBatch(
         x=x,
-        edges=_frame_runs(windows, offsets, config.t_obs),
+        edges=_frame_runs(windows, offsets, frames),
         offsets=offsets,
         last_pos=last_pos,
         target_disp=target_disp,
         pair_i=pair_i,
-        pair_j=pair_i + 1 + np.arange(len(pair_i)) - run_start,
+        pair_j=pair_j,
     )
 
 
 @dataclass
 class ForwardOutputs:
     hf: Tensor  # (sumN, H) final temporal features
-    point_disp: Tensor  # (sumN, T'*2) displacement trajectories
-    lower_disp: Tensor
-    upper_disp: Tensor
+    disp: Tensor  # (sumN, 3*T'*2) point, lower and upper displacement trajectories side by side
 
 
 def forward_batch(model: HstanModel, batch: PreparedBatch, counter: WorkCounter | None = None) -> ForwardOutputs:
     cfg = model.config
     total = batch.offsets[-1]
-    # every frame is embedded at once; row t*total + v is vehicle v at step t
+    # every laid-out frame is embedded at once; row t*total + v is vehicle v at frame t
     h = sg.embed_features(ad.constant(batch.x), model.embed_w, model.embed_b)
     if not cfg.no_sam:
         # each run of frames is one block-diagonal graph: one GAT call per layer
@@ -401,19 +450,12 @@ def forward_batch(model: HstanModel, batch: PreparedBatch, counter: WorkCounter 
             runs.append(hr)
         h = runs[0] if whole else ad.concat_rows(runs)
 
-    if cfg.no_tam:
-        last = (cfg.t_obs - 1) * total
-        hf = ad.linear(ad.rows(h, last, last + total), model.bridge_w, model.bridge_b)
+    if cfg.no_tam:  # the batch holds the last observed frame only
+        hf = ad.linear(h, model.bridge_w, model.bridge_b)
     else:
         g = ad.linear(h, model.bridge_w, model.bridge_b)
         hf = tp.mha_blocks(tp.gru_encode_steps(g, model.gru, cfg.t_obs), model.mha, cfg.t_obs)
-
-    return ForwardOutputs(
-        hf=hf,
-        point_disp=_mlp(hf, model.point_decoder),
-        lower_disp=_mlp(hf, model.lower_decoder),
-        upper_disp=_mlp(hf, model.upper_decoder),
-    )
+    return ForwardOutputs(hf=hf, disp=decode(hf, [model.point_decoder, model.lower_decoder, model.upper_decoder]))
 
 
 def _disp_to_abs(disp: np.ndarray, last_pos: np.ndarray, t_pred: int) -> np.ndarray:
@@ -425,15 +467,16 @@ def _disp_to_abs(disp: np.ndarray, last_pos: np.ndarray, t_pred: int) -> np.ndar
 def outputs_to_predictions(
     out: ForwardOutputs, batch: PreparedBatch, config: HstanConfig
 ) -> list[PredictionBatch]:
+    point, lower, upper = np.split(out.disp.data, 3, axis=1)
     preds = []
     for wi in range(len(batch.offsets) - 1):
         lo, hi = batch.offsets[wi], batch.offsets[wi + 1]
         lp = batch.last_pos[lo:hi]
         preds.append(
             PredictionBatch(
-                point=_disp_to_abs(out.point_disp.data[lo:hi], lp, config.t_pred),
-                lower=_disp_to_abs(out.lower_disp.data[lo:hi], lp, config.t_pred),
-                upper=_disp_to_abs(out.upper_disp.data[lo:hi], lp, config.t_pred),
+                point=_disp_to_abs(point[lo:hi], lp, config.t_pred),
+                lower=_disp_to_abs(lower[lo:hi], lp, config.t_pred),
+                upper=_disp_to_abs(upper[lo:hi], lp, config.t_pred),
             )
         )
     return preds
@@ -453,46 +496,74 @@ def predict_windows(model: HstanModel, windows: list[WindowSample]) -> list[Pred
 # ---------------------------------------------------------------------------
 
 
-def _pinball(pred: Tensor, target: Tensor, level: float) -> Tensor:
-    u = ad.sub(target, pred)
-    return ad.mean_all(ad.maximum(ad.scale(u, level), ad.scale(u, level - 1.0)))
+def _pinball(pred: np.ndarray, target: np.ndarray, level: float) -> tuple[float, np.ndarray]:
+    """Mean pinball loss of ``pred`` at quantile ``level``, and its
+    derivative per element before the mean; u = target - pred scores
+    max(level*u, (level-1)*u), and a tie (u = 0) takes the first term."""
+    u = target - pred
+    over, under = u * level, u * (level - 1.0)
+    pick = over >= under
+    return np.where(pick, over, under).mean(), np.where(pick, -level, 1.0 - level)
 
 
 def training_loss(
     out: ForwardOutputs, batch: PreparedBatch, config: HstanConfig
 ) -> tuple[Tensor, dict]:
+    """mse + pinball_weight * pinball + collision_weight * collision as one
+    node over ``out.disp``, whose backward writes d loss / d disp directly.
+
+    mse is the point path's mean squared error; pinball the mean pinball
+    losses of the lower and upper paths at alpha/2 and 1 - alpha/2; and
+    collision the mean over within-window pairs and horizon steps of
+    relu(collision_radius - d)^2, d = sqrt(dx^2 + dy^2 + 1e-12) between
+    the pair's absolute predicted positions.
+    """
     if batch.target_disp is None:
         raise ValueError("training loss requires target trajectories")
-    target = ad.constant(batch.target_disp)
-    mse = ad.mean_all(ad.square(ad.sub(out.point_disp, target)))
-    lo = _pinball(out.lower_disp, target, config.alpha / 2.0)
-    hi = _pinball(out.upper_disp, target, 1.0 - config.alpha / 2.0)
-    pinball = ad.add(lo, hi)
-    total = ad.add(mse, ad.scale(pinball, config.pinball_weight))
+    target = batch.target_disp
+    width, size = target.shape[1], target.size
+    disp = out.disp.data
+    point = disp[:, :width]
+    grad = np.empty_like(disp)
+    err = point - target
+    mse = (err * err).mean()
+    grad[:, :width] = err * (2.0 / size)
+    pw = config.pinball_weight
+    lo, grad[:, width : 2 * width] = _pinball(disp[:, width : 2 * width], target, config.alpha / 2.0)
+    hi, grad[:, 2 * width :] = _pinball(disp[:, 2 * width :], target, 1.0 - config.alpha / 2.0)
+    grad[:, width:] *= pw / size
+    pinball = lo + hi
+    total = mse + pinball * pw
 
-    collision_value = 0.0
+    collision = 0.0
     cw = 0.0 if config.no_collision_loss else config.collision_weight
-    if cw > 0.0 and len(batch.pair_i) > 0:
+    pair_i, pair_j = batch.pair_i, batch.pair_j
+    if cw > 0.0 and len(pair_i) > 0:
         # columns interleave as x0,y0,x1,y1,...
-        tiled = np.tile(batch.last_pos, (1, config.t_pred))
-        abs_pred = ad.add(out.point_disp, ad.constant(tiled))
-        diff = ad.sub(ad.gather_rows(abs_pred, batch.pair_i), ad.gather_rows(abs_pred, batch.pair_j))
-        xs = np.arange(0, config.t_pred * 2, 2)
-        ys = xs + 1
-        dsq = ad.add(ad.square(ad.gather_cols(diff, xs)), ad.square(ad.gather_cols(diff, ys)))
-        dist = ad.sqrt(dsq)
-        gap = ad.relu(ad.affine(dist, -1.0, config.collision_radius))
-        penalty = ad.mean_all(ad.square(gap))
-        collision_value = penalty.item()
-        total = ad.add(total, ad.scale(penalty, cw))
+        abs_pred = point + np.tile(batch.last_pos, (1, config.t_pred))
+        diff = abs_pred[pair_i] - abs_pred[pair_j]
+        dx, dy = diff[:, 0::2], diff[:, 1::2]
+        dist = np.sqrt(dx * dx + dy * dy + 1e-12)
+        gap = np.maximum(dist * -1.0 + config.collision_radius, 0.0)
+        collision = (gap * gap).mean()
+        total = total + collision * cw
+        # d/d diff of cw * mean(gap^2): gap' = -1 where gap > 0, d' = diff / d
+        g_diff = np.empty_like(diff)
+        g_dist = gap * (-2.0 * cw / gap.size) / dist
+        g_diff[:, 0::2] = g_dist * dx
+        g_diff[:, 1::2] = g_dist * dy
+        g_point = grad[:, :width]
+        np.add.at(g_point, pair_i, g_diff)
+        np.add.at(g_point, pair_j, -g_diff)
+    loss = Tensor([[total]], parents=(out.disp,))
 
-    parts = {
-        "mse": mse.item(),
-        "pinball": pinball.item(),
-        "collision": collision_value,
-        "loss": total.item(),
-    }
-    return total, parts
+    def backward(g):
+        if out.disp.requires_grad:
+            out.disp._accumulate(grad * g[0, 0])
+
+    loss._backward = backward
+    parts = {"mse": float(mse), "pinball": float(pinball), "collision": float(collision), "loss": float(total)}
+    return loss, parts
 
 
 def train(

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -11,10 +11,18 @@ from .autodiff import Tensor, parameter
 
 
 class ParameterStore:
-    """Named parameter tensors; paths are unique, gradients live on the tensors."""
+    """Named parameter tensors; paths are unique, gradients live on the tensors.
+
+    The tensors' data are views into one contiguous parameter vector, so
+    the optimiser updates every parameter with a few vector ops. The vector
+    is packed on first use and packed again whenever a tensor was added or
+    its ``data`` rebound to another array.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._flat = np.zeros(0)
+        self._data_views: list[np.ndarray] = []
 
     def add(self, path: str, data) -> Tensor:
         if path in self._params:
@@ -35,6 +43,24 @@ class ParameterStore:
     def items(self):
         return self._params.items()
 
+    def flat(self) -> np.ndarray:
+        """The parameter vector; every tensor's ``data`` is a view into it."""
+        tensors = list(self._params.values())
+        if len(tensors) != len(self._data_views) or any(t.data is not v for t, v in zip(tensors, self._data_views)):
+            self._flat = np.concatenate([t.data.reshape(-1) for t in tensors] or [np.zeros(0)])
+            bounds = np.cumsum([0] + [t.data.size for t in tensors]).tolist()
+            self._data_views = [self._flat[lo:hi].reshape(t.shape) for t, lo, hi in zip(tensors, bounds, bounds[1:])]
+            for t, view in zip(tensors, self._data_views):
+                t.data = view
+        return self._flat
+
+    def flat_grad(self) -> np.ndarray:
+        """The gradient vector, laid out as ``flat()``; a missing gradient is zeros."""
+        return np.concatenate(
+            [np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1) for t in self._params.values()]
+            or [np.zeros(0)]
+        )
+
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
@@ -45,35 +71,41 @@ class ParameterStore:
 
 @dataclass
 class OptimizerState:
-    """Adam moments and step counter."""
+    """Adam moments over the store's flat parameter vector, and step counter."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(params: ParameterStore, state: OptimizerState, lr: float) -> None:
-    """Bias-corrected Adam update in place; missing gradients count as zero."""
+    """Bias-corrected Adam update in place over the flat parameter vector;
+    missing gradients count as zero."""
+    theta = params.flat()
+    g = params.flat_grad()
+    if state.m is None:
+        state.m = np.zeros_like(theta)
+        state.v = np.zeros_like(theta)
+    elif state.m.shape != theta.shape:
+        raise ValueError(f"optimizer state holds {state.m.size} moments for {theta.size} parameters")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for path, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if path not in state.m:
-            state.m[path] = np.zeros_like(p.data)
-            state.v[path] = np.zeros_like(p.data)
-        m = state.m[path]
-        v = state.v[path]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        mhat = m / (1.0 - b1**t)
-        vhat = v / (1.0 - b2**t)
-        p.data -= lr * mhat / (np.sqrt(vhat) + state.eps)
+    m, v = state.m, state.v
+    # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; theta -= lr*mhat / (sqrt(vhat) + eps),
+    # the same operations in the same order as per tensor, into two scratch vectors
+    step, den = np.empty_like(theta), np.empty_like(theta)
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=step)
+    v *= b2
+    v += np.multiply(np.multiply(g, 1.0 - b2, out=step), g, out=step)
+    np.multiply(np.divide(m, 1.0 - b1**t, out=step), lr, out=step)
+    np.sqrt(np.divide(v, 1.0 - b2**t, out=den), out=den)
+    den += state.eps
+    theta -= np.divide(step, den, out=step)
 
 
 @dataclass

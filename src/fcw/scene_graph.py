@@ -54,7 +54,11 @@ class SceneFrame:
 
 @dataclass
 class WorkCounter:
-    """Counts attention-score evaluations; one per directed edge per head."""
+    """Counts attention-score evaluations; one per directed edge per head.
+
+    A forward pass counts the frames its batch lays out: all T observed
+    frames, or only the last one under ``no_tam``.
+    """
 
     score_evals: int = 0
     all_pairs_equivalent: int = 0
@@ -150,22 +154,57 @@ class GatLayerParams:
     leaky_slope: float = 0.2
 
 
-def _runs(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets of the runs of a sorted ``index``, and each run's value."""
-    starts = np.flatnonzero(np.concatenate([[True], index[1:] != index[:-1]]))
-    return starts, index[starts]
+# Mean in-degree below which a GAT call sums over its edges with
+# ``np.bincount``; at and above it ``reduceat`` over sorted runs is faster.
+SPARSE_DEGREE = 8
 
 
-def _run_reduce(ufunc, values: np.ndarray, runs: tuple[np.ndarray, np.ndarray], n: int, fill: float = 0.0):
-    """Per-node ``ufunc`` reduction of per-edge ``values`` (..., E) over the
-    sorted runs of their last axis, as (..., n); a node without edges gets
-    ``fill``. Edge-sized arrays keep the edges on the last, contiguous axis,
-    where ``reduceat`` is fast."""
-    starts, owners = runs
-    out = np.full((*values.shape[:-1], n), fill)
-    if values.shape[-1]:
-        out[..., owners] = ufunc.reduceat(values, starts, axis=-1)
-    return out
+class _Segments:
+    """Per-node sums and maxima of per-edge values (..., E) grouped by an
+    edge ``index`` over n nodes, as (..., n); a node without edges gets 0
+    or -inf.
+
+    On a ``sparse`` graph the edges may come in any order: a sum is one
+    ``np.bincount`` over the flattened (row, node) bins, so up to ``rows``
+    rows go in one call, and a maximum one ``np.maximum.at``. Otherwise the
+    edges are stably sorted by ``index`` once, unless already sorted, and a
+    reduction is one ``reduceat`` over the runs of equal index on the last,
+    contiguous axis.
+    """
+
+    def __init__(self, index: np.ndarray, n: int, sparse: bool, rows: int = 1):
+        self.n = n
+        if sparse:
+            self.bins = (np.arange(rows)[:, None] * n + index).reshape(-1)
+            return
+        self.bins = None
+        self.order = None if (index[1:] >= index[:-1]).all() else np.argsort(index, kind="stable")
+        ordered = index if self.order is None else index[self.order]
+        # run starts: every edge whose index differs from its predecessor's (none without edges)
+        self.starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]])[: len(ordered)])
+        self.owners = ordered[self.starts]
+
+    def _runs(self, ufunc, values: np.ndarray, fill: float) -> np.ndarray:
+        out = np.full((*values.shape[:-1], self.n), fill)
+        if values.shape[-1]:
+            if self.order is not None:
+                values = np.take(values, self.order, axis=-1)
+            out[..., self.owners] = ufunc.reduceat(values, self.starts, axis=-1)
+        return out
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        if self.bins is None:
+            return self._runs(np.add, values, 0.0)
+        lead = values.shape[:-1]
+        size = int(np.prod(lead, dtype=np.intp)) * self.n
+        return np.bincount(self.bins[: values.size], weights=values.reshape(-1), minlength=size).reshape(*lead, self.n)
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        if self.bins is None:
+            return self._runs(np.maximum, values, -np.inf)
+        out = np.full((*values.shape[:-1], self.n), -np.inf)
+        np.maximum.at(out.reshape(-1), self.bins[: values.size], values.reshape(-1))
+        return out
 
 
 def gat_layer_edges(
@@ -183,9 +222,10 @@ def gat_layer_edges(
     destination's edges and weight the messages Wh[src]. Hidden layers
     concatenate the heads, the final layer averages them; ELU follows.
     The heads' transforms run as one (D, K*d_out) matmul and the edge work
-    runs head by head. Edges in any order are accepted: unless dst is
-    already sorted they are stably sorted by dst, so each destination's
-    edges form one run for the ``reduceat`` sums and maxima.
+    runs head by head. Edges in any order are accepted. The per-node sums
+    and maxima follow the mean in-degree: below ``SPARSE_DEGREE`` edges
+    per node they are ``np.bincount`` and ``np.maximum.at`` calls, at and
+    above it ``reduceat`` over the edges sorted by node (see ``_Segments``).
 
     ``h`` may stack ``frames`` disjoint frame graphs of equal size, as one
     block-diagonal graph (``forward_batch`` passes a run of frames per
@@ -203,10 +243,8 @@ def gat_layer_edges(
     if counter is not None:
         counter.score_evals += k * len(src)
         counter.all_pairs_equivalent += k * frames * (n // frames) ** 2
-    if (dst[1:] < dst[:-1]).any():
-        by_dst = np.argsort(dst, kind="stable")
-        src, dst = src[by_dst], dst[by_dst]
-    dst_runs = _runs(dst)
+    sparse = len(src) < SPARSE_DEGREE * n
+    to_dst = _Segments(dst, n, sparse, d_out)
     w = np.concatenate([head.w_s.data for head in heads], axis=1)
     wh = h.data @ w  # (n, K*d_out), head i in columns [i*d_out, (i+1)*d_out)
     # first half of each attention vector pairs with the destination node
@@ -218,13 +256,13 @@ def gat_layer_edges(
         z = (whi @ a_src[i])[src] + (whi @ a_dst[i])[dst]
         leaky = np.where(z > 0.0, 1.0, slope)
         score = z * leaky
-        ex = np.exp(score - _run_reduce(np.maximum, score, dst_runs, n, -np.inf)[dst])
-        alpha = ex / _run_reduce(np.add, ex, dst_runs, n)[dst]
+        ex = np.exp(score - to_dst.max(score)[dst])
+        alpha = ex / to_dst.sum(ex)[dst]
         alphas.append(alpha)
         leaky_slopes.append(leaky)
         msgs = np.take(whi.T, src, axis=1)  # (d_out, E)
         msgs *= alpha
-        aggs.append(_run_reduce(np.add, msgs, dst_runs, n).T)
+        aggs.append(to_dst.sum(msgs).T)
     if layer.combine == "concat":
         pre = np.concatenate(aggs, axis=1)
     else:
@@ -238,9 +276,8 @@ def gat_layer_edges(
 
     def backward(g):
         g_pre = g * d_elu
-        # one stable sort by src turns the scatter onto source nodes into runs too
-        by_src = np.argsort(src, kind="stable")
-        src_runs = _runs(src[by_src])
+        # messages and source scores scatter onto the source nodes, d_out + 1 rows at once
+        to_src = _Segments(src, n, sparse, d_out + 1)
         g_wh = np.empty_like(wh)
         for i, head in enumerate(heads):
             cols = slice(i * d_out, (i + 1) * d_out)
@@ -249,11 +286,11 @@ def gat_layer_edges(
             alpha = alphas[i]
             g_msgs = np.take(g_agg.T, dst, axis=1)  # (d_out, E)
             g_alpha = np.einsum("de,de->e", g_msgs, np.take(whi.T, src, axis=1))
-            inner = _run_reduce(np.add, alpha * g_alpha, dst_runs, n)
+            inner = to_dst.sum(alpha * g_alpha)
             g_z = alpha * (g_alpha - inner[dst]) * leaky_slopes[i]
-            g_s_dst = _run_reduce(np.add, g_z, dst_runs, n)
+            g_s_dst = to_dst.sum(g_z)
             g_msgs *= alpha
-            g_src = _run_reduce(np.add, np.take(np.vstack([g_msgs, g_z]), by_src, axis=1), src_runs, n)
+            g_src = to_src.sum(np.vstack([g_msgs, g_z]))
             g_wh[:, cols] = g_src[:d_out].T + np.outer(g_src[d_out], a_src[i]) + np.outer(g_s_dst, a_dst[i])
             if head.a.requires_grad:
                 head.a._accumulate(np.concatenate([whi.T @ g_s_dst, whi.T @ g_src[d_out]])[:, None])

@@ -317,10 +317,26 @@ def frame_edges(windows, t):
     )
 
 
+def mlp(x, layers):
+    """A decoder of ``(w, b)`` layers as a chain of ``linear`` and ``relu`` nodes."""
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = ad.linear(h, w, b)
+        if i < len(layers) - 1:
+            h = ad.relu(h)
+    return h
+
+
+def decode(hf, decoders):
+    """``fcw.model.decode`` decoder by decoder, side by side."""
+    return concat_cols([mlp(hf, dec) for dec in decoders])
+
+
 def forward_per_frame(model, windows, counter=None):
-    """``fcw.model.forward_batch`` with the spatial stage run frame by frame,
-    each frame embedded on its own and passed through the unfused
-    ``gat_layer``; the temporal stage and decoders are the program's."""
+    """``fcw.model.forward_batch`` with the spatial stage run frame by frame
+    over all T observed frames, each frame embedded on its own and passed
+    through the unfused ``gat_layer``; under ``no_tam`` only the last
+    frame's features go on. The decoders run one by one through ``mlp``."""
     cfg = model.config
     steps = []
     for t in range(cfg.t_obs):
@@ -330,11 +346,44 @@ def forward_per_frame(model, windows, counter=None):
         for layer in model.gat_layers:
             h = gat_layer(h, src, dst, layer, counter)
         steps.append(h)
-    g = ad.linear(ad.concat_rows(steps), model.bridge_w, model.bridge_b)
-    hf = tp.mha_blocks(tp.gru_encode_steps(g, model.gru, cfg.t_obs), model.mha, cfg.t_obs)
+    if cfg.no_tam:
+        hf = ad.linear(steps[-1], model.bridge_w, model.bridge_b)
+    else:
+        g = ad.linear(ad.concat_rows(steps), model.bridge_w, model.bridge_b)
+        hf = tp.mha_blocks(tp.gru_encode_steps(g, model.gru, cfg.t_obs), model.mha, cfg.t_obs)
     return md.ForwardOutputs(
-        hf=hf,
-        point_disp=md._mlp(hf, model.point_decoder),
-        lower_disp=md._mlp(hf, model.lower_decoder),
-        upper_disp=md._mlp(hf, model.upper_decoder),
+        hf=hf, disp=decode(hf, [model.point_decoder, model.lower_decoder, model.upper_decoder])
     )
+
+
+def pinball(pred, target, level):
+    u = ad.sub(target, pred)
+    return ad.mean_all(ad.maximum(ad.scale(u, level), ad.scale(u, level - 1.0)))
+
+
+def training_loss(disp, batch, config):
+    """``fcw.model.training_loss`` as a chain of small ops over the
+    (n, 3*T'*2) ``disp`` tensor; returns the loss tensor and its parts."""
+    width = config.t_pred * 2
+    point, lower, upper = (ad.gather_cols(disp, np.arange(i * width, (i + 1) * width)) for i in range(3))
+    target = ad.constant(batch.target_disp)
+    mse = ad.mean_all(ad.square(ad.sub(point, target)))
+    lo = pinball(lower, target, config.alpha / 2.0)
+    hi = pinball(upper, target, 1.0 - config.alpha / 2.0)
+    pin = ad.add(lo, hi)
+    total = ad.add(mse, ad.scale(pin, config.pinball_weight))
+    collision_value = 0.0
+    cw = 0.0 if config.no_collision_loss else config.collision_weight
+    if cw > 0.0 and len(batch.pair_i) > 0:
+        # columns interleave as x0,y0,x1,y1,...
+        tiled = np.tile(batch.last_pos, (1, config.t_pred))
+        abs_pred = ad.add(point, ad.constant(tiled))
+        diff = ad.sub(ad.gather_rows(abs_pred, batch.pair_i), ad.gather_rows(abs_pred, batch.pair_j))
+        xs = np.arange(0, config.t_pred * 2, 2)
+        dsq = ad.add(ad.square(ad.gather_cols(diff, xs)), ad.square(ad.gather_cols(diff, xs + 1)))
+        gap = ad.relu(ad.affine(ad.sqrt(dsq), -1.0, config.collision_radius))
+        penalty = ad.mean_all(ad.square(gap))
+        collision_value = penalty.item()
+        total = ad.add(total, ad.scale(penalty, cw))
+    parts = {"mse": mse.item(), "pinball": pin.item(), "collision": collision_value, "loss": total.item()}
+    return total, parts

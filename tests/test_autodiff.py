@@ -184,6 +184,24 @@ def test_linear_with_bias_is_one_node_matching_matmul_plus_add():
     assert_matches_oracle(lambda: ad.linear(x, w, b), lambda: oracles.linear(x, w, b), store)
 
 
+
+def test_oracle_helper_flags_a_parameter_only_one_side_reaches():
+    # zero_grad leaves every gradient None, so a parameter the fused op
+    # misses (or reaches alone) differs from the oracle even when the
+    # other side's gradient would be exactly zero
+    rng = np.random.default_rng(22)
+    store = ParameterStore()
+    x = store.add("x", rng.standard_normal((5, 4)))
+    w = store.add("w", rng.standard_normal((4, 3)))
+    b = store.add("b", np.zeros((1, 3)))
+    store.zero_grad()
+    assert all(t.grad is None for _, t in store.items())
+    unused = lambda: ad.add(ad.matmul(x, w), ad.scale(b, 0.0))
+    with pytest.raises(AssertionError, match="b"):
+        assert_matches_oracle(lambda: ad.matmul(x, w), unused, store)
+    with pytest.raises(AssertionError, match="b"):
+        assert_matches_oracle(unused, lambda: ad.matmul(x, w), store)
+
 def test_grad_activations():
     for fn in (oracles.sigmoid, oracles.tanh, ad.elu, lambda x: oracles.leaky_relu(x, 0.2)):
         check_op(lambda a, f=fn: f(a), 1, [(3, 3)], seed=11)

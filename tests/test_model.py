@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import fcw.autodiff as ad
 import fcw.model as md
 from fcw.checkpoint import load_checkpoint, save_checkpoint
-from fcw.optim import grad_check
+from fcw.optim import ParameterStore, grad_check
 from fcw.scene_graph import SceneFrame, WorkCounter
 
 from conftest import assert_matches_oracle, labelled_window, random_frames, tiny_config
@@ -201,6 +201,41 @@ def test_prepare_batch_pairs_match_double_loop():
     assert batch.pair_i.dtype == batch.pair_j.dtype == np.intp
 
 
+def test_prepare_batch_skips_pairs_without_targets():
+    cfg = tiny_config()
+    labelled = episode_windows(cfg, n_vehicles=3, seed=22, count=2)
+    bare = [md.make_window(random_frames(3, cfg.t_obs, seed=23 + k), cfg) for k in range(2)]
+    assert len(md.prepare_batch(labelled, cfg).pair_i) == 6
+    for windows in (bare, [labelled[0], bare[0]]):
+        batch = md.prepare_batch(windows, cfg)
+        assert batch.target_disp is None
+        for pairs in (batch.pair_i, batch.pair_j):
+            assert pairs.dtype == np.intp and pairs.shape == (0,)
+
+
+def test_no_tam_lays_out_and_attends_over_the_last_frame_only():
+    cfg = tiny_config(no_tam=True)
+    model = md.init_model(cfg, seed=5)
+    windows = [md.make_window(random_frames(n, cfg.t_obs, seed=60 + n, spread=8.0), cfg) for n in (1, 3, 4)]
+    total = sum(w.n for w in windows)
+    batch = md.prepare_batch(windows, cfg)
+    assert np.array_equal(batch.x, np.concatenate([w.features[-1] for w in windows]))
+    ((t_lo, t_hi, src, dst),) = batch.edges
+    last = oracles.frame_edges(windows, cfg.t_obs - 1)
+    assert (t_lo, t_hi) == (0, 1) and np.array_equal(src, last[0]) and np.array_equal(dst, last[1])
+    counter = WorkCounter()
+    md.forward_batch(model, batch, counter)
+    k = cfg.k_heads
+    assert counter.score_evals == cfg.l_s * k * len(src)
+    assert counter.all_pairs_equivalent == cfg.l_s * k * total**2
+    # the last frame's outputs of the GAT run over all T frames
+    assert_matches_oracle(
+        lambda: forward_readout(md.forward_batch(model, batch)),
+        lambda: forward_readout(oracles.forward_per_frame(model, windows)),
+        model.params,
+    )
+
+
 def test_predict_windows_matches_per_window_loop():
     cfg = tiny_config()
     model = md.init_model(cfg, seed=11)
@@ -226,7 +261,7 @@ def prepare_with_budget(windows, cfg, budget):
 
 
 def forward_readout(out):
-    return oracles.concat_cols([out.hf, out.point_disp, out.lower_disp, out.upper_disp])
+    return oracles.concat_cols([out.hf, out.disp])
 
 
 @settings(max_examples=25, deadline=None)
@@ -278,16 +313,16 @@ def test_frame_runs_match_the_per_frame_path(counts, spread, seed):
 
 
 def test_pinball_level_half_is_half_absolute_error(rng):
-    pred = ad.constant(rng.standard_normal((3, 4)))
-    target = ad.constant(rng.standard_normal((3, 4)))
-    out = md._pinball(pred, target, 0.5)
-    assert np.allclose(out.item(), 0.5 * np.abs(target.data - pred.data).mean(), atol=1e-12)
+    pred = rng.standard_normal((3, 4))
+    target = rng.standard_normal((3, 4))
+    value, _ = md._pinball(pred, target, 0.5)
+    assert np.allclose(value, 0.5 * np.abs(target - pred).mean(), atol=1e-12)
 
 
 def test_pinball_asymmetry():
-    pred = ad.constant([[0.0]])
-    over = md._pinball(pred, ad.constant([[1.0]]), 0.9).item()  # under-prediction
-    under = md._pinball(pred, ad.constant([[-1.0]]), 0.9).item()
+    pred = np.zeros((1, 1))
+    over = md._pinball(pred, np.ones((1, 1)), 0.9)[0]  # under-prediction
+    under = md._pinball(pred, -np.ones((1, 1)), 0.9)[0]
     assert over == pytest.approx(0.9)
     assert under == pytest.approx(0.1)
 
@@ -299,7 +334,7 @@ def test_training_loss_reduces_to_mse_when_weights_zero():
     batch = md.prepare_batch(windows, cfg)
     out = md.forward_batch(model, batch)
     _, parts = md.training_loss(out, batch, cfg)
-    expected = np.mean((out.point_disp.data - batch.target_disp) ** 2)
+    expected = np.mean((out.disp.data[:, : cfg.t_pred * 2] - batch.target_disp) ** 2)
     assert parts["loss"] == pytest.approx(expected, abs=1e-14)
     assert parts["collision"] == 0.0
 
@@ -317,11 +352,72 @@ def test_collision_penalty_hand_value():
         pair_i=np.array([0]),
         pair_j=np.array([1]),
     )
-    zero = ad.constant(np.zeros((n, tp2)))
-    out = md.ForwardOutputs(hf=zero, point_disp=zero, lower_disp=zero, upper_disp=zero)
+    out = md.ForwardOutputs(hf=ad.constant(np.zeros((n, 1))), disp=ad.constant(np.zeros((n, 3 * tp2))))
     _, parts = md.training_loss(out, batch, cfg)
     assert parts["collision"] == pytest.approx(1.0, abs=1e-9)
     assert parts["loss"] == pytest.approx(0.5 * 1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
+def test_decoder_node_matches_the_mlp_oracle(hidden):
+    rng = np.random.default_rng(len(hidden))
+    store = ParameterStore()
+    hf = store.add("hf", rng.standard_normal((7, 5)))
+    decoders = [md._build_decoder(store, rng, name, 5, hidden, 4) for name in ("a", "b", "c")]
+    for path in store.paths():  # nonzero biases, so the ReLU masks vary by row
+        store[path].data += rng.standard_normal(store[path].shape) * 0.3
+    out = md.decode(hf, decoders)
+    assert out.shape == (7, 12)
+    assert out._parents == (hf, *(t for dec in decoders for wb in dec for t in wb))  # one node
+    assert_matches_oracle(lambda: md.decode(hf, decoders), lambda: oracles.decode(hf, decoders), store)
+    assert grad_check(lambda: ad.sum_all(ad.square(md.decode(hf, decoders))), store, rng=rng) < 1e-6
+
+
+LOSS_CASES = ["pairs", "no_pairs", "no_collision_loss", "pinball_weight_0", "u_zero_ties", "gap_zero"]
+
+
+def loss_case(case):
+    """(config, batch, store holding the disp parameter) for one loss case."""
+    overrides = {"no_collision_loss": True} if case == "no_collision_loss" else {}
+    if case == "pinball_weight_0":
+        overrides["pinball_weight"] = 0.0
+    cfg = tiny_config(collision_radius=40.0, **overrides)
+    counts = (1, 1, 1) if case == "no_pairs" else (2, 3, 1)
+    windows = [episode_windows(cfg, n_vehicles=n, seed=70 + k, count=1)[0] for k, n in enumerate(counts)]
+    batch = md.prepare_batch(windows, cfg)
+    assert (len(batch.pair_i) == 0) == (case == "no_pairs")
+    rng = np.random.default_rng(LOSS_CASES.index(case))
+    width = cfg.t_pred * 2
+    disp = np.tile(batch.target_disp, 3) + rng.standard_normal((len(batch.last_pos), 3 * width))
+    if case == "u_zero_ties":
+        ties = rng.random(disp[:, width:].shape) < 0.5
+        disp[:, width:][ties] = np.tile(batch.target_disp, 2)[ties]
+    if case == "gap_zero":  # the median distance sits exactly at the radius
+        abs_pred = disp[:, :width] + np.tile(batch.last_pos, (1, cfg.t_pred))
+        diff = abs_pred[batch.pair_i] - abs_pred[batch.pair_j]
+        dx, dy = diff[:, 0::2], diff[:, 1::2]
+        dist = np.sort(np.sqrt(dx * dx + dy * dy + 1e-12).reshape(-1))
+        cfg.collision_radius = float(dist[len(dist) // 2])
+        assert dist[0] < cfg.collision_radius < dist[-1]
+    store = ParameterStore()
+    store.add("disp", disp)
+    return cfg, batch, store
+
+
+@pytest.mark.parametrize("case", LOSS_CASES)
+def test_loss_node_matches_the_chain_oracle(case):
+    cfg, batch, store = loss_case(case)
+    disp = store["disp"]
+    out = md.ForwardOutputs(hf=ad.constant(np.zeros((len(disp.data), 1))), disp=disp)
+    fused = lambda: md.training_loss(out, batch, cfg)
+    loss, parts = fused()
+    assert loss._parents == (disp,)  # one node
+    want, want_parts = oracles.training_loss(disp, batch, cfg)
+    assert parts == pytest.approx(want_parts, rel=1e-12, abs=0.0)
+    assert (parts["collision"] > 0.0) == (case in ("pairs", "pinball_weight_0", "u_zero_ties", "gap_zero"))
+    assert_matches_oracle(lambda: fused()[0], lambda: oracles.training_loss(disp, batch, cfg)[0], store)
+    if case not in ("u_zero_ties", "gap_zero"):  # central differences need a smooth point
+        assert grad_check(lambda: fused()[0], store, max_coords_per_param=40) < 1e-6
 
 
 def test_no_collision_loss_flag_disables_penalty():
@@ -371,14 +467,14 @@ def graph_size(root):
 def test_training_step_node_count(flag):
     # fused layers keep the graph of a desk-config step of 32 windows small:
     # one node per GRU layer, one per GAT layer (the batch's frames are one
-    # run), one attention node
+    # run), one attention node, one node for all three decoders, one loss node
     cfg = md.desk_config(**({} if flag == "full" else {flag: True}))
     model = md.init_model(cfg, seed=0)
     windows = [episode_windows(cfg, n_vehicles=2 + k % 3, seed=k, count=1)[0] for k in range(32)]
     batch = md.prepare_batch(windows, cfg)
     loss, _ = md.training_loss(md.forward_batch(model, batch), batch, cfg)
     assert len(batch.pair_i) > 0  # the collision term is part of the graph
-    assert graph_size(loss) <= 120
+    assert graph_size(loss) <= 70
 
 
 # ---------------------------------------------------------------------------

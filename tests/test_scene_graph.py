@@ -422,3 +422,75 @@ def test_adjacency_matches_pairwise_scan(seed, n):
         for j in range(n):
             expected = 1 if i == j else int(np.hypot(*(pos[i] - pos[j])) < 35.0)
             assert dense[i, j] == expected
+
+
+
+@st.composite
+def edge_values(draw):
+    """(index, n, values): an unsorted edge index over n nodes, some of them
+    without edges, E = 0 included, and 1-3 rows of per-edge values."""
+    n = draw(st.integers(1, 6))
+    index = np.array(draw(st.lists(st.integers(0, n - 1), max_size=20)), dtype=np.intp)
+    rows = draw(st.integers(1, 3))
+    values = draw(hnp.arrays(np.float64, (rows, len(index)), elements=st.floats(-1e3, 1e3)))
+    return index, n, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_values(), st.booleans(), st.booleans())
+def test_segment_reductions_match_scatter_oracle(case, sparse, one_row):
+    index, n, values = case
+    if one_row:
+        values = values[0]
+    segments = sg._Segments(index, n, sparse, rows=3)
+    got_sum, got_max = segments.sum(values), segments.max(values)
+    rows = np.atleast_2d(values)
+    want_sum = np.zeros((len(rows), n))
+    want_max = np.full((len(rows), n), -np.inf)
+    for row_sum, row_max, row in zip(want_sum, want_max, rows):
+        np.add.at(row_sum, index, row)
+        np.maximum.at(row_max, index, row)
+    want_sum, want_max = want_sum.reshape(*values.shape[:-1], n), want_max.reshape(*values.shape[:-1], n)
+    assert got_sum.shape == got_max.shape == want_sum.shape
+    assert np.allclose(got_sum, want_sum, rtol=0.0, atol=1e-12 * max(1.0, np.abs(values).max(initial=0.0)))
+    assert np.array_equal(got_max, want_max)
+
+
+def gat_on_path(h, src, dst, layer, path):
+    """Builder of ``gat_layer_edges`` whose segment sums take ``path``,
+    forced through the degree cutoff."""
+
+    def build():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sg, "SPARSE_DEGREE", 10**9 if path == "sparse" else 0)
+            return sg.gat_layer_edges(h, src, dst, layer)
+
+    return build
+
+
+@pytest.mark.parametrize("combine", ["concat", "average"])
+def test_gat_segment_paths_agree_with_each_other_and_the_oracle(combine):
+    rng = np.random.default_rng(7)
+    # a dense cluster, a sparse pair and a lone vehicle, edges shuffled, and
+    # node 3 stripped of its in-edges
+    pos = np.concatenate([rng.uniform(0, 5, (6, 2)), [[300.0, 0.0], [310.0, 0.0], [900.0, 0.0]]])
+    src, dst = sg.edges_from_positions(pos, 30.0)
+    keep = np.flatnonzero(dst != 3)[rng.permutation(int((dst != 3).sum()))]
+    src, dst = src[keep], dst[keep]
+    n, d_in, d_out, k = len(pos), 4, 3, 2
+    store = ParameterStore()
+    h = store.add("h", rng.standard_normal((n, d_in)))
+    heads = [
+        sg.GatHeadParams(
+            w_s=store.add(f"h{i}/w", rng.standard_normal((d_in, d_out))),
+            a=store.add(f"h{i}/a", rng.standard_normal((2 * d_out, 1))),
+        )
+        for i in range(k)
+    ]
+    layer = sg.GatLayerParams(heads=heads, combine=combine)
+    sparse, runs = (gat_on_path(h, src, dst, layer, path) for path in ("sparse", "runs"))
+    assert_matches_oracle(sparse, runs, store, seed=1)
+    for fused in (sparse, runs):
+        assert_matches_oracle(fused, lambda: oracles.gat_layer(h, src, dst, layer), store, seed=2)
+        assert grad_check(lambda: ad.sum_all(ad.square(fused())), store, rng=rng) < 1e-6
+        assert not fused().data[3].any()  # no in-edges: ELU(0) = 0

@@ -79,25 +79,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar for the common cases; the module-level functions are
-    # the full surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def constant(data) -> Tensor:
     return Tensor(data)
@@ -107,94 +88,10 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _unbroadcast_rows(g: np.ndarray, target_shape) -> np.ndarray:
-    if target_shape == g.shape:
-        return g
-    if target_shape[0] == 1 and target_shape[1] == g.shape[1]:
-        return g.sum(axis=0, keepdims=True)
-    raise ShapeMismatchError(f"cannot reduce gradient {g.shape} to {target_shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape and not (
-        (a.shape[0] == 1 or b.shape[0] == 1) and a.shape[1] == b.shape[1]
-    ):
-        raise ShapeMismatchError(f"add: shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data, parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast_rows(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast_rows(g, b.shape))
-
-    out._backward = backward
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"mul: shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    out._backward = backward
-    return out
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    out = Tensor(x.data * s, parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * s)
-
-    out._backward = backward
-    return out
-
-
-def affine(x: Tensor, a: float, b: float) -> Tensor:
-    """Elementwise a*x + b."""
-    out = Tensor(x.data * a + b, parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * a)
-
-    out._backward = backward
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data @ b.data, parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ bias row) as one node. The shared affine primitive behind every layer."""
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + bias row as one node. The shared affine primitive behind every layer."""
     if x.shape[1] != w.shape[0]:
         raise ShapeMismatchError(f"linear: input {x.shape} vs weight {w.shape}")
-    if b is None:
-        return matmul(x, w)
     if b.shape != (1, w.shape[1]):
         raise ShapeMismatchError(f"linear: bias {b.shape} vs weight {w.shape}")
     out = Tensor(x.data @ w.data + b.data, parents=(x, w, b))
@@ -222,44 +119,20 @@ def _elementwise(x: Tensor, value: np.ndarray, dvalue: np.ndarray) -> Tensor:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    v = np.maximum(x.data, 0.0)
-    return _elementwise(x, v, (x.data > 0.0).astype(np.float64))
-
-
 def elu_and_derivative(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ELU of an array and its derivative; fused ops that end in ELU share it."""
+    """ELU of an array and its derivative; fused ops that end in ELU share it.
+
+    Branch-free: with e = exp(min(z, 0)), ELU is max(z, 0) + (e - 1) and its
+    derivative is e. Where z > 0, e - 1 is exactly 0 and e exactly 1, so
+    both equal the two-branch form bit for bit, signed zeros and infinities
+    included.
+    """
     e = np.exp(np.minimum(z, 0.0))
-    return np.where(z > 0.0, z, e - 1.0), np.where(z > 0.0, 1.0, e)
+    return np.maximum(z, 0.0) + (e - 1.0), e
 
 
 def elu(x: Tensor) -> Tensor:
     return _elementwise(x, *elu_and_derivative(x.data))
-
-
-def square(x: Tensor) -> Tensor:
-    return mul(x, x)
-
-
-def sqrt(x: Tensor, eps: float = 1e-12) -> Tensor:
-    v = np.sqrt(x.data + eps)
-    return _elementwise(x, v, 0.5 / v)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"maximum: shapes {a.shape} and {b.shape}")
-    pick_a = a.data >= b.data
-    out = Tensor(np.where(pick_a, a.data, b.data), parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * pick_a)
-        if b.requires_grad:
-            b._accumulate(g * ~pick_a)
-
-    out._backward = backward
-    return out
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -281,34 +154,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return out
 
 
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(x.data[idx], parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            x._accumulate(gx)
-
-    out._backward = backward
-    return out
-
-
-def gather_cols(x: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(x.data[:, idx], parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            gt = np.zeros_like(x.data.T)
-            np.add.at(gt, idx, g.T)
-            x._accumulate(gt.T)
-
-    out._backward = backward
-    return out
-
-
 def rows(x: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(x.data[start:stop], parents=(x,))
 
@@ -317,29 +162,6 @@ def rows(x: Tensor, start: int, stop: int) -> Tensor:
             gx = np.zeros_like(x.data)
             gx[start:stop] = g
             x._accumulate(gx)
-
-    out._backward = backward
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor([[x.data.sum()]], parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.data, g[0, 0]))
-
-    out._backward = backward
-    return out
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    out = Tensor([[x.data.mean()]], parents=(x,))
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.data, g[0, 0] / n))
 
     out._backward = backward
     return out

@@ -307,7 +307,7 @@ def cmd_eval(args) -> int:
     outcomes = None
     if args.events:
         events = pipeline.load_events(args.events)
-        outcomes = pipeline.outcomes_from_events(test_eps, events)
+        outcomes = pipeline.outcomes_from_events(test_eps, events, model_cfg.t_obs)
 
     report = pipeline.build_report(prediction, outcomes)
     text = report.to_text()

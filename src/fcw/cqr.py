@@ -98,15 +98,13 @@ def raw_intervals(model: HstanModel, windows: list[WindowSample]):
     """
     if any(w.target_abs is None for w in windows):
         raise ValueError("calibration windows need ground-truth futures")
-    preds = predict_windows(model, windows)
-    return (
-        np.concatenate([p.lower for p in preds]),
-        np.concatenate([p.upper for p in preds]),
-        np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows]),  # (N, T', 2)
-    )
+    pred = predict_windows(model, windows)
+    return pred.lower, pred.upper, np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows])
 
 
 def apply_correction(pred: PredictionBatch, corr: ConformalCorrection | None) -> PredictionBatch:
+    """Calibrated intervals of a prediction batch of any number of vehicle
+    rows; without a correction, each interval's bounds are put in order."""
     if corr is None:
         lo, up = np.minimum(pred.lower, pred.upper), np.maximum(pred.lower, pred.upper)
         return PredictionBatch(point=pred.point, lower=lo, upper=up, conformal_applied=False)

@@ -6,6 +6,11 @@ acceleration), and a geometric term (curvature). The warning threshold is
 mean + lambda * std over a sliding window of recent risk values, computed
 from values strictly before the current tick so a spike cannot raise its
 own threshold.
+
+A track is stepped tick by tick through ``TrackState``; ``replay_ticks``
+runs the same definitions over a whole sequence of ticks as one array
+program (the risk of a tick never depends on the threshold state, and the
+threshold reads only earlier risks).
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import PredictionBatch
 
@@ -46,6 +52,9 @@ class RiskWeights:
 
 @dataclass
 class RiskInputs:
+    """Risk inputs of one tick as floats, or of a run of ticks as one array
+    per field (``kappa`` may stay one float for all of them)."""
+
     d_min: float  # min predicted ego-to-threat distance over the horizon (m)
     ttc: float  # predicted time to first contact (s), +inf if none
     sigma_pred: float  # half mean calibrated interval width (m)
@@ -55,24 +64,34 @@ class RiskInputs:
     v_ego: float  # ego speed (m/s)
 
     def __post_init__(self):
-        if self.d_min < 0 or self.v_ego < 0 or self.sigma_pred < 0:
+        if any(np.any(np.less(v, 0.0)) for v in (self.d_min, self.v_ego, self.sigma_pred)):
             raise ValueError("d_min, v_ego, sigma_pred must be nonnegative")
 
 
-def risk_pred(inp: RiskInputs, w: RiskWeights) -> float:
-    if math.isinf(inp.ttc):
-        return 0.0
-    d = max(inp.d_min, D_MIN_CLAMP)
-    return (1.0 / d) * math.exp(-inp.ttc / w.tau) * (1.0 + inp.sigma_pred)
+# The three risk terms take one tick's inputs or arrays of them, with one
+# formula for both, so a replayed tick and a streamed tick agree bit for bit.
 
 
-def risk_kin(inp: RiskInputs, w: RiskWeights) -> float:
+def risk_pred(inp: RiskInputs, w: RiskWeights):
+    """Zero when no contact is predicted (ttc = +inf)."""
+    d = np.maximum(inp.d_min, D_MIN_CLAMP)
+    risk = (1.0 / d) * np.exp(-inp.ttc / w.tau) * (1.0 + inp.sigma_pred)
+    return np.where(np.isinf(inp.ttc), 0.0, risk)[()]
+
+
+def risk_kin(inp: RiskInputs, w: RiskWeights):
     # Receding traffic may push this negative; bounded at -1.
-    return max(-1.0, inp.v_rel / w.v_safe + w.gamma * inp.a_rel / w.a_max)
+    return np.maximum(-1.0, inp.v_rel / w.v_safe + w.gamma * inp.a_rel / w.a_max)
 
 
-def risk_geo(inp: RiskInputs, w: RiskWeights) -> float:
-    return 1.0 + w.beta * abs(inp.kappa) * inp.v_ego
+def risk_geo(inp: RiskInputs, w: RiskWeights):
+    return 1.0 + w.beta * np.abs(inp.kappa) * inp.v_ego
+
+
+def risk_terms(inp: RiskInputs, w: RiskWeights) -> tuple:
+    """(r_pred, r_kin, r_geo, risk): the three terms and their weighted sum."""
+    rp, rk, rg = risk_pred(inp, w), risk_kin(inp, w), risk_geo(inp, w)
+    return rp, rk, rg, w.w_pred * rp + w.w_kin * rk + w.w_geo * rg
 
 
 class SlidingWindow:
@@ -144,10 +163,7 @@ class TrackState:
 
     def step(self, inputs: RiskInputs, time: float = 0.0) -> WarningEvent:
         w = self.weights
-        rp = risk_pred(inputs, w)
-        rk = risk_kin(inputs, w)
-        rg = risk_geo(inputs, w)
-        risk = w.w_pred * rp + w.w_kin * rk + w.w_geo * rg
+        rp, rk, rg, risk = (float(v) for v in risk_terms(inputs, w))
         mu, sigma = window_stats(self.window)
         if self.fixed_threshold is not None:
             threshold = self.fixed_threshold
@@ -237,3 +253,115 @@ def extract_risk_inputs(
 def _sigma_pred(pred: PredictionBatch, ego_index: int) -> float:
     width = pred.upper[ego_index] - pred.lower[ego_index]
     return max(0.0, 0.5 * float(width.mean()))
+
+
+# ---------------------------------------------------------------------------
+# Whole replays as arrays
+# ---------------------------------------------------------------------------
+
+
+def risk_inputs_per_tick(
+    pred: PredictionBatch,
+    last: np.ndarray,
+    curvature: float,
+    dt: float,
+    r_collision: float = 4.0,
+) -> RiskInputs:
+    """``extract_risk_inputs`` for a run of ticks at once, with vehicle 0
+    the ego and every other vehicle a threat.
+
+    ``last`` is the ticks' last observed states, (ticks, N, 8), and
+    ``pred`` stacks the ticks' (N, T', 2) predictions tick after tick, as
+    ``predict_windows`` returns them. Returns one (ticks,) array per field,
+    each equal to what ``extract_risk_inputs`` gives tick by tick.
+    """
+    ticks, n = last.shape[:2]
+    steps = pred.point.shape[1]
+    point, lower, upper = (a.reshape(ticks, n, steps, 2) for a in (pred.point, pred.lower, pred.upper))
+    ego_v, ego_a = last[:, 0, 2:4], last[:, 0, 4:6]
+    width = (upper[:, 0] - lower[:, 0]).reshape(ticks, steps * 2)
+    sigma_pred = np.maximum(0.0, 0.5 * width.mean(axis=1))
+    v_ego = np.hypot(ego_v[:, 0], ego_v[:, 1])
+    if n == 1:
+        none, zero = np.full(ticks, math.inf), np.zeros(ticks)
+        return RiskInputs(
+            d_min=none, ttc=none, sigma_pred=sigma_pred, v_rel=zero, a_rel=zero, kappa=curvature, v_ego=v_ego
+        )
+
+    gap = point[:, :1] - point[:, 1:]  # (ticks, threats, T', 2)
+    dists = np.hypot(gap[..., 0], gap[..., 1])
+    closest = dists.min(axis=2)  # (ticks, threats)
+    nearest = 1 + closest.argmin(axis=1)  # the first threat at the minimum, as the tick loop keeps
+    d_min = closest.min(axis=1)
+    touch = (dists <= r_collision).any(axis=1)  # (ticks, T'): some threat in contact at that step
+    ttc = np.where(touch.any(axis=1), (touch.argmax(axis=1) + 1) * dt, math.inf)
+
+    other = last[np.arange(ticks), nearest]  # (ticks, 8)
+    rel = other[:, 0:2] - last[:, 0, 0:2]
+    norm = np.hypot(rel[:, 0], rel[:, 1])
+    apart = norm > 1e-9
+    unit = rel / np.where(apart, norm, 1.0)[:, None]
+
+    def closing(ego: np.ndarray, threat: np.ndarray) -> np.ndarray:
+        # one (1, 2) @ (2, 1) product per tick: the same dot product as the tick loop's ``@``
+        along = np.matmul((ego - threat)[:, None, :], unit[:, :, None])[:, 0, 0]
+        return np.where(apart, along, 0.0)
+
+    return RiskInputs(
+        d_min=d_min,
+        ttc=ttc,
+        sigma_pred=sigma_pred,
+        v_rel=closing(ego_v, other[:, 2:4]),
+        a_rel=closing(ego_a, other[:, 4:6]),
+        kappa=curvature,
+        v_ego=v_ego,
+    )
+
+
+def window_stats_per_tick(risks: np.ndarray, window_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``window_stats`` before every tick of a risk sequence: the mean and
+    sample std of the (up to) ``window_size`` risks before each tick, and
+    how many there are.
+
+    Row t of a (ticks, window_size) table holds risks[t - window_size : t],
+    zero-padded on the left; the padding is masked out of the deviations.
+    A row with the window full sums in the same order as ``window_stats``;
+    a shorter one may differ from it in the last bits.
+    """
+    ticks = len(risks)
+    table = sliding_window_view(np.concatenate([np.zeros(window_size), risks]), window_size)[:ticks]
+    count = np.minimum(np.arange(ticks), window_size)
+    held = np.arange(window_size) >= (window_size - count)[:, None]
+    mu = table.sum(axis=1) / np.maximum(count, 1)
+    dev = np.where(held, table - mu[:, None], 0.0)
+    sigma = np.sqrt((dev * dev).sum(axis=1) / np.maximum(count - 1, 1))
+    return mu, sigma, count
+
+
+def replay_ticks(
+    inputs: RiskInputs,
+    times: np.ndarray,
+    weights: RiskWeights,
+    window_size: int = 50,
+    fixed_threshold: float | None = None,
+) -> list[WarningEvent]:
+    """The events of a fresh ``TrackState`` stepped through every tick of
+    ``inputs`` (one array per field), computed as arrays.
+
+    Risks come from the shared risk terms; each threshold reads the masked
+    table of the risks before its tick (``window_stats_per_tick``), with
+    the warm-up and ``fixed_threshold`` as masks; a tick warns where its
+    risk exceeds its threshold. Event fields are Python scalars.
+    """
+    if window_size < 2:
+        raise ValueError("window capacity must be >= 2")
+    rp, rk, rg, risk = risk_terms(inputs, weights)
+    mu, sigma, count = window_stats_per_tick(risk, window_size)
+    if fixed_threshold is not None:
+        threshold = np.full(len(risk), fixed_threshold, dtype=np.float64)
+    else:
+        threshold = np.where(count >= WARMUP_MIN_SAMPLES, mu + weights.lam * sigma, math.inf)
+    columns = (times, risk, threshold, risk > threshold, rp, rk, rg, mu, sigma)
+    return [
+        WarningEvent(tick, *row) for tick, row in enumerate(zip(*(np.asarray(c).tolist() for c in columns)))
+    ]

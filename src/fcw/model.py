@@ -458,37 +458,45 @@ def forward_batch(model: HstanModel, batch: PreparedBatch, counter: WorkCounter 
     return ForwardOutputs(hf=hf, disp=decode(hf, [model.point_decoder, model.lower_decoder, model.upper_decoder]))
 
 
-def _disp_to_abs(disp: np.ndarray, last_pos: np.ndarray, t_pred: int) -> np.ndarray:
-    n = last_pos.shape[0]
-    out = disp.reshape(n, t_pred, 2) + last_pos[:, None, :]
-    return out
+def _stacked_prediction(out: ForwardOutputs, batch: PreparedBatch, config: HstanConfig) -> PredictionBatch:
+    """The predictions of one forward pass over all of the batch's vehicle
+    rows, window after window, in absolute scene coordinates."""
+    total = batch.offsets[-1]
+    point, lower, upper = (
+        disp.reshape(total, config.t_pred, 2) + batch.last_pos[:, None, :]
+        for disp in np.split(out.disp.data, 3, axis=1)
+    )
+    return PredictionBatch(point=point, lower=lower, upper=upper)
 
 
 def outputs_to_predictions(
     out: ForwardOutputs, batch: PreparedBatch, config: HstanConfig
 ) -> list[PredictionBatch]:
-    point, lower, upper = np.split(out.disp.data, 3, axis=1)
-    preds = []
-    for wi in range(len(batch.offsets) - 1):
-        lo, hi = batch.offsets[wi], batch.offsets[wi + 1]
-        lp = batch.last_pos[lo:hi]
-        preds.append(
-            PredictionBatch(
-                point=_disp_to_abs(point[lo:hi], lp, config.t_pred),
-                lower=_disp_to_abs(lower[lo:hi], lp, config.t_pred),
-                upper=_disp_to_abs(upper[lo:hi], lp, config.t_pred),
-            )
-        )
-    return preds
+    """The predictions of one forward pass, one batch per window."""
+    stack = _stacked_prediction(out, batch, config)
+    cuts = batch.offsets[1:-1]
+    return [
+        PredictionBatch(point=p, lower=lo, upper=up)
+        for p, lo, up in zip(np.split(stack.point, cuts), np.split(stack.lower, cuts), np.split(stack.upper, cuts))
+    ]
 
 
-def predict_windows(model: HstanModel, windows: list[WindowSample]) -> list[PredictionBatch]:
-    """Raw predictions for every window, ``PREDICT_CHUNK`` windows per forward pass."""
-    preds = []
+def predict_windows(model: HstanModel, windows: list[WindowSample]) -> PredictionBatch:
+    """Raw predictions for every window as one stack over the windows'
+    vehicle rows, in window order (window i holds the ``windows[i].n`` rows
+    after those of the windows before it); ``PREDICT_CHUNK`` windows per
+    forward pass."""
+    parts = []
     for start in range(0, len(windows), PREDICT_CHUNK):
         batch = prepare_batch(windows[start : start + PREDICT_CHUNK], model.config)
-        preds.extend(outputs_to_predictions(forward_batch(model, batch), batch, model.config))
-    return preds
+        parts.append(_stacked_prediction(forward_batch(model, batch), batch, model.config))
+    if len(parts) == 1:
+        return parts[0]
+    empty = np.zeros((0, model.config.t_pred, 2))
+    point, lower, upper = (
+        np.concatenate([getattr(p, key) for p in parts] or [empty]) for key in ("point", "lower", "upper")
+    )
+    return PredictionBatch(point=point, lower=lower, upper=upper)
 
 
 # ---------------------------------------------------------------------------

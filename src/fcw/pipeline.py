@@ -10,7 +10,7 @@ import numpy as np
 
 from . import cqr as cqr_mod
 from . import metrics as me
-from .drta import RiskWeights, TrackState, WarningEvent, extract_risk_inputs
+from .drta import RiskWeights, WarningEvent, replay_ticks, risk_inputs_per_tick
 from .model import (
     HstanConfig,
     HstanModel,
@@ -42,34 +42,30 @@ def warn_episode(
     fixed_threshold: float | None = None,
     no_cqr: bool = False,
 ) -> EpisodeEvents:
-    """Replay one episode tick-by-tick; ego is vehicle 0, the rest are threats.
+    """Replay one episode tick by tick; ego is vehicle 0, the rest are threats.
 
-    Every frame's radius graph is built once for the episode, and every
-    tick's window is predicted up front in one batched call; the threshold
-    state machine then steps through the ticks in order.
+    Every frame's radius graph is built once for the episode and every
+    tick's window is predicted in one batched call. The correction, the
+    risk inputs, the thresholds and the decisions then run over all ticks
+    at once (``drta.replay_ticks``), as a fresh ``TrackState`` stepping
+    through the ticks in order would give them.
     """
     cfg = model.config
-    track = TrackState(weights=weights, window_size=window_size, fixed_threshold=fixed_threshold)
-    out = EpisodeEvents(episode_id=episode.episode_id)
-    threats = list(range(1, episode.n))
     states = episode.frames
-    ticks = range(cfg.t_obs - 1, len(states))
+    ticks = np.arange(cfg.t_obs - 1, len(states))
     edges = frame_edge_lists(states[:, :, 0:2], cfg.radius)
     windows = [
         window_from_states(states[lo : lo + cfg.t_obs], cfg, edges=edges[lo : lo + cfg.t_obs])
         for lo in range(len(ticks))
     ]
-    preds = predict_windows(model, windows)
-    for tick, pred in zip(ticks, preds):
-        pred = cqr_mod.apply_correction(pred, None if no_cqr else corr)
-        inputs = extract_risk_inputs(
-            pred, 0, threats, states[tick], episode.curvature, episode.dt, cfg.collision_radius
-        )
-        if no_cqr:
-            inputs = replace(inputs, sigma_pred=0.0)
-        event = track.step(inputs, time=tick * episode.dt)
-        out.events.append(event)
-    return out
+    pred = cqr_mod.apply_correction(predict_windows(model, windows), None if no_cqr else corr)
+    inputs = risk_inputs_per_tick(
+        pred, states[cfg.t_obs - 1 :], episode.curvature, episode.dt, cfg.collision_radius
+    )
+    if no_cqr:
+        inputs = replace(inputs, sigma_pred=np.zeros(len(ticks)))
+    events = replay_ticks(inputs, ticks * episode.dt, weights, window_size, fixed_threshold)
+    return EpisodeEvents(episode_id=episode.episode_id, events=events)
 
 
 def save_events(path: str | Path, episodes_events: list[EpisodeEvents]) -> None:
@@ -88,30 +84,45 @@ def load_events(path: str | Path) -> list[EpisodeEvents]:
     lines = Path(path).read_text().strip().split("\n")
     if lines[0] != EVENT_HEADER:
         raise ValueError(f"{path}: unexpected header {lines[0]!r}")
+    width = EVENT_HEADER.count(",") + 1
     by_ep: dict[int, EpisodeEvents] = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        eid = int(parts[0])
-        ev = WarningEvent(
-            tick=int(parts[1]),
-            time=float(parts[2]),
-            risk=float(parts[3]),
-            r_pred=float(parts[4]),
-            r_kin=float(parts[5]),
-            r_geo=float(parts[6]),
-            mu=float(parts[7]),
-            sigma=float(parts[8]),
-            threshold=float(parts[9]),
-            triggered=bool(int(parts[10])),
-        )
+        if len(parts) != width:
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            eid = int(parts[0])
+            ev = WarningEvent(
+                tick=int(parts[1]),
+                time=float(parts[2]),
+                risk=float(parts[3]),
+                r_pred=float(parts[4]),
+                r_kin=float(parts[5]),
+                r_geo=float(parts[6]),
+                mu=float(parts[7]),
+                sigma=float(parts[8]),
+                threshold=float(parts[9]),
+                triggered=bool(int(parts[10])),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         by_ep.setdefault(eid, EpisodeEvents(episode_id=eid)).events.append(ev)
     return [by_ep[k] for k in sorted(by_ep)]
 
 
 def outcomes_from_events(
-    episodes: list[Episode], episodes_events: list[EpisodeEvents]
+    episodes: list[Episode], episodes_events: list[EpisodeEvents], t_obs: int = 1
 ) -> list[me.EpisodeOutcome]:
+    """Each episode's warning times from the log of its replay.
+
+    The log must hold exactly the episodes that have a tick to replay,
+    those with at least ``t_obs`` frames; a shorter episode never warns.
+    """
     by_id = {ee.episode_id: ee for ee in episodes_events}
+    logged = sorted(ee.episode_id for ee in episodes_events if ee.events)
+    replayed = sorted(ep.episode_id for ep in episodes if len(ep.frames) >= t_obs)
+    if logged != replayed:
+        raise ValueError(f"event log holds episodes {logged}, but the split replays episodes {replayed}")
     outcomes = []
     for ep in episodes:
         ee = by_id.get(ep.episode_id, EpisodeEvents(episode_id=ep.episode_id))
@@ -136,27 +147,24 @@ def prediction_metrics(
 ) -> dict:
     """ADE/FDE/collision-rate (and coverage when calibrated) over windows."""
     truth = np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows])  # (sumN, T', 2)
+    pred = None
     if baseline == "cv":
-        preds = None
         # the last observed velocities are model inputs, stored scaled
-        points = [
-            cv_baseline(w.last_pos, w.features[-1, :, 2:4] / config.input_scale, config.t_pred, config.dt)
-            for w in windows
-        ]
+        velocities = np.concatenate([w.features[-1, :, 2:4] for w in windows]) / config.input_scale
+        points = cv_baseline(np.concatenate([w.last_pos for w in windows]), velocities, config.t_pred, config.dt)
     else:
-        preds = predict_windows(model, windows)
-        points = [p.point for p in preds]
-    all_pred = np.concatenate(points)
+        pred = predict_windows(model, windows)
+        points = pred.point
     out = {
-        "ade": me.ade(all_pred, truth),
-        "fde": me.fde(all_pred, truth),
-        "collision_rate": me.collision_rate(points, config.collision_radius / 2.0),
+        "ade": me.ade(points, truth),
+        "fde": me.fde(points, truth),
+        "collision_rate": me.collision_rate(
+            np.split(points, np.cumsum([w.n for w in windows])[:-1]), config.collision_radius / 2.0
+        ),
     }
-    if preds is not None and corr is not None:
-        lower = np.concatenate([p.lower for p in preds])
-        upper = np.concatenate([p.upper for p in preds])
-        out["raw_coverage"], _ = cqr_mod.empirical_coverage(lower, upper, truth)
-        lower, upper = cqr_mod.conformal_interval(lower, upper, corr)
+    if pred is not None and corr is not None:
+        out["raw_coverage"], _ = cqr_mod.empirical_coverage(pred.lower, pred.upper, truth)
+        lower, upper = cqr_mod.conformal_interval(pred.lower, pred.upper, corr)
         out["coverage"], out["mean_width"] = cqr_mod.empirical_coverage(lower, upper, truth)
     return out
 

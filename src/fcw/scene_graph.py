@@ -235,6 +235,8 @@ def gat_layer_edges(
     if layer.combine not in ("concat", "average"):
         raise ValueError(f"unknown combine mode: {layer.combine}")
     heads, slope = layer.heads, layer.leaky_slope
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky slope must be in (0, 1), got {slope}")
     n, k, d_out = h.shape[0], len(heads), heads[0].w_s.shape[1]
     if frames < 1 or n % frames:
         raise ValueError(f"{n} rows do not split into {frames} equal frames")
@@ -250,16 +252,15 @@ def gat_layer_edges(
     # first half of each attention vector pairs with the destination node
     a_dst = [head.a.data[:d_out, 0] for head in heads]
     a_src = [head.a.data[d_out:, 0] for head in heads]
-    alphas, leaky_slopes, aggs = [], [], []
+    alphas, zs, aggs = [], [], []
     for i in range(k):
         whi = wh[:, i * d_out : (i + 1) * d_out]
         z = (whi @ a_src[i])[src] + (whi @ a_dst[i])[dst]
-        leaky = np.where(z > 0.0, 1.0, slope)
-        score = z * leaky
+        score = np.maximum(z, slope * z)  # LeakyReLU, branch-free for a slope in (0, 1)
         ex = np.exp(score - to_dst.max(score)[dst])
         alpha = ex / to_dst.sum(ex)[dst]
         alphas.append(alpha)
-        leaky_slopes.append(leaky)
+        zs.append(z)
         msgs = np.take(whi.T, src, axis=1)  # (d_out, E)
         msgs *= alpha
         aggs.append(to_dst.sum(msgs).T)
@@ -287,7 +288,7 @@ def gat_layer_edges(
             g_msgs = np.take(g_agg.T, dst, axis=1)  # (d_out, E)
             g_alpha = np.einsum("de,de->e", g_msgs, np.take(whi.T, src, axis=1))
             inner = to_dst.sum(alpha * g_alpha)
-            g_z = alpha * (g_alpha - inner[dst]) * leaky_slopes[i]
+            g_z = alpha * (g_alpha - inner[dst]) * np.where(zs[i] > 0.0, 1.0, slope)
             g_s_dst = to_dst.sum(g_z)
             g_msgs *= alpha
             g_src = to_src.sum(np.vstack([g_msgs, g_z]))

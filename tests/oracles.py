@@ -79,8 +79,8 @@ def replay_stream(stream, weights, window_size=50, fixed_threshold=None):
 
 
 # ---------------------------------------------------------------------------
-# Unfused autodiff references: the GRU, GAT and attention layers as chains of
-# small differentiable ops, against which the fused one-node ops are checked
+# Small differentiable ops that the unfused references below (and the
+# gradient tests) are built from; the program itself runs fused ops only
 # ---------------------------------------------------------------------------
 
 
@@ -93,6 +93,173 @@ def _elementwise(x, value, dvalue):
 
     out._backward = backward
     return out
+
+
+def _unbroadcast_rows(g, target_shape):
+    if target_shape == g.shape:
+        return g
+    if target_shape[0] == 1 and target_shape[1] == g.shape[1]:
+        return g.sum(axis=0, keepdims=True)
+    raise ShapeMismatchError(f"cannot reduce gradient {g.shape} to {target_shape}")
+
+
+def add(a, b):
+    """a + b, where either side may be one row broadcast over the other's rows."""
+    if a.shape != b.shape and not ((a.shape[0] == 1 or b.shape[0] == 1) and a.shape[1] == b.shape[1]):
+        raise ShapeMismatchError(f"add: shapes {a.shape} and {b.shape}")
+    out = Tensor(a.data + b.data, parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast_rows(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast_rows(g, b.shape))
+
+    out._backward = backward
+    return out
+
+
+def scale(x, s):
+    out = Tensor(x.data * s, parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * s)
+
+    out._backward = backward
+    return out
+
+
+def sub(a, b):
+    return add(a, scale(b, -1.0))
+
+
+def mul(a, b):
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"mul: shapes {a.shape} and {b.shape}")
+    out = Tensor(a.data * b.data, parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+
+    out._backward = backward
+    return out
+
+
+def affine(x, a, b):
+    """Elementwise a*x + b."""
+    out = Tensor(x.data * a + b, parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g * a)
+
+    out._backward = backward
+    return out
+
+
+def matmul(a, b):
+    if a.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape}")
+    out = Tensor(a.data @ b.data, parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
+
+    out._backward = backward
+    return out
+
+
+def relu(x):
+    return _elementwise(x, np.maximum(x.data, 0.0), (x.data > 0.0).astype(np.float64))
+
+
+def square(x):
+    return mul(x, x)
+
+
+def sqrt(x, eps=1e-12):
+    v = np.sqrt(x.data + eps)
+    return _elementwise(x, v, 0.5 / v)
+
+
+def maximum(a, b):
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"maximum: shapes {a.shape} and {b.shape}")
+    pick_a = a.data >= b.data
+    out = Tensor(np.where(pick_a, a.data, b.data), parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * pick_a)
+        if b.requires_grad:
+            b._accumulate(g * ~pick_a)
+
+    out._backward = backward
+    return out
+
+
+def gather_rows(x, idx):
+    idx = np.asarray(idx, dtype=np.intp)
+    out = Tensor(x.data[idx], parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            np.add.at(gx, idx, g)
+            x._accumulate(gx)
+
+    out._backward = backward
+    return out
+
+
+def gather_cols(x, idx):
+    idx = np.asarray(idx, dtype=np.intp)
+    out = Tensor(x.data[:, idx], parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            gt = np.zeros_like(x.data.T)
+            np.add.at(gt, idx, g.T)
+            x._accumulate(gt.T)
+
+    out._backward = backward
+    return out
+
+
+def sum_all(x):
+    out = Tensor([[x.data.sum()]], parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(np.full_like(x.data, g[0, 0]))
+
+    out._backward = backward
+    return out
+
+
+def mean_all(x):
+    n = x.data.size
+    out = Tensor([[x.data.mean()]], parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(np.full_like(x.data, g[0, 0] / n))
+
+    out._backward = backward
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Unfused autodiff references: the GRU, GAT and attention layers as chains of
+# small differentiable ops, against which the fused one-node ops are checked
+# ---------------------------------------------------------------------------
 
 
 def sigmoid(x):
@@ -148,7 +315,7 @@ def concat_cols(parts):
 
 def linear(x, w, b):
     """x @ w + b as two nodes."""
-    return ad.add(ad.matmul(x, w), b)
+    return add(matmul(x, w), b)
 
 
 def edge_softmax(scores, dst, n_nodes):
@@ -238,11 +405,11 @@ def block_matmul_nn(p, v, block):
 
 def gru_cell(x, h_prev, p):
     """One GRU step of ``fcw.temporal.GruLayerParams`` p; rows are independent."""
-    z = sigmoid(ad.add(ad.add(ad.matmul(x, p.w_z), ad.matmul(h_prev, p.u_z)), p.b_z))
-    r = sigmoid(ad.add(ad.add(ad.matmul(x, p.w_r), ad.matmul(h_prev, p.u_r)), p.b_r))
-    h_tilde = tanh(ad.add(ad.add(ad.matmul(x, p.w_h), ad.matmul(ad.mul(r, h_prev), p.u_h)), p.b_h))
+    z = sigmoid(add(add(matmul(x, p.w_z), matmul(h_prev, p.u_z)), p.b_z))
+    r = sigmoid(add(add(matmul(x, p.w_r), matmul(h_prev, p.u_r)), p.b_r))
+    h_tilde = tanh(add(add(matmul(x, p.w_h), matmul(mul(r, h_prev), p.u_h)), p.b_h))
     # (1 - z) * h_prev + z * h_tilde, written as h_prev + z * (h_tilde - h_prev)
-    return ad.add(h_prev, ad.mul(z, ad.sub(h_tilde, h_prev)))
+    return add(h_prev, mul(z, sub(h_tilde, h_prev)))
 
 
 def gru_encode(x, p, steps):
@@ -266,12 +433,12 @@ def mha_all_positions(hv, p, block):
     inv = 1.0 / math.sqrt(p.d_k)
     outs = []
     for head in p.heads:
-        q = ad.matmul(hv, head.w_q)
-        k = ad.matmul(hv, head.w_k)
-        v = ad.matmul(hv, head.w_v)
-        weights = softmax_rows(ad.scale(block_matmul_nt(q, k, block), inv))
+        q = matmul(hv, head.w_q)
+        k = matmul(hv, head.w_k)
+        v = matmul(hv, head.w_v)
+        weights = softmax_rows(scale(block_matmul_nt(q, k, block), inv))
         outs.append(block_matmul_nn(weights, v, block))
-    return ad.matmul(concat_cols(outs), p.w_o)
+    return matmul(concat_cols(outs), p.w_o)
 
 
 def mha_last(y, p, steps):
@@ -280,8 +447,8 @@ def mha_last(y, p, steps):
     the last position of each vehicle is kept."""
     n = y.shape[0] // steps
     vehicle_major = (np.arange(n)[:, None] + n * np.arange(steps)[None, :]).reshape(-1)
-    attended = mha_all_positions(ad.gather_rows(y, vehicle_major), p, steps)
-    return ad.gather_rows(attended, np.arange(n) * steps + steps - 1)
+    attended = mha_all_positions(gather_rows(y, vehicle_major), p, steps)
+    return gather_rows(attended, np.arange(n) * steps + steps - 1)
 
 
 def gat_layer(h, src, dst, layer, counter=None):
@@ -290,22 +457,22 @@ def gat_layer(h, src, dst, layer, counter=None):
     outs = []
     for head in layer.heads:
         d_out = head.w_s.shape[1]
-        wh = ad.matmul(h, head.w_s)
+        wh = matmul(h, head.w_s)
         # first half of the attention vector pairs with the destination node
-        s_dst = ad.matmul(wh, ad.rows(head.a, 0, d_out))
-        s_src = ad.matmul(wh, ad.rows(head.a, d_out, 2 * d_out))
-        e = leaky_relu(ad.add(ad.gather_rows(s_src, src), ad.gather_rows(s_dst, dst)), layer.leaky_slope)
+        s_dst = matmul(wh, ad.rows(head.a, 0, d_out))
+        s_src = matmul(wh, ad.rows(head.a, d_out, 2 * d_out))
+        e = leaky_relu(add(gather_rows(s_src, src), gather_rows(s_dst, dst)), layer.leaky_slope)
         if counter is not None:
             counter.score_evals += len(src)
             counter.all_pairs_equivalent += n * n
         alpha = edge_softmax(e, dst, n)
-        outs.append(edge_aggregate(alpha, ad.gather_rows(wh, src), dst, n))
+        outs.append(edge_aggregate(alpha, gather_rows(wh, src), dst, n))
     if layer.combine == "concat":
         return concat_cols([ad.elu(o) for o in outs])
     acc = outs[0]
     for o in outs[1:]:
-        acc = ad.add(acc, o)
-    return ad.elu(ad.scale(acc, 1.0 / len(outs)))
+        acc = add(acc, o)
+    return ad.elu(scale(acc, 1.0 / len(outs)))
 
 
 def frame_edges(windows, t):
@@ -323,7 +490,7 @@ def mlp(x, layers):
     for i, (w, b) in enumerate(layers):
         h = ad.linear(h, w, b)
         if i < len(layers) - 1:
-            h = ad.relu(h)
+            h = relu(h)
     return h
 
 
@@ -357,33 +524,33 @@ def forward_per_frame(model, windows, counter=None):
 
 
 def pinball(pred, target, level):
-    u = ad.sub(target, pred)
-    return ad.mean_all(ad.maximum(ad.scale(u, level), ad.scale(u, level - 1.0)))
+    u = sub(target, pred)
+    return mean_all(maximum(scale(u, level), scale(u, level - 1.0)))
 
 
 def training_loss(disp, batch, config):
     """``fcw.model.training_loss`` as a chain of small ops over the
     (n, 3*T'*2) ``disp`` tensor; returns the loss tensor and its parts."""
     width = config.t_pred * 2
-    point, lower, upper = (ad.gather_cols(disp, np.arange(i * width, (i + 1) * width)) for i in range(3))
+    point, lower, upper = (gather_cols(disp, np.arange(i * width, (i + 1) * width)) for i in range(3))
     target = ad.constant(batch.target_disp)
-    mse = ad.mean_all(ad.square(ad.sub(point, target)))
+    mse = mean_all(square(sub(point, target)))
     lo = pinball(lower, target, config.alpha / 2.0)
     hi = pinball(upper, target, 1.0 - config.alpha / 2.0)
-    pin = ad.add(lo, hi)
-    total = ad.add(mse, ad.scale(pin, config.pinball_weight))
+    pin = add(lo, hi)
+    total = add(mse, scale(pin, config.pinball_weight))
     collision_value = 0.0
     cw = 0.0 if config.no_collision_loss else config.collision_weight
     if cw > 0.0 and len(batch.pair_i) > 0:
         # columns interleave as x0,y0,x1,y1,...
         tiled = np.tile(batch.last_pos, (1, config.t_pred))
-        abs_pred = ad.add(point, ad.constant(tiled))
-        diff = ad.sub(ad.gather_rows(abs_pred, batch.pair_i), ad.gather_rows(abs_pred, batch.pair_j))
+        abs_pred = add(point, ad.constant(tiled))
+        diff = sub(gather_rows(abs_pred, batch.pair_i), gather_rows(abs_pred, batch.pair_j))
         xs = np.arange(0, config.t_pred * 2, 2)
-        dsq = ad.add(ad.square(ad.gather_cols(diff, xs)), ad.square(ad.gather_cols(diff, xs + 1)))
-        gap = ad.relu(ad.affine(ad.sqrt(dsq), -1.0, config.collision_radius))
-        penalty = ad.mean_all(ad.square(gap))
+        dsq = add(square(gather_cols(diff, xs)), square(gather_cols(diff, xs + 1)))
+        gap = relu(affine(sqrt(dsq), -1.0, config.collision_radius))
+        penalty = mean_all(square(gap))
         collision_value = penalty.item()
-        total = ad.add(total, ad.scale(penalty, cw))
+        total = add(total, scale(penalty, cw))
     parts = {"mse": mse.item(), "pinball": pin.item(), "collision": collision_value, "loss": total.item()}
     return total, parts

@@ -18,7 +18,7 @@ def check_op(build, n_params, shapes, seed=0, tol=1e-6):
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     params = [store.add(f"p{i}", rng.standard_normal(shapes[i])) for i in range(n_params)]
-    err = grad_check(lambda: ad.sum_all(build(*params)), store, rng=rng)
+    err = grad_check(lambda: oracles.sum_all(build(*params)), store, rng=rng)
     assert err < tol, f"gradient error {err}"
 
 
@@ -30,7 +30,7 @@ def check_op(build, n_params, shapes, seed=0, tol=1e-6):
 def test_linear_identity_input():
     x = ad.constant(np.eye(2))
     w = ad.parameter([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.linear(x, w)
+    out = ad.linear(x, w, ad.constant(np.zeros((1, 2))))
     assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -52,7 +52,7 @@ def test_linear_zero_input():
 def test_linear_identity_weight_is_identity():
     rng = np.random.default_rng(3)
     x = ad.constant(rng.standard_normal((4, 6)))
-    out = ad.linear(x, ad.constant(np.eye(6)))
+    out = ad.linear(x, ad.constant(np.eye(6)), ad.constant(np.zeros((1, 6))))
     assert np.allclose(out.data, x.data)
 
 
@@ -60,7 +60,18 @@ def test_linear_shape_mismatch_names_shapes():
     x = ad.constant(np.zeros((2, 3)))
     w = ad.parameter(np.zeros((4, 5)))
     with pytest.raises(ad.ShapeMismatchError, match=r"3"):
-        ad.linear(x, w)
+        ad.linear(x, w, ad.parameter(np.zeros((1, 5))))
+
+
+def test_branch_free_elu_is_bit_identical_to_the_two_branch_form():
+    rng = np.random.default_rng(30)
+    special = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1e-300, 1e308, -1e308, -40.0, -800.0]
+    z = np.concatenate([rng.standard_normal(4000) * 5.0, special]).reshape(-1, 4)
+    e = np.exp(np.minimum(z, 0.0))
+    value, deriv = ad.elu_and_derivative(z)
+    for got, want in ((value, np.where(z > 0.0, z, e - 1.0)), (deriv, np.where(z > 0.0, 1.0, e))):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros as well
 
 
 def test_softmax_symmetric_row():
@@ -155,19 +166,19 @@ def test_block_matmul_matches_dense_blocks():
 
 
 def test_grad_add():
-    check_op(lambda a, b: ad.add(a, b), 2, [(3, 4), (3, 4)])
+    check_op(lambda a, b: oracles.add(a, b), 2, [(3, 4), (3, 4)])
 
 
 def test_grad_add_row_broadcast():
-    check_op(lambda a, b: ad.add(a, b), 2, [(3, 4), (1, 4)])
+    check_op(lambda a, b: oracles.add(a, b), 2, [(3, 4), (1, 4)])
 
 
 def test_grad_sub_mul():
-    check_op(lambda a, b: ad.mul(ad.sub(a, b), a), 2, [(2, 3), (2, 3)])
+    check_op(lambda a, b: oracles.mul(oracles.sub(a, b), a), 2, [(2, 3), (2, 3)])
 
 
 def test_grad_matmul():
-    check_op(lambda a, b: ad.matmul(a, b), 2, [(3, 4), (4, 2)])
+    check_op(lambda a, b: oracles.matmul(a, b), 2, [(3, 4), (4, 2)])
 
 
 def test_grad_linear():
@@ -196,11 +207,11 @@ def test_oracle_helper_flags_a_parameter_only_one_side_reaches():
     b = store.add("b", np.zeros((1, 3)))
     store.zero_grad()
     assert all(t.grad is None for _, t in store.items())
-    unused = lambda: ad.add(ad.matmul(x, w), ad.scale(b, 0.0))
+    unused = lambda: oracles.add(oracles.matmul(x, w), oracles.scale(b, 0.0))
     with pytest.raises(AssertionError, match="b"):
-        assert_matches_oracle(lambda: ad.matmul(x, w), unused, store)
+        assert_matches_oracle(lambda: oracles.matmul(x, w), unused, store)
     with pytest.raises(AssertionError, match="b"):
-        assert_matches_oracle(unused, lambda: ad.matmul(x, w), store)
+        assert_matches_oracle(unused, lambda: oracles.matmul(x, w), store)
 
 def test_grad_activations():
     for fn in (oracles.sigmoid, oracles.tanh, ad.elu, lambda x: oracles.leaky_relu(x, 0.2)):
@@ -208,15 +219,15 @@ def test_grad_activations():
 
 
 def test_grad_square_sqrt():
-    check_op(lambda a: ad.sqrt(ad.square(a)), 1, [(2, 5)], seed=12)
+    check_op(lambda a: oracles.sqrt(oracles.square(a)), 1, [(2, 5)], seed=12)
 
 
 def test_grad_maximum():
-    check_op(lambda a, b: ad.maximum(a, b), 2, [(3, 3), (3, 3)], seed=13)
+    check_op(lambda a, b: oracles.maximum(a, b), 2, [(3, 3), (3, 3)], seed=13)
 
 
 def test_grad_softmax():
-    check_op(lambda a: ad.mul(oracles.softmax_rows(a), a), 1, [(4, 4)], seed=14)
+    check_op(lambda a: oracles.mul(oracles.softmax_rows(a), a), 1, [(4, 4)], seed=14)
 
 
 def test_grad_concat_gather():
@@ -224,7 +235,7 @@ def test_grad_concat_gather():
 
     def build(a, b):
         cat = oracles.concat_cols([a, b])
-        return ad.gather_rows(cat, idx)
+        return oracles.gather_rows(cat, idx)
 
     check_op(build, 2, [(3, 2), (3, 2)], seed=16)
 
@@ -239,8 +250,8 @@ def test_grad_edge_softmax_aggregate():
     dst = np.array([0, 0, 0, 1, 1, 2])
 
     def build(h, a):
-        msgs = ad.gather_rows(h, src)
-        scores = ad.matmul(msgs, a)
+        msgs = oracles.gather_rows(h, src)
+        scores = oracles.matmul(msgs, a)
         alpha = oracles.edge_softmax(scores, dst, n)
         return oracles.edge_aggregate(alpha, msgs, dst, n)
 
@@ -256,14 +267,14 @@ def test_grad_block_matmul():
 
 
 def test_grad_mean_all_affine():
-    check_op(lambda a: ad.affine(ad.mean_all(a), 2.0, 1.0), 1, [(3, 5)], seed=20)
+    check_op(lambda a: oracles.affine(oracles.mean_all(a), 2.0, 1.0), 1, [(3, 5)], seed=20)
 
 
 def test_backward_accumulates_through_shared_node():
     # diamond: y = (x + x) * x; dy/dx = 4x
     store = ParameterStore()
     x = store.add("x", [[3.0]])
-    y = ad.mul(ad.add(x, x), x)
+    y = oracles.mul(oracles.add(x, x), x)
     y.backward()
     assert np.allclose(x.grad, [[12.0]])
 
@@ -276,12 +287,12 @@ def test_accumulate_never_aliases_a_shared_gradient():
     y = store.add("y", [[3.0, 4.0]])
     c = ad.constant([[5.0, 7.0]])
     for _ in range(2):
-        ad.sum_all(ad.mul(ad.add(x, y), c)).backward()
+        oracles.sum_all(oracles.mul(oracles.add(x, y), c)).backward()
     assert np.array_equal(x.grad, [[10.0, 14.0]])
     assert np.array_equal(y.grad, [[10.0, 14.0]])
     # the seed is copied too: the root's gradient is not the caller's array
     seed = np.ones((1, 2))
-    z = ad.add(x, y)
+    z = oracles.add(x, y)
     z.backward(seed)
     z.grad += 1.0
     assert np.array_equal(seed, np.ones((1, 2)))
@@ -290,7 +301,7 @@ def test_accumulate_never_aliases_a_shared_gradient():
 def test_backward_requires_scalar_without_seed():
     x = ad.parameter([[1.0, 2.0]])
     with pytest.raises(ad.ShapeMismatchError):
-        ad.add(x, x).backward()
+        oracles.add(x, x).backward()
 
 
 def test_deep_chain_backward_is_iterative():
@@ -299,8 +310,8 @@ def test_deep_chain_backward_is_iterative():
     x = store.add("x", [[1.0]])
     y = x
     for _ in range(5000):
-        y = ad.affine(y, 1.0, 0.0)
-    ad.sum_all(y).backward()
+        y = oracles.affine(y, 1.0, 0.0)
+    oracles.sum_all(y).backward()
     assert np.allclose(x.grad, [[1.0]])
 
 

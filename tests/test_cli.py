@@ -499,3 +499,35 @@ def test_calibration_is_bound_to_its_checkpoint(tmp_path, cfg_file, capsys, arti
     del payload["checkpoint_sha256"]
     calib.write_text(json.dumps(payload))
     assert_clean_error(warn, capsys, str(calib), "checkpoint_sha256")
+
+
+def replayed_log(tmp_path, cfg_file, artifacts):
+    """The event log of ``fcw warn`` on the artifacts, and the eval argv that reads it."""
+    data, ckpt, calib = artifacts
+    events = tmp_path / "events.csv"
+    assert run(["warn", "--config", cfg_file, "--checkpoint", str(ckpt), "--calibration", str(calib),
+                "--data", str(data), "--out", str(events)]) == 0
+    return events, ["eval", "--config", cfg_file, "--data", str(data), "--events", str(events)]
+
+
+def test_eval_event_row_with_wrong_field_count_is_clean_error(tmp_path, cfg_file, capsys, artifacts):
+    events, evaluate = replayed_log(tmp_path, cfg_file, artifacts)
+    assert run(evaluate) == 0
+    good = events.read_text().split("\n")
+    short = list(good)
+    short[2] = short[2].rsplit(",", 1)[0]  # the second event loses its triggered field
+    events.write_text("\n".join(short))
+    assert_clean_error(evaluate, capsys, f"{events}:3: expected 11 fields")
+    garbled = list(good)
+    garbled[1] = garbled[1].replace(",", ",x", 1)  # a tick that is not a number
+    events.write_text("\n".join(garbled))
+    assert_clean_error(evaluate, capsys, f"{events}:2: ")
+
+
+def test_eval_event_log_of_other_episodes_is_clean_error(tmp_path, cfg_file, capsys, artifacts):
+    events, evaluate = replayed_log(tmp_path, cfg_file, artifacts)
+    header, *rows = events.read_text().strip().split("\n")
+    events.write_text("\n".join([header] + ["999," + row.split(",", 1)[1] for row in rows]) + "\n")
+    assert_clean_error(evaluate, capsys, "[999]", "replays episodes")
+    events.write_text(header + "\n")  # no episode at all
+    assert_clean_error(evaluate, capsys, "event log holds episodes []")

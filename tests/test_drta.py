@@ -1,4 +1,5 @@
 """Risk potential, adaptive threshold, and warning decisions."""
+import dataclasses
 import math
 
 import numpy as np
@@ -328,3 +329,112 @@ def test_risk_total_nonnegative_weights_bounded_below(seed):
         v_ego=float(rng.uniform(0, 40)),
     )
     assert oracles.risk_total(inp, w) >= -w.w_kin - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# whole replays as arrays against the streamed track
+# ---------------------------------------------------------------------------
+
+
+def stack_inputs(stream):
+    """One ``RiskInputs`` of (ticks,) arrays from per-tick inputs."""
+    names = [f.name for f in dataclasses.fields(dr.RiskInputs)]
+    return dr.RiskInputs(**{k: np.array([getattr(i, k) for i in stream], dtype=np.float64) for k in names})
+
+
+def random_stream(rng, ticks, spikes):
+    """Quiet random ticks, and at ``spikes`` a near-contact tick whose risk
+    lies far (over 10 sigma) above the quiet ones."""
+    stream = []
+    for i in range(ticks):
+        if i in spikes:
+            stream.append(make_inputs(d_min=0.1, ttc=0.05, sigma_pred=float(rng.uniform(0, 2))))
+            continue
+        stream.append(
+            make_inputs(
+                d_min=float(rng.uniform(5, 40)),
+                ttc=math.inf if rng.random() < 0.3 else float(rng.uniform(0.5, 5)),
+                sigma_pred=float(rng.uniform(0, 2)),
+                v_rel=float(rng.uniform(-10, 10)),
+                a_rel=float(rng.uniform(-3, 3)),
+                kappa=float(rng.uniform(-0.02, 0.02)),
+                v_ego=float(rng.uniform(0, 30)),
+            )
+        )
+    return stream
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    ticks=st.integers(0, 90),
+    window_size=st.integers(2, 60),
+    fixed=st.one_of(st.none(), st.floats(0.0, 3.0)),
+    spikes=st.sets(st.integers(0, 89), max_size=4),
+    lam=st.sampled_from([1.5, 2.2, 3.0]),
+)
+def test_replay_ticks_matches_the_streamed_track(seed, ticks, window_size, fixed, spikes, lam):
+    weights = dr.RiskWeights(lam=lam)
+    stream = random_stream(np.random.default_rng(seed), ticks, spikes)
+    got = dr.replay_ticks(stack_inputs(stream), np.arange(ticks, dtype=np.float64), weights, window_size, fixed)
+    want = oracles.replay_stream(stream, weights, window_size=window_size, fixed_threshold=fixed)
+    assert len(got) == len(want) == ticks
+    for g, e in zip(got, want):
+        assert (g.tick, g.time) == (e.tick, e.time)
+        # one risk formula for both paths, bit for bit
+        assert (g.risk, g.r_pred, g.r_kin, g.r_geo) == (e.risk, e.r_pred, e.r_kin, e.r_geo)
+        if g.tick >= window_size:  # a full window sums in the same order
+            assert (g.mu, g.sigma) == (e.mu, e.sigma)
+        assert g.mu == pytest.approx(e.mu, rel=1e-12, abs=1e-12)
+        assert g.sigma == pytest.approx(e.sigma, rel=1e-12, abs=1e-12)
+        if fixed is not None or math.isinf(e.threshold):
+            assert g.threshold == e.threshold
+        else:
+            assert g.threshold == pytest.approx(e.threshold, rel=1e-12, abs=1e-12)
+        # a decision flips only when the risk lies within rounding of the threshold
+        if abs(e.risk - e.threshold) > 1e-12 * max(1.0, abs(e.threshold)):
+            assert g.triggered == e.triggered
+        assert all(type(getattr(g, k)) is float for k in ("time", "risk", "threshold", "mu", "sigma"))
+        assert type(g.triggered) is bool
+
+
+def test_replay_ticks_spike_warns_at_its_tick():
+    stream = random_stream(np.random.default_rng(3), 80, {60})
+    events = dr.replay_ticks(stack_inputs(stream), np.arange(80.0), dr.RiskWeights())
+    warned = [e.tick for e in events if e.triggered]
+    assert warned == [e.tick for e in oracles.replay_stream(stream, dr.RiskWeights()) if e.triggered]
+    assert 60 in warned
+    events = dr.replay_ticks(stack_inputs(stream[:10]), np.arange(10.0), dr.RiskWeights())
+    assert [math.isinf(e.threshold) for e in events] == [t < dr.WARMUP_MIN_SAMPLES for t in range(10)]
+
+
+def test_replay_ticks_rejects_a_one_slot_window():
+    with pytest.raises(ValueError, match="capacity"):
+        dr.replay_ticks(stack_inputs(quiet_stream(3)), np.arange(3.0), dr.RiskWeights(), window_size=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    ticks=st.integers(0, 6),
+    n=st.integers(1, 5),
+    steps=st.integers(1, 5),
+)
+def test_risk_inputs_per_tick_match_the_tick_loop(seed, ticks, n, steps):
+    rng = np.random.default_rng(seed)
+    last = rng.uniform(-8, 8, size=(ticks, n, 8))
+    # a 16 m box around a 4 m contact radius: contact and none both common
+    point = rng.uniform(-8, 8, size=(ticks * n, steps, 2))
+    lower = point - rng.uniform(0, 2, size=point.shape)
+    upper = point + rng.uniform(0, 2, size=point.shape)
+    if ticks and n >= 3:
+        point[2] = point[1]  # two threats tie for the nearest
+        last[0, 1, 0:2] = last[0, 0, 0:2]  # and the first sits on the ego: no ego-threat line
+    got = dr.risk_inputs_per_tick(md.PredictionBatch(point, lower, upper), last, 0.01, 0.1, 4.0)
+    for t in range(ticks):
+        rows = slice(t * n, (t + 1) * n)
+        pred = md.PredictionBatch(point=point[rows], lower=lower[rows], upper=upper[rows])
+        want = dr.extract_risk_inputs(pred, 0, list(range(1, n)), last[t], 0.01, 0.1, 4.0)
+        for f in dataclasses.fields(dr.RiskInputs):
+            value = getattr(got, f.name)
+            assert (value if np.ndim(value) == 0 else value[t]) == getattr(want, f.name), f.name

@@ -85,30 +85,41 @@ def test_warn_episode_matches_per_tick_loop(no_cqr):
 
     model, cfg = small_model()
     ep = sc.gen_scenario(sc.ScenarioSpec(family="sudden_braking", duration=4.0, seed=5), 2)
+    short = cfg.t_obs - 1
+    episodes = [
+        ep,
+        dataclasses.replace(ep, frames=ep.frames[:, :1]),  # the ego alone: no threats
+        dataclasses.replace(ep, frames=ep.frames[:short], times=ep.times[:short]),  # no tick to replay
+    ]
     corr = cq.ConformalCorrection(q=np.full((cfg.t_pred, 2), 0.5), alpha=0.1, n_cal=10)
     weights = RiskWeights(lam=1.5)
-    got = pl.warn_episode(model, corr, ep, weights, window_size=20, no_cqr=no_cqr).events
+    for ep in episodes:
+        got = pl.warn_episode(model, corr, ep, weights, window_size=20, no_cqr=no_cqr).events
 
-    # one forward pass per tick, in tick order
-    track = TrackState(weights=weights, window_size=20)
-    expected = []
-    for tick in range(cfg.t_obs - 1, len(ep.frames)):
-        history = scene_frames(ep)[tick - cfg.t_obs + 1 : tick + 1]
-        pred = oracles.predict_one(model, md.make_window(history, cfg))
-        pred = cq.apply_correction(pred, None if no_cqr else corr)
-        inputs = extract_risk_inputs(
-            pred, 0, list(range(1, ep.n)), history[-1].vehicles, ep.curvature, ep.dt, cfg.collision_radius
-        )
-        if no_cqr:
-            inputs = dataclasses.replace(inputs, sigma_pred=0.0)
-        expected.append(track.step(inputs, time=tick * ep.dt))
+        # one forward pass per tick, in tick order
+        track = TrackState(weights=weights, window_size=20)
+        expected = []
+        for tick in range(cfg.t_obs - 1, len(ep.frames)):
+            history = scene_frames(ep)[tick - cfg.t_obs + 1 : tick + 1]
+            pred = oracles.predict_one(model, md.make_window(history, cfg))
+            pred = cq.apply_correction(pred, None if no_cqr else corr)
+            inputs = extract_risk_inputs(
+                pred, 0, list(range(1, ep.n)), history[-1].vehicles, ep.curvature, ep.dt, cfg.collision_radius
+            )
+            if no_cqr:
+                inputs = dataclasses.replace(inputs, sigma_pred=0.0)
+            expected.append(track.step(inputs, time=tick * ep.dt))
 
-    assert len(got) == len(expected) == len(ep.frames) - cfg.t_obs + 1
-    assert [e.triggered for e in got] == [e.triggered for e in expected]
-    assert [e.tick for e in got] == [e.tick for e in expected]
-    for g, e in zip(got, expected):
-        assert g.risk == pytest.approx(e.risk, rel=0.0, abs=1e-12)
-        assert g.threshold == pytest.approx(e.threshold, rel=0.0, abs=1e-12)
+        assert len(got) == len(expected) == max(0, len(ep.frames) - cfg.t_obs + 1)
+        assert [e.triggered for e in got] == [e.triggered for e in expected]
+        for g, e in zip(got, expected):
+            assert (g.tick, g.time) == (e.tick, e.time)
+            for name in ("risk", "r_pred", "r_kin", "r_geo", "mu", "sigma", "threshold"):
+                value, want = getattr(g, name), getattr(e, name)
+                # Python scalars, so the event log prints them as plain numbers
+                assert type(value) is float, name
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12), name
+            assert type(g.triggered) is bool and type(g.tick) is int
 
 
 def test_warn_episode_reuses_one_graph_build(monkeypatch):

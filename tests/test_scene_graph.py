@@ -235,6 +235,15 @@ def test_attention_singleton_is_one(rng):
     assert np.allclose(out, elu(h @ w), atol=1e-12)
 
 
+@pytest.mark.parametrize("slope", [0.0, 1.0, -0.2])
+def test_gat_rejects_a_leaky_slope_outside_zero_one(rng, slope):
+    layer = random_layer(rng, 4, 4, 1, "average")
+    layer.leaky_slope = slope
+    src, dst = sg.edges_from_positions(np.zeros((2, 2)), 30.0)
+    with pytest.raises(ValueError, match="slope"):
+        sg.gat_layer_edges(ad.constant(rng.standard_normal((2, 4))), src, dst, layer)
+
+
 def test_attention_uniform_when_a_zero(rng):
     h = rng.standard_normal((3, 4))
     w = rng.standard_normal((4, 4))
@@ -374,7 +383,7 @@ def test_layer_gradients(rng):
     layer = sg.GatLayerParams(heads=heads, combine="average")
     pos = [[0, 0], [8, 0], [16, 0]]
     h = ad.constant(rng.standard_normal((3, d)))
-    err = grad_check(lambda: ad.sum_all(ad.square(layer_forward(h, pos, 30.0, layer))), store)
+    err = grad_check(lambda: oracles.sum_all(oracles.square(layer_forward(h, pos, 30.0, layer))), store)
     assert err < 1e-6
 
 
@@ -409,7 +418,7 @@ def test_gat_fused_matches_unfused_and_central_differences(combine, k, order):
     assert out._parents == (h, *(t for head in heads for t in (head.w_s, head.a)))  # one node
     assert out.shape == (n, d_out * (k if combine == "concat" else 1))
     assert_matches_oracle(fused, lambda: oracles.gat_layer(h, src, dst, layer), store, seed=k)
-    assert grad_check(lambda: ad.sum_all(ad.square(fused())), store, rng=rng) < 1e-6
+    assert grad_check(lambda: oracles.sum_all(oracles.square(fused())), store, rng=rng) < 1e-6
 
 
 @settings(max_examples=20, deadline=None)
@@ -492,5 +501,5 @@ def test_gat_segment_paths_agree_with_each_other_and_the_oracle(combine):
     assert_matches_oracle(sparse, runs, store, seed=1)
     for fused in (sparse, runs):
         assert_matches_oracle(fused, lambda: oracles.gat_layer(h, src, dst, layer), store, seed=2)
-        assert grad_check(lambda: ad.sum_all(ad.square(fused())), store, rng=rng) < 1e-6
+        assert grad_check(lambda: oracles.sum_all(oracles.square(fused())), store, rng=rng) < 1e-6
         assert not fused().data[3].any()  # no in-edges: ELU(0) = 0

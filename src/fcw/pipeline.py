@@ -42,13 +42,15 @@ def warn_episode(
     fixed_threshold: float | None = None,
     no_cqr: bool = False,
 ) -> EpisodeEvents:
-    """Replay one episode tick by tick; ego is vehicle 0, the rest are threats.
+    """The warning events of every tick of one episode; ego is vehicle 0,
+    the rest are threats.
 
     Every frame's radius graph is built once for the episode and every
     tick's window is predicted in one batched call. The correction, the
-    risk inputs, the thresholds and the decisions then run over all ticks
-    at once (``drta.replay_ticks``), as a fresh ``TrackState`` stepping
-    through the ticks in order would give them.
+    risk inputs (``drta.risk_inputs_per_tick``), the thresholds and the
+    decisions (``drta.replay_ticks``) then run over all ticks at once, as
+    a fresh ``TrackState`` stepping through the ticks in order would give
+    them.
     """
     cfg = model.config
     states = episode.frames

@@ -113,7 +113,7 @@ def load_events(path: str | Path) -> list[EpisodeEvents]:
 
 
 def outcomes_from_events(
-    episodes: list[Episode], episodes_events: list[EpisodeEvents], t_obs: int = 1
+    episodes: list[Episode], episodes_events: list[EpisodeEvents], t_obs: int
 ) -> list[me.EpisodeOutcome]:
     """Each episode's warning times from the log of its replay.
 

@@ -95,7 +95,7 @@ def _ablation_report(model, config, bundle, fixed_threshold=None, no_cqr=False):
         )
         for ep in test_eps
     ]
-    outcomes = pl.outcomes_from_events(test_eps, events)
+    outcomes = pl.outcomes_from_events(test_eps, events, config.t_obs)
     prediction = pl.prediction_metrics(model, splits.test, config, corr=corr)
     return pl.build_report(prediction, outcomes)
 

@@ -234,7 +234,7 @@ def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_f
     assert (ref / "events.csv").read_bytes() == events.read_bytes()
 
     prediction = pl.prediction_metrics(model, splits.test, model_cfg, corr=corr)
-    outcomes = pl.outcomes_from_events(splits.test_episodes, replayed)
+    outcomes = pl.outcomes_from_events(splits.test_episodes, replayed, model_cfg.t_obs)
     assert pl.build_report(prediction, outcomes).to_text() == report.read_text()
 
 

@@ -385,12 +385,12 @@ def test_replay_ticks_matches_the_streamed_track(seed, ticks, window_size, fixed
         assert (g.risk, g.r_pred, g.r_kin, g.r_geo) == (e.risk, e.r_pred, e.r_kin, e.r_geo)
         if g.tick >= window_size:  # a full window sums in the same order
             assert (g.mu, g.sigma) == (e.mu, e.sigma)
-        assert g.mu == pytest.approx(e.mu, rel=1e-12, abs=1e-12)
-        assert g.sigma == pytest.approx(e.sigma, rel=1e-12, abs=1e-12)
+        assert g.mu == pytest.approx(e.mu, rel=0.0, abs=1e-12)
+        assert g.sigma == pytest.approx(e.sigma, rel=0.0, abs=1e-12)
         if fixed is not None or math.isinf(e.threshold):
             assert g.threshold == e.threshold
         else:
-            assert g.threshold == pytest.approx(e.threshold, rel=1e-12, abs=1e-12)
+            assert g.threshold == pytest.approx(e.threshold, rel=0.0, abs=1e-12)
         # a decision flips only when the risk lies within rounding of the threshold
         if abs(e.risk - e.threshold) > 1e-12 * max(1.0, abs(e.threshold)):
             assert g.triggered == e.triggered

@@ -118,7 +118,7 @@ def test_warn_episode_matches_per_tick_loop(no_cqr):
                 value, want = getattr(g, name), getattr(e, name)
                 # Python scalars, so the event log prints them as plain numbers
                 assert type(value) is float, name
-                assert value == pytest.approx(want, rel=1e-12, abs=1e-12), name
+                assert value == pytest.approx(want, rel=0.0, abs=1e-12), name
             assert type(g.triggered) is bool and type(g.tick) is int
 
 
@@ -200,7 +200,7 @@ def test_outcomes_from_events_maps_warning_times():
                 r_pred=0, r_kin=0, r_geo=0, mu=0, sigma=0,
             )
         )
-    outcomes = pl.outcomes_from_events([ep], [ee])
+    outcomes = pl.outcomes_from_events([ep], [ee], tiny_config().t_obs)
     assert outcomes[0].warning_times == [pytest.approx(0.1), pytest.approx(0.2)]
     assert outcomes[0].danger == ep.danger
 

@@ -24,6 +24,13 @@ from pathlib import Path
 
 SECONDS = 30  # run length of every benchmark run, as the benchmark protocol fixes it
 
+# NumPy's version and the BLAS it was built against, from the interpreter that runs the benchmark
+NUMPY_INFO = (
+    "import json, numpy; blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']; "
+    "print(json.dumps({'numpy': numpy.__version__, 'blas': blas['name'], 'blas_version': blas['version']}))"
+)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
 SPEED_LINE = re.compile(
     r"raw set-up (?P<setup_raw>[\d.]+) s at speed factor (?P<setup_speed_factor>[\d.]+); "
     r"raw (?P<raw_windows_per_s>[\d.]+) windows/s at speed factor (?P<run_speed_factor>[\d.]+)"
@@ -106,6 +113,9 @@ def main() -> int:
     title = subprocess.run(
         ["git", "log", "-1", "--format=%s"], cwd=checkouts["change"], capture_output=True, text=True
     ).stdout.strip()
+    numpy_info = json.loads(
+        subprocess.run([sys.executable, "-c", NUMPY_INFO], capture_output=True, text=True, check=True).stdout
+    )
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update({
         "description": (
@@ -118,9 +128,8 @@ def main() -> int:
         "machine": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
-            "numpy": subprocess.run(
-                [sys.executable, "-c", "import numpy; print(numpy.__version__)"], capture_output=True, text=True
-            ).stdout.strip(),
+            **numpy_info,
+            **{name: os.environ.get(name, "unset") for name in BLAS_THREAD_VARS},
             "platform": platform.platform(),
         },
     })

@@ -20,6 +20,7 @@ from .pipeline import run_bench
 
 MODEL_ABLATIONS = {"no_sam", "no_tam", "single_head", "no_collision_loss"}
 WARN_ABLATIONS = {"no_cqr", "fixed_threshold"}
+VALUED_ABLATIONS = {"fixed_threshold"}
 
 
 @dataclass
@@ -42,39 +43,11 @@ class TrainConfig:
 
 
 @dataclass
-class RiskConfig:
-    window_size: int = 50
-    lam: float = 2.2
-    mode: str = "default"
-    w_pred: float = 0.5
-    w_kin: float = 0.3
-    w_geo: float = 0.2
-    tau: float = 1.0
-    v_safe: float = 15.0
-    a_max: float = 8.0
-    gamma: float = 1.0
-    beta: float = 0.5
-
-    def weights(self) -> RiskWeights:
-        return RiskWeights(
-            w_pred=self.w_pred,
-            w_kin=self.w_kin,
-            w_geo=self.w_geo,
-            tau=self.tau,
-            v_safe=self.v_safe,
-            a_max=self.a_max,
-            gamma=self.gamma,
-            beta=self.beta,
-            lam=self.lam,
-        )
-
-
-@dataclass
 class RunConfig:
     model: HstanConfig = field(default_factory=desk_config)
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    risk: RiskConfig = field(default_factory=RiskConfig)
+    risk: RiskWeights = field(default_factory=RiskWeights)
 
 
 def _coerce(current, raw: str):
@@ -112,6 +85,7 @@ def parse_config_file(path: str | Path, cfg: RunConfig | None = None) -> RunConf
             raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
         setattr(target, name, _coerce(getattr(target, name), raw))
     cfg.model.__post_init__()
+    cfg.risk.__post_init__()
     return cfg
 
 
@@ -125,32 +99,33 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "alpha", None) is not None:
         cfg.model.alpha = args.alpha
     if getattr(args, "mode", None):
-        cfg.risk.mode = args.mode
         cfg.risk.lam = LAMBDA_PRESETS[args.mode]
     if getattr(args, "lam", None) is not None:
         cfg.risk.lam = args.lam
+    cfg.risk.__post_init__()
     return cfg
 
 
 def _parse_ablations(raw: str | None, allowed: set) -> dict:
+    """``name`` switches map to True, ``name=VALUE`` to a float; only the
+    ``VALUED_ABLATIONS`` take a value."""
     out = {}
     if not raw:
         return out
     for item in raw.split(","):
-        item = item.strip()
-        if not item:
+        name, eq, value = (part.strip() for part in item.partition("="))
+        if not name:
             continue
-        if "=" in item:
-            name, value = item.split("=", 1)
-            name = name.strip()
-            out[name] = float(value)
-        else:
-            name = item
-            out[name] = True
         if name not in allowed:
             raise ValueError(
                 f"ablation {name!r} not applicable here (choose from {sorted(allowed)})"
             )
+        if not eq:
+            out[name] = True
+        elif name in VALUED_ABLATIONS:
+            out[name] = float(value)
+        else:
+            raise ValueError(f"ablation {name!r} is an on/off switch and takes no value, got {item.strip()!r}")
     return out
 
 
@@ -264,19 +239,11 @@ def cmd_warn(args) -> int:
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
     _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
-    weights = cfg.risk.weights()
     fixed = switches.get("fixed_threshold")
-    fixed = float(fixed) if fixed not in (None, True) else (1.0 if fixed is True else None)
+    if isinstance(fixed, bool):  # the bare switch
+        fixed = 1.0
     all_events = [
-        pipeline.warn_episode(
-            model,
-            corr,
-            ep,
-            weights,
-            window_size=cfg.risk.window_size,
-            fixed_threshold=fixed,
-            no_cqr="no_cqr" in switches,
-        )
+        pipeline.warn_episode(model, corr, ep, cfg.risk, fixed_threshold=fixed, no_cqr="no_cqr" in switches)
         for ep in test_eps
     ]
     pipeline.save_events(args.out, all_events)

@@ -7,16 +7,14 @@ mean + lambda * std over a sliding window of recent risk values, computed
 from values strictly before the current tick so a spike cannot raise its
 own threshold.
 
-A track is stepped tick by tick through ``TrackState``; ``replay_ticks``
-runs the same definitions over a whole sequence of ticks as one array
-program (the risk of a tick never depends on the threshold state, and the
-threshold reads only earlier risks).
+``replay_ticks`` runs a whole sequence of ticks as one array program: the
+risk of a tick never depends on the threshold, and a threshold reads only
+earlier risks, so no loop over ticks is needed.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,6 +37,7 @@ class RiskWeights:
     gamma: float = 1.0
     beta: float = 0.5
     lam: float = 2.2
+    window_size: int = 50  # risks the threshold statistics read
 
     def __post_init__(self):
         ws = (self.w_pred, self.w_kin, self.w_geo)
@@ -48,6 +47,8 @@ class RiskWeights:
             raise ValueError("tau, v_safe, a_max must be positive")
         if not 1.5 <= self.lam <= 3.0:
             raise ValueError(f"lambda must lie in [1.5, 3.0], got {self.lam}")
+        if self.window_size < 2:
+            raise ValueError(f"window_size must be >= 2, got {self.window_size}")
 
 
 @dataclass
@@ -69,7 +70,7 @@ class RiskInputs:
 
 
 # The three risk terms take one tick's inputs or arrays of them, with one
-# formula for both, so a replayed tick and a streamed tick agree bit for bit.
+# formula for both, so a tick computed alone agrees with a replay bit for bit.
 
 
 def risk_pred(inp: RiskInputs, w: RiskWeights):
@@ -94,39 +95,6 @@ def risk_terms(inp: RiskInputs, w: RiskWeights) -> tuple:
     return rp, rk, rg, w.w_pred * rp + w.w_kin * rk + w.w_geo * rg
 
 
-class SlidingWindow:
-    """Bounded buffer of recent risk values; oldest evicted first."""
-
-    def __init__(self, capacity: int = 50):
-        if capacity < 2:
-            raise ValueError("window capacity must be >= 2")
-        self.capacity = capacity
-        self.values: deque[float] = deque(maxlen=capacity)
-
-    def push(self, value: float) -> None:
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def window_stats(window: SlidingWindow) -> tuple[float, float]:
-    """Mean and sample std (W-1 denominator); a single value has std 0."""
-    n = len(window)
-    if n == 0:
-        return 0.0, 0.0
-    vals = np.asarray(window.values, dtype=np.float64)
-    mu = float(vals.mean())
-    sigma = float(vals.std(ddof=1)) if n >= 2 else 0.0
-    return mu, sigma
-
-
-def dynamic_threshold(mu: float, sigma: float, lam: float) -> float:
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    return mu + lam * sigma
-
-
 @dataclass
 class WarningEvent:
     tick: int
@@ -141,120 +109,6 @@ class WarningEvent:
     sigma: float
 
 
-def decide(risk: float, threshold: float) -> bool:
-    """Strict inequality: risk exactly at the threshold does not trigger."""
-    return risk > threshold
-
-
-@dataclass
-class TrackState:
-    """Per-track warning state; step sequence on one track is strictly ordered."""
-
-    weights: RiskWeights = field(default_factory=RiskWeights)
-    window_size: int = 50
-    min_samples: int = WARMUP_MIN_SAMPLES
-    fixed_threshold: float | None = None
-    window: SlidingWindow = None
-    tick: int = 0
-
-    def __post_init__(self):
-        if self.window is None:
-            self.window = SlidingWindow(self.window_size)
-
-    def step(self, inputs: RiskInputs, time: float = 0.0) -> WarningEvent:
-        w = self.weights
-        rp, rk, rg, risk = (float(v) for v in risk_terms(inputs, w))
-        mu, sigma = window_stats(self.window)
-        if self.fixed_threshold is not None:
-            threshold = self.fixed_threshold
-        elif len(self.window) >= self.min_samples:
-            threshold = dynamic_threshold(mu, sigma, w.lam)
-        else:
-            threshold = math.inf  # warm-up: no warnings yet
-        event = WarningEvent(
-            tick=self.tick,
-            time=time,
-            risk=risk,
-            threshold=threshold,
-            triggered=decide(risk, threshold),
-            r_pred=rp,
-            r_kin=rk,
-            r_geo=rg,
-            mu=mu,
-            sigma=sigma,
-        )
-        self.window.push(risk)
-        self.tick += 1
-        return event
-
-
-def extract_risk_inputs(
-    pred: PredictionBatch,
-    ego_index: int,
-    threat_indices: list[int],
-    last: np.ndarray,
-    curvature: float,
-    dt: float,
-    r_collision: float = 4.0,
-) -> RiskInputs:
-    """Reduce a calibrated prediction batch to the scalar risk inputs.
-
-    d_min scans every (step, threat) pair of predicted center distances;
-    predicted time to contact is dt times the first 1-based step whose
-    distance is at or below r_collision. Kinematics project the last
-    observed relative state, ``last`` (N, 8), onto the ego-to-nearest-threat
-    line.
-    """
-    ego_v = last[ego_index, 2:4]
-    ego_a = last[ego_index, 4:6]
-    v_ego = float(np.hypot(*ego_v))
-
-    if not threat_indices:
-        return RiskInputs(
-            d_min=math.inf, ttc=math.inf, sigma_pred=_sigma_pred(pred, ego_index),
-            v_rel=0.0, a_rel=0.0, kappa=curvature, v_ego=v_ego,
-        )
-
-    ego_traj = pred.point[ego_index]  # (T', 2)
-    d_min = math.inf
-    ttc = math.inf
-    nearest = threat_indices[0]
-    for j in threat_indices:
-        dists = np.hypot(*(ego_traj - pred.point[j]).T)
-        jmin = float(dists.min())
-        if jmin < d_min:
-            d_min = jmin
-            nearest = j
-        contact = np.nonzero(dists <= r_collision)[0]
-        if contact.size:
-            ttc = min(ttc, (int(contact[0]) + 1) * dt)
-
-    rel = last[nearest, 0:2] - last[ego_index, 0:2]
-    norm = np.hypot(*rel)
-    if norm > 1e-9:
-        unit = rel / norm
-        v_rel = float((ego_v - last[nearest, 2:4]) @ unit)
-        a_rel = float((ego_a - last[nearest, 4:6]) @ unit)
-    else:
-        v_rel = 0.0
-        a_rel = 0.0
-
-    return RiskInputs(
-        d_min=max(d_min, 0.0),
-        ttc=ttc,
-        sigma_pred=_sigma_pred(pred, ego_index),
-        v_rel=v_rel,
-        a_rel=a_rel,
-        kappa=curvature,
-        v_ego=v_ego,
-    )
-
-
-def _sigma_pred(pred: PredictionBatch, ego_index: int) -> float:
-    width = pred.upper[ego_index] - pred.lower[ego_index]
-    return max(0.0, 0.5 * float(width.mean()))
-
-
 # ---------------------------------------------------------------------------
 # Whole replays as arrays
 # ---------------------------------------------------------------------------
@@ -267,13 +121,20 @@ def risk_inputs_per_tick(
     dt: float,
     r_collision: float = 4.0,
 ) -> RiskInputs:
-    """``extract_risk_inputs`` for a run of ticks at once, with vehicle 0
-    the ego and every other vehicle a threat.
+    """The risk inputs of a run of ticks, with vehicle 0 the ego and every
+    other vehicle a threat.
 
     ``last`` is the ticks' last observed states, (ticks, N, 8), and
-    ``pred`` stacks the ticks' (N, T', 2) predictions tick after tick, as
-    ``predict_windows`` returns them. Returns one (ticks,) array per field,
-    each equal to what ``extract_risk_inputs`` gives tick by tick.
+    ``pred`` stacks the ticks' calibrated (N, T', 2) predictions tick after
+    tick, as ``predict_windows`` returns them. Returns one (ticks,) array
+    per field:
+
+    - d_min scans every (step, threat) pair of predicted center distances;
+    - ttc is dt times the first 1-based step at which some threat's
+      distance is at or below ``r_collision``;
+    - v_rel and a_rel project the last observed relative state onto the
+      ego-to-nearest-threat line (the first threat at the minimum);
+    - sigma_pred is half the ego's mean interval width.
     """
     ticks, n = last.shape[:2]
     steps = pred.point.shape[1]
@@ -291,7 +152,7 @@ def risk_inputs_per_tick(
     gap = point[:, :1] - point[:, 1:]  # (ticks, threats, T', 2)
     dists = np.hypot(gap[..., 0], gap[..., 1])
     closest = dists.min(axis=2)  # (ticks, threats)
-    nearest = 1 + closest.argmin(axis=1)  # the first threat at the minimum, as the tick loop keeps
+    nearest = 1 + closest.argmin(axis=1)  # the first threat at the minimum
     d_min = closest.min(axis=1)
     touch = (dists <= r_collision).any(axis=1)  # (ticks, T'): some threat in contact at that step
     ttc = np.where(touch.any(axis=1), (touch.argmax(axis=1) + 1) * dt, math.inf)
@@ -303,7 +164,7 @@ def risk_inputs_per_tick(
     unit = rel / np.where(apart, norm, 1.0)[:, None]
 
     def closing(ego: np.ndarray, threat: np.ndarray) -> np.ndarray:
-        # one (1, 2) @ (2, 1) product per tick: the same dot product as the tick loop's ``@``
+        # one (1, 2) @ (2, 1) product per tick: the same dot product as a 2-vector ``@``
         along = np.matmul((ego - threat)[:, None, :], unit[:, :, None])[:, 0, 0]
         return np.where(apart, along, 0.0)
 
@@ -319,14 +180,15 @@ def risk_inputs_per_tick(
 
 
 def window_stats_per_tick(risks: np.ndarray, window_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``window_stats`` before every tick of a risk sequence: the mean and
-    sample std of the (up to) ``window_size`` risks before each tick, and
-    how many there are.
+    """The mean and sample std (W-1 denominator; 0 for a single value) of
+    the (up to) ``window_size`` risks before each tick of a risk sequence,
+    and how many there are.
 
     Row t of a (ticks, window_size) table holds risks[t - window_size : t],
     zero-padded on the left; the padding is masked out of the deviations.
-    A row with the window full sums in the same order as ``window_stats``;
-    a shorter one may differ from it in the last bits.
+    A row with the window full sums in the same order as ``np.mean`` and
+    ``np.std`` over that window; a shorter one may differ from them in the
+    last bits.
     """
     ticks = len(risks)
     table = sliding_window_view(np.concatenate([np.zeros(window_size), risks]), window_size)[:ticks]
@@ -342,21 +204,20 @@ def replay_ticks(
     inputs: RiskInputs,
     times: np.ndarray,
     weights: RiskWeights,
-    window_size: int = 50,
     fixed_threshold: float | None = None,
 ) -> list[WarningEvent]:
-    """The events of a fresh ``TrackState`` stepped through every tick of
-    ``inputs`` (one array per field), computed as arrays.
+    """The warning events of a track's ticks, from the start of the track,
+    given the risk inputs of every tick (one array per field).
 
-    Risks come from the shared risk terms; each threshold reads the masked
-    table of the risks before its tick (``window_stats_per_tick``), with
-    the warm-up and ``fixed_threshold`` as masks; a tick warns where its
-    risk exceeds its threshold. Event fields are Python scalars.
+    Risks come from the shared risk terms. Each threshold is mean + lambda *
+    std of the (up to) ``weights.window_size`` risks before its tick
+    (``window_stats_per_tick``), so a spike cannot raise its own threshold;
+    it is +inf during the warm-up of ``WARMUP_MIN_SAMPLES`` ticks, and
+    ``fixed_threshold`` replaces it on every tick. A tick warns where its
+    risk is strictly above its threshold. Event fields are Python scalars.
     """
-    if window_size < 2:
-        raise ValueError("window capacity must be >= 2")
     rp, rk, rg, risk = risk_terms(inputs, weights)
-    mu, sigma, count = window_stats_per_tick(risk, window_size)
+    mu, sigma, count = window_stats_per_tick(risk, weights.window_size)
     if fixed_threshold is not None:
         threshold = np.full(len(risk), fixed_threshold, dtype=np.float64)
     else:

@@ -16,13 +16,12 @@ from .model import (
     HstanModel,
     WindowSample,
     forward_batch,
-    make_window,
     predict_windows,
     prepare_batch,
     window_from_states,
 )
 from .scenario import Episode, cv_baseline
-from .scene_graph import SceneFrame, WorkCounter, frame_edge_lists
+from .scene_graph import WorkCounter, frame_edge_lists
 
 EVENT_HEADER = "episode_id,tick,time,risk,r_pred,r_kin,r_geo,mu,sigma,threshold,triggered"
 
@@ -38,7 +37,6 @@ def warn_episode(
     corr,
     episode: Episode,
     weights: RiskWeights,
-    window_size: int = 50,
     fixed_threshold: float | None = None,
     no_cqr: bool = False,
 ) -> EpisodeEvents:
@@ -48,9 +46,7 @@ def warn_episode(
     Every frame's radius graph is built once for the episode and every
     tick's window is predicted in one batched call. The correction, the
     risk inputs (``drta.risk_inputs_per_tick``), the thresholds and the
-    decisions (``drta.replay_ticks``) then run over all ticks at once, as
-    a fresh ``TrackState`` stepping through the ticks in order would give
-    them.
+    decisions (``drta.replay_ticks``) then run over all ticks at once.
     """
     cfg = model.config
     states = episode.frames
@@ -66,7 +62,7 @@ def warn_episode(
     )
     if no_cqr:
         inputs = replace(inputs, sigma_pred=np.zeros(len(ticks)))
-    events = replay_ticks(inputs, ticks * episode.dt, weights, window_size, fixed_threshold)
+    events = replay_ticks(inputs, ticks * episode.dt, weights, fixed_threshold)
     return EpisodeEvents(episode_id=episode.episode_id, events=events)
 
 
@@ -213,8 +209,9 @@ def build_report(
 
 def constant_density_frames(
     n_vehicles: int, config: HstanConfig, density: float = 0.02, seed: int = 0
-) -> list[SceneFrame]:
-    """T observed frames of a road strip whose area scales with N."""
+) -> np.ndarray:
+    """The (T, N, 8) states of T observed frames of a road strip whose area
+    scales with N, every vehicle at constant velocity."""
     rng = np.random.default_rng(seed)
     width = 40.0
     length = max(n_vehicles / (density * width), width)
@@ -222,13 +219,12 @@ def constant_density_frames(
         [rng.uniform(0, length, n_vehicles), rng.uniform(0, width, n_vehicles)]
     )
     vel = rng.uniform(-5, 5, size=(n_vehicles, 2))
-    dims = np.tile([4.5, 1.8], (n_vehicles, 1))
-    frames = []
-    for t in range(config.t_obs):
-        p = pos + vel * (t * config.dt)
-        feats = np.concatenate([p, vel, np.zeros_like(vel), dims], axis=1)
-        frames.append(SceneFrame(timestamp=t * config.dt, vehicles=feats))
-    return frames
+    states = np.empty((config.t_obs, n_vehicles, 8))
+    states[:, :, 0:2] = pos + vel * (np.arange(config.t_obs) * config.dt)[:, None, None]
+    states[:, :, 2:4] = vel
+    states[:, :, 4:6] = 0.0
+    states[:, :, 6:8] = [4.5, 1.8]
+    return states
 
 
 def _fit_r2(x: np.ndarray, y: np.ndarray, degree: int) -> float:
@@ -245,7 +241,7 @@ class BenchReport:
     score_evals: list[int]
     all_pairs: list[int]
     latency_ms: dict[int, dict]
-    prep_p50_ms: list[float]  # median make_window time per N
+    prep_p50_ms: list[float]  # median window_from_states time per N
     linear_r2_edges: float
     quadratic_r2_all_pairs: float
     linear_r2_all_pairs: float
@@ -280,11 +276,11 @@ def run_bench(
     cfg = model.config
     score_evals, all_pairs, latency, prep = [], [], {}, []
     for n in n_grid:
-        frames = constant_density_frames(n, cfg, density, seed)
+        states = constant_density_frames(n, cfg, density, seed)
         prep_samples = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            window = make_window(frames, cfg)
+            window = window_from_states(states, cfg)
             prep_samples.append((time.perf_counter() - t0) * 1000.0)
         prep.append(float(np.median(prep_samples)))
         batch = prepare_batch([window], cfg)

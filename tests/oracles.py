@@ -5,6 +5,7 @@ edge-list form, by the direct (dense or one-at-a-time) route, so tests can
 compare the two.
 """
 import math
+from collections import deque
 
 import numpy as np
 
@@ -13,7 +14,7 @@ import fcw.model as md
 import fcw.scene_graph as sg
 import fcw.temporal as tp
 from fcw.autodiff import ShapeMismatchError, Tensor
-from fcw.drta import TrackState, risk_geo, risk_kin, risk_pred
+from fcw.drta import WARMUP_MIN_SAMPLES, RiskInputs, WarningEvent, risk_geo, risk_kin, risk_pred, risk_terms
 
 
 def dense_adjacency(positions, radius):
@@ -72,10 +73,55 @@ def risk_total(inp, w):
     return w.w_pred * risk_pred(inp, w) + w.w_kin * risk_kin(inp, w) + w.w_geo * risk_geo(inp, w)
 
 
-def replay_stream(stream, weights, window_size=50, fixed_threshold=None):
-    """Step a fresh track through a risk-input stream, one tick at a time."""
-    track = TrackState(weights=weights, window_size=window_size, fixed_threshold=fixed_threshold)
-    return [track.step(inp, time=i) for i, inp in enumerate(stream)]
+def risk_inputs_one_tick(pred, last, curvature, dt, r_collision=4.0):
+    """The risk inputs of one tick, threat by threat: vehicle 0 is the ego,
+    ``pred`` its (N, T', 2) calibrated prediction and ``last`` its (N, 8)
+    last observed states."""
+    ego_v, ego_a = last[0, 2:4], last[0, 4:6]
+    v_ego = float(np.hypot(*ego_v))
+    sigma_pred = max(0.0, 0.5 * float((pred.upper[0] - pred.lower[0]).mean()))
+    d_min, ttc, nearest = math.inf, math.inf, None
+    for j in range(1, len(last)):
+        dists = np.hypot(*(pred.point[0] - pred.point[j]).T)
+        if dists.min() < d_min:
+            d_min, nearest = float(dists.min()), j
+        contact = np.nonzero(dists <= r_collision)[0]
+        if contact.size:
+            ttc = min(ttc, (int(contact[0]) + 1) * dt)
+    v_rel = a_rel = 0.0
+    if nearest is not None:
+        rel = last[nearest, 0:2] - last[0, 0:2]
+        norm = np.hypot(*rel)
+        if norm > 1e-9:
+            v_rel = float((ego_v - last[nearest, 2:4]) @ (rel / norm))
+            a_rel = float((ego_a - last[nearest, 4:6]) @ (rel / norm))
+    return RiskInputs(
+        d_min=d_min, ttc=ttc, sigma_pred=sigma_pred, v_rel=v_rel, a_rel=a_rel, kappa=curvature, v_ego=v_ego
+    )
+
+
+def replay_stream(stream, weights, fixed_threshold=None, times=None):
+    """Step a fresh track through a risk-input stream, one tick at a time:
+    each tick's threshold is mean + lambda * std of the (up to
+    ``weights.window_size``) risks in a bounded buffer, read before the
+    tick's own risk is pushed."""
+    window = deque(maxlen=weights.window_size)
+    events = []
+    for tick, inp in enumerate(stream):
+        rp, rk, rg, risk = (float(v) for v in risk_terms(inp, weights))
+        held = np.asarray(window, dtype=np.float64)
+        mu = float(held.mean()) if len(held) else 0.0
+        sigma = float(held.std(ddof=1)) if len(held) >= 2 else 0.0
+        if fixed_threshold is not None:
+            threshold = fixed_threshold
+        elif len(held) >= WARMUP_MIN_SAMPLES:
+            threshold = mu + weights.lam * sigma
+        else:
+            threshold = math.inf
+        time = tick if times is None else times[tick]
+        events.append(WarningEvent(tick, time, risk, threshold, risk > threshold, rp, rk, rg, mu, sigma))
+        window.append(risk)
+    return events
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from fcw.optim import grad_check
 
 from conftest import labelled_window, random_frames, tiny_config
 
-import oracles
-
 
 def report(capfd, num, ok, detail):
     line = f"criterion {num:>2}: {'PASS' if ok else 'FAIL'} - {detail}"
@@ -202,49 +200,41 @@ def test_criterion_4_cv_learnability(capfd):
 def test_criterion_5_drta_invariants(capfd):
     weights = RiskWeights()
 
-    def inputs(d, t):
-        return dr.RiskInputs(
-            d_min=d, ttc=t, sigma_pred=0.0, v_rel=0.0, a_rel=0.0, kappa=0.0, v_ego=0.0
-        )
+    def replay(pairs, weights):
+        # one tick per (d_min, ttc) pair, every other input 0
+        d, t = np.array(pairs, dtype=np.float64).T
+        zero = np.zeros(len(d))
+        inputs = dr.RiskInputs(d_min=d, ttc=t, sigma_pred=zero, v_rel=zero, a_rel=zero, kappa=0.0, v_ego=zero)
+        return dr.replay_ticks(inputs, np.arange(len(d), dtype=np.float64), weights)
 
     # (a) constant stream: no warnings ever
-    const_events = oracles.replay_stream([inputs(10.0, 1.0)] * 200, weights)
+    const_events = replay([(10.0, 1.0)] * 200, weights)
     a_ok = not any(e.triggered for e in const_events)
 
     # (b) step spike triggers exactly at the spike tick
-    stream = [inputs(10.0, 1.0)] * 100
-    stream[60] = inputs(0.2, 0.05)
-    spike_events = oracles.replay_stream(stream, weights)
+    stream = [(10.0, 1.0)] * 100
+    stream[60] = (0.2, 0.05)
+    spike_events = replay(stream, weights)
     b_ok = [e.tick for e in spike_events if e.triggered] == [60]
 
     # (c) lambda nesting over 100 replayed random streams
     rng = np.random.default_rng(42)
     c_ok = True
     for _ in range(100):
-        rand = [
-            inputs(float(rng.uniform(2, 40)), float(rng.uniform(0.2, 5.0)))
-            for _ in range(60)
-        ]
+        rand = [(float(rng.uniform(2, 40)), float(rng.uniform(0.2, 5.0))) for _ in range(60)]
         trig = {
-            lam: {e.tick for e in oracles.replay_stream(rand, RiskWeights(lam=lam)) if e.triggered}
+            lam: {e.tick for e in replay(rand, RiskWeights(lam=lam)) if e.triggered}
             for lam in (1.5, 2.2, 3.0)
         }
         c_ok = c_ok and trig[3.0] <= trig[2.2] <= trig[1.5]
 
     # (d) decisions invariant under positive rescaling of the risk stream
-    base_events = oracles.replay_stream(stream, weights)
+    risks = np.array([e.risk for e in spike_events])
     d_ok = True
     for scale in (0.1, 13.0):
-        window = dr.SlidingWindow(50)
-        for e in base_events:
-            mu, sigma = dr.window_stats(window)
-            thr = (
-                dr.dynamic_threshold(mu, sigma, weights.lam)
-                if len(window) >= dr.WARMUP_MIN_SAMPLES
-                else math.inf
-            )
-            d_ok = d_ok and dr.decide(scale * e.risk, thr) == e.triggered
-            window.push(scale * e.risk)
+        mu, sigma, count = dr.window_stats_per_tick(scale * risks, weights.window_size)
+        thr = np.where(count >= dr.WARMUP_MIN_SAMPLES, mu + weights.lam * sigma, math.inf)
+        d_ok = d_ok and (scale * risks > thr).tolist() == [e.triggered for e in spike_events]
 
     report(
         capfd, 5, a_ok and b_ok and c_ok and d_ok,

@@ -76,8 +76,16 @@ def test_checked_in_smoke_config_parses():
 def test_parse_ablations():
     out = cli._parse_ablations("no_cqr,fixed_threshold=2.5", cli.WARN_ABLATIONS)
     assert out == {"no_cqr": True, "fixed_threshold": 2.5}
+    # a value equal to 1 stays a value, told apart from the bare switch by type
+    for raw in ("fixed_threshold=1", "fixed_threshold=1.0"):
+        value = cli._parse_ablations(raw, cli.WARN_ABLATIONS)["fixed_threshold"]
+        assert type(value) is float and value == 1.0
+    assert cli._parse_ablations("fixed_threshold", cli.WARN_ABLATIONS) == {"fixed_threshold": True}
     with pytest.raises(ValueError, match="not applicable"):
         cli._parse_ablations("no_sam", cli.WARN_ABLATIONS)
+    for raw, allowed in (("no_cqr=0", cli.WARN_ABLATIONS), ("no_sam=1", cli.MODEL_ABLATIONS)):
+        with pytest.raises(ValueError, match="takes no value"):
+            cli._parse_ablations(raw, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +235,7 @@ def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_f
     assert (ref / "calib.json").read_bytes() == calib.read_bytes()
 
     replayed = [
-        pl.warn_episode(model, corr, ep, cfg.risk.weights(), window_size=cfg.risk.window_size)
+        pl.warn_episode(model, corr, ep, cfg.risk)
         for ep in splits.test_episodes
     ]
     pl.save_events(ref / "events.csv", replayed)
@@ -531,3 +539,49 @@ def test_eval_event_log_of_other_episodes_is_clean_error(tmp_path, cfg_file, cap
     assert_clean_error(evaluate, capsys, "[999]", "replays episodes")
     events.write_text(header + "\n")  # no episode at all
     assert_clean_error(evaluate, capsys, "event log holds episodes []")
+
+
+# ---------------------------------------------------------------------------
+# risk settings and warning ablations
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["1", "1.0"])
+def test_warn_fixed_threshold_of_one_is_fixed(tmp_path, cfg_file, artifacts, value):
+    import fcw.pipeline as pl
+
+    data, ckpt, calib = artifacts
+    events = tmp_path / "events.csv"
+    assert run(["warn", "--config", cfg_file, "--checkpoint", str(ckpt), "--calibration", str(calib),
+                "--data", str(data), "--out", str(events), "--ablation", f"fixed_threshold={value}"]) == 0
+    logged = [e for ee in pl.load_events(events) for e in ee.events]
+    assert logged and all(e.threshold == 1.0 and e.triggered == (e.risk > 1.0) for e in logged)
+
+
+@pytest.mark.parametrize("command, switch", [("warn", "no_cqr=0"), ("train", "no_sam=1")])
+def test_value_on_an_on_off_switch_is_clean_error(tmp_path, cfg_file, capsys, artifacts, command, switch):
+    data, ckpt, calib = artifacts
+    argv = [command, "--config", cfg_file, "--data", str(data), "--out", str(tmp_path / "out")]
+    if command == "warn":
+        argv += ["--checkpoint", str(ckpt), "--calibration", str(calib)]
+    assert_clean_error(argv + ["--ablation", switch], capsys, f"ablation {switch.split('=')[0]!r} is an on/off switch")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, flags, needle",
+    [
+        ("risk.mode = highway", [], "unknown field 'risk.mode'"),
+        ("risk.lam = 3.5", [], "lambda must lie in [1.5, 3.0], got 3.5"),
+        ("", ["--lambda", "1.2"], "lambda must lie in [1.5, 3.0], got 1.2"),
+        ("risk.window_size = 1", [], "window_size must be >= 2, got 1"),
+    ],
+    ids=["mode in config", "lambda in config", "lambda flag", "one-slot window"],
+)
+def test_risk_settings_are_checked_at_load(tmp_path, capsys, setting, flags, needle):
+    # the checkpoint and data do not exist: the config must fail before they are read
+    cfg = tmp_path / "risk.cfg"
+    cfg.write_text(TEST_CFG + setting + "\n")
+    argv = ["warn", "--config", str(cfg), "--checkpoint", str(tmp_path / "none.ckpt"),
+            "--data", str(tmp_path / "none"), "--out", str(tmp_path / "events.csv"), *flags]
+    assert_clean_error(argv, capsys, needle)

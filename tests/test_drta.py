@@ -25,6 +25,17 @@ def quiet_stream(n, risk_kwargs=None):
     return [make_inputs(**(risk_kwargs or {})) for _ in range(n)]
 
 
+def stack_inputs(stream):
+    """One ``RiskInputs`` of (ticks,) arrays from per-tick inputs."""
+    names = [f.name for f in dataclasses.fields(dr.RiskInputs)]
+    return dr.RiskInputs(**{k: np.array([getattr(i, k) for i in stream], dtype=np.float64) for k in names})
+
+
+def replay(stream, weights, fixed_threshold=None):
+    """``replay_ticks`` over a list of per-tick inputs, tick i at time i."""
+    return dr.replay_ticks(stack_inputs(stream), np.arange(len(stream), dtype=np.float64), weights, fixed_threshold)
+
+
 # ---------------------------------------------------------------------------
 # component risks
 # ---------------------------------------------------------------------------
@@ -113,61 +124,61 @@ def test_risk_total_weighted_sum():
 
 
 def test_window_stats_hand_value():
-    win = dr.SlidingWindow(10)
-    for v in (1.0, 2.0, 3.0):
-        win.push(v)
-    mu, sigma = dr.window_stats(win)
-    assert mu == pytest.approx(2.0)
-    assert sigma == pytest.approx(1.0)  # sample std, W-1 denominator
+    mu, sigma, count = dr.window_stats_per_tick(np.array([1.0, 2.0, 3.0, 9.0]), 10)
+    assert (mu[3], count[3]) == (pytest.approx(2.0), 3)
+    assert sigma[3] == pytest.approx(1.0)  # sample std, W-1 denominator
 
 
 def test_window_evicts_oldest():
-    win = dr.SlidingWindow(3)
-    for v in (1.0, 2.0, 3.0, 4.0):
-        win.push(v)
-    assert list(win.values) == [2.0, 3.0, 4.0]
+    # at window_size the oldest risk leaves: tick 4 reads 2, 3, 4 only
+    mu, sigma, count = dr.window_stats_per_tick(np.array([1.0, 2.0, 3.0, 4.0, 9.0]), 3)
+    assert count.tolist() == [0, 1, 2, 3, 3]
+    assert (mu[4], sigma[4]) == (pytest.approx(3.0), pytest.approx(1.0))
 
 
 def test_window_single_value_std_zero():
-    win = dr.SlidingWindow(5)
-    win.push(7.0)
-    assert dr.window_stats(win) == (7.0, 0.0)
+    mu, sigma, count = dr.window_stats_per_tick(np.array([7.0, 1.0]), 5)
+    assert (mu[1], sigma[1], count[1]) == (7.0, 0.0, 1)
+    assert (mu[0], sigma[0], count[0]) == (0.0, 0.0, 0)  # nothing before the first tick
 
 
 def test_window_capacity_validation():
-    with pytest.raises(ValueError):
-        dr.SlidingWindow(1)
+    for size in (1, 0):
+        with pytest.raises(ValueError, match="window_size"):
+            dr.RiskWeights(window_size=size)
 
 
 def test_dynamic_threshold_formula():
-    assert dr.dynamic_threshold(2.0, 1.0, 2.2) == pytest.approx(4.2)
-    with pytest.raises(ValueError):
-        dr.dynamic_threshold(0.0, -1.0, 2.2)
+    stream = quiet_stream(8) + [make_inputs(d_min=float(d)) for d in range(2, 12)]
+    for e in replay(stream, dr.RiskWeights(lam=2.6)):
+        if e.tick >= dr.WARMUP_MIN_SAMPLES:
+            assert e.threshold == e.mu + 2.6 * e.sigma
 
 
 def test_decide_strict_inequality():
-    assert not dr.decide(1.0, 1.0)
-    assert dr.decide(1.0 + 1e-12, 1.0)
+    weights = dr.RiskWeights()
+    risk = float(dr.risk_terms(make_inputs(), weights)[3])
+    assert not any(e.triggered for e in replay(quiet_stream(3), weights, fixed_threshold=risk))
+    below = np.nextafter(risk, -math.inf)
+    assert all(e.triggered for e in replay(quiet_stream(3), weights, fixed_threshold=below))
 
 
 # ---------------------------------------------------------------------------
-# track stepping
+# replayed tracks
 # ---------------------------------------------------------------------------
 
 
 def test_warmup_suppresses_warnings():
-    track = dr.TrackState(weights=dr.RiskWeights())
-    events = [track.step(make_inputs(d_min=0.1, ttc=0.1)) for _ in range(dr.WARMUP_MIN_SAMPLES)]
-    assert all(not e.triggered for e in events)
-    assert all(e.threshold == math.inf for e in events)
+    stream = quiet_stream(dr.WARMUP_MIN_SAMPLES, {"d_min": 0.1, "ttc": 0.1}) + quiet_stream(3)
+    events = replay(stream, dr.RiskWeights())
+    assert [e.threshold == math.inf for e in events] == [t < dr.WARMUP_MIN_SAMPLES for t in range(len(stream))]
+    assert all(not e.triggered for e in events[: dr.WARMUP_MIN_SAMPLES])
 
 
 def test_threshold_computed_before_push():
     # the spike's own value must not enter the stats that gate it
-    track = dr.TrackState(weights=dr.RiskWeights(), min_samples=2)
-    track.step(make_inputs())
-    track.step(make_inputs())
-    spike = track.step(make_inputs(d_min=0.1, ttc=0.01))
+    stream = quiet_stream(dr.WARMUP_MIN_SAMPLES) + [make_inputs(d_min=0.1, ttc=0.01)]
+    spike = replay(stream, dr.RiskWeights())[-1]
     baseline = oracles.risk_total(make_inputs(), dr.RiskWeights())
     assert spike.mu == pytest.approx(baseline)
     assert spike.sigma == pytest.approx(0.0)
@@ -175,14 +186,14 @@ def test_threshold_computed_before_push():
 
 
 def test_constant_stream_never_triggers():
-    events = oracles.replay_stream(quiet_stream(200), dr.RiskWeights())
+    events = replay(quiet_stream(200), dr.RiskWeights())
     assert not any(e.triggered for e in events)
 
 
 def test_step_spike_triggers_exactly_at_spike_tick(rng):
     stream = quiet_stream(100)
     stream[60] = make_inputs(d_min=0.2, ttc=0.05)
-    events = oracles.replay_stream(stream, dr.RiskWeights())
+    events = replay(stream, dr.RiskWeights())
     assert [e.tick for e in events if e.triggered] == [60]
 
 
@@ -196,7 +207,7 @@ def test_lambda_nesting_on_random_streams():
         ]
         trig = {}
         for lam in (1.5, 2.2, 3.0):
-            events = oracles.replay_stream(stream, dr.RiskWeights(lam=lam))
+            events = replay(stream, dr.RiskWeights(lam=lam))
             trig[lam] = {e.tick for e in events if e.triggered}
         assert trig[3.0] <= trig[2.2] <= trig[1.5]
 
@@ -207,23 +218,20 @@ def test_decisions_invariant_under_positive_rescale():
         make_inputs(d_min=float(rng.uniform(2, 40)), ttc=float(rng.uniform(0.2, 5)))
         for _ in range(80)
     ]
-    events = oracles.replay_stream(stream, dr.RiskWeights())
+    weights = dr.RiskWeights()
+    events = replay(stream, weights)
     base = [e.triggered for e in events]
-    # rescale the risk stream itself: push scaled values through threshold logic
+    # rescale the risk stream itself: run the scaled risks through the window statistics
+    risks = np.array([e.risk for e in events])
     for scale in (0.25, 7.0):
-        track = dr.SlidingWindow(50)
-        decisions = []
-        for i, e in enumerate(events):
-            mu, sigma = dr.window_stats(track)
-            thr = dr.dynamic_threshold(mu, sigma, 2.2) if len(track) >= 5 else math.inf
-            decisions.append(dr.decide(scale * e.risk, thr))
-            track.push(scale * e.risk)
-        assert decisions == base
+        mu, sigma, count = dr.window_stats_per_tick(scale * risks, weights.window_size)
+        thr = np.where(count >= dr.WARMUP_MIN_SAMPLES, mu + weights.lam * sigma, math.inf)
+        assert (scale * risks > thr).tolist() == base
 
 
 def test_fixed_threshold_bypasses_statistics():
     stream = quiet_stream(10, {"d_min": 0.2, "ttc": 0.05})
-    events = oracles.replay_stream(stream, dr.RiskWeights(), fixed_threshold=0.5)
+    events = replay(stream, dr.RiskWeights(), fixed_threshold=0.5)
     assert all(e.triggered for e in events)  # no warm-up with a fixed threshold
     assert all(e.threshold == 0.5 for e in events)
 
@@ -237,7 +245,7 @@ def test_replay_matches_manual_stepping():
         make_inputs(d_min=float(rng.uniform(1, 30)), v_rel=float(rng.uniform(-5, 5)))
         for _ in range(80)
     ]
-    events = oracles.replay_stream(stream, weights)
+    events = replay(stream, weights)
     risks = []
     for i, (inp, ev) in enumerate(zip(stream, events)):
         risk = oracles.risk_total(inp, weights)
@@ -257,7 +265,7 @@ def test_replay_matches_manual_stepping():
 
 
 # ---------------------------------------------------------------------------
-# risk-input extraction from predictions
+# risk inputs from predictions
 # ---------------------------------------------------------------------------
 
 
@@ -277,13 +285,13 @@ def test_extract_risk_inputs_head_on():
         lower=np.stack([ego, threat]) - 1.0,
         upper=np.stack([ego, threat]) + 1.0,
     )
-    inp = dr.extract_risk_inputs(pred, 0, [1], last, curvature=0.0, dt=dt, r_collision=4.0)
+    inp = dr.risk_inputs_per_tick(pred, last[None], curvature=0.0, dt=dt, r_collision=4.0)
     # closest approach 10 m at the last step; never within 4 m, so no contact
-    assert inp.d_min == pytest.approx(10.0)
-    assert inp.ttc == math.inf
-    assert inp.v_rel == pytest.approx(10.0)  # closing at ego speed
-    assert inp.v_ego == pytest.approx(10.0)
-    assert inp.sigma_pred == pytest.approx(1.0)  # half of the uniform width 2
+    assert inp.d_min == pytest.approx([10.0])
+    assert inp.ttc.tolist() == [math.inf]
+    assert inp.v_rel == pytest.approx([10.0])  # closing at ego speed
+    assert inp.v_ego == pytest.approx([10.0])
+    assert inp.sigma_pred == pytest.approx([1.0])  # half of the uniform width 2
 
 
 def test_extract_risk_inputs_contact_step():
@@ -297,20 +305,20 @@ def test_extract_risk_inputs_contact_step():
     ego = np.array([[5.0, 0.0], [9.0, 0.0], [11.0, 0.0]])
     threat = np.tile([12.0, 0.0], (3, 1))
     pred = md.PredictionBatch(point=np.stack([ego, threat]), lower=np.stack([ego, threat]), upper=np.stack([ego, threat]))
-    inp = dr.extract_risk_inputs(pred, 0, [1], last, curvature=0.0, dt=dt, r_collision=4.0)
+    inp = dr.risk_inputs_per_tick(pred, last[None], curvature=0.0, dt=dt, r_collision=4.0)
     # first step with distance <= 4 m is step 2 (1-based): ttc = 2 * 0.5
-    assert inp.ttc == pytest.approx(1.0)
-    assert inp.d_min == pytest.approx(1.0)
+    assert inp.ttc == pytest.approx([1.0])
+    assert inp.d_min == pytest.approx([1.0])
 
 
 def test_extract_risk_inputs_no_threats():
     last = np.array([[0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 4.5, 1.8]])
     traj = np.zeros((3, 2))
     pred = md.PredictionBatch(point=traj[None], lower=traj[None], upper=traj[None])
-    inp = dr.extract_risk_inputs(pred, 0, [], last, curvature=0.01, dt=0.1)
-    assert inp.ttc == math.inf and inp.d_min == math.inf
-    assert inp.v_rel == 0.0 and inp.kappa == 0.01
-    assert dr.risk_pred(inp, dr.RiskWeights()) == 0.0
+    inp = dr.risk_inputs_per_tick(pred, last[None], curvature=0.01, dt=0.1)
+    assert inp.ttc.tolist() == [math.inf] and inp.d_min.tolist() == [math.inf]
+    assert inp.v_rel.tolist() == [0.0] and inp.kappa == 0.01
+    assert dr.risk_pred(inp, dr.RiskWeights()).tolist() == [0.0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -334,12 +342,6 @@ def test_risk_total_nonnegative_weights_bounded_below(seed):
 # ---------------------------------------------------------------------------
 # whole replays as arrays against the streamed track
 # ---------------------------------------------------------------------------
-
-
-def stack_inputs(stream):
-    """One ``RiskInputs`` of (ticks,) arrays from per-tick inputs."""
-    names = [f.name for f in dataclasses.fields(dr.RiskInputs)]
-    return dr.RiskInputs(**{k: np.array([getattr(i, k) for i in stream], dtype=np.float64) for k in names})
 
 
 def random_stream(rng, ticks, spikes):
@@ -374,10 +376,10 @@ def random_stream(rng, ticks, spikes):
     lam=st.sampled_from([1.5, 2.2, 3.0]),
 )
 def test_replay_ticks_matches_the_streamed_track(seed, ticks, window_size, fixed, spikes, lam):
-    weights = dr.RiskWeights(lam=lam)
+    weights = dr.RiskWeights(lam=lam, window_size=window_size)
     stream = random_stream(np.random.default_rng(seed), ticks, spikes)
-    got = dr.replay_ticks(stack_inputs(stream), np.arange(ticks, dtype=np.float64), weights, window_size, fixed)
-    want = oracles.replay_stream(stream, weights, window_size=window_size, fixed_threshold=fixed)
+    got = replay(stream, weights, fixed)
+    want = oracles.replay_stream(stream, weights, fixed_threshold=fixed)
     assert len(got) == len(want) == ticks
     for g, e in zip(got, want):
         assert (g.tick, g.time) == (e.tick, e.time)
@@ -400,17 +402,12 @@ def test_replay_ticks_matches_the_streamed_track(seed, ticks, window_size, fixed
 
 def test_replay_ticks_spike_warns_at_its_tick():
     stream = random_stream(np.random.default_rng(3), 80, {60})
-    events = dr.replay_ticks(stack_inputs(stream), np.arange(80.0), dr.RiskWeights())
+    events = replay(stream, dr.RiskWeights())
     warned = [e.tick for e in events if e.triggered]
     assert warned == [e.tick for e in oracles.replay_stream(stream, dr.RiskWeights()) if e.triggered]
     assert 60 in warned
-    events = dr.replay_ticks(stack_inputs(stream[:10]), np.arange(10.0), dr.RiskWeights())
+    events = replay(stream[:10], dr.RiskWeights())
     assert [math.isinf(e.threshold) for e in events] == [t < dr.WARMUP_MIN_SAMPLES for t in range(10)]
-
-
-def test_replay_ticks_rejects_a_one_slot_window():
-    with pytest.raises(ValueError, match="capacity"):
-        dr.replay_ticks(stack_inputs(quiet_stream(3)), np.arange(3.0), dr.RiskWeights(), window_size=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -434,7 +431,7 @@ def test_risk_inputs_per_tick_match_the_tick_loop(seed, ticks, n, steps):
     for t in range(ticks):
         rows = slice(t * n, (t + 1) * n)
         pred = md.PredictionBatch(point=point[rows], lower=lower[rows], upper=upper[rows])
-        want = dr.extract_risk_inputs(pred, 0, list(range(1, n)), last[t], 0.01, 0.1, 4.0)
+        want = oracles.risk_inputs_one_tick(pred, last[t], 0.01, 0.1, 4.0)
         for f in dataclasses.fields(dr.RiskInputs):
             value = getattr(got, f.name)
             assert (value if np.ndim(value) == 0 else value[t]) == getattr(want, f.name), f.name

@@ -8,6 +8,7 @@ import fcw.model as md
 import fcw.pipeline as pl
 import fcw.scenario as sc
 from fcw.drta import RiskWeights
+from fcw.scene_graph import check_vehicle_states
 
 from conftest import scene_frames, tiny_config
 
@@ -81,7 +82,6 @@ def test_warn_episode_tick_count_and_determinism():
 @pytest.mark.parametrize("no_cqr", [False, True])
 def test_warn_episode_matches_per_tick_loop(no_cqr):
     import fcw.cqr as cq
-    from fcw.drta import TrackState, extract_risk_inputs
 
     model, cfg = small_model()
     ep = sc.gen_scenario(sc.ScenarioSpec(family="sudden_braking", duration=4.0, seed=5), 2)
@@ -92,23 +92,22 @@ def test_warn_episode_matches_per_tick_loop(no_cqr):
         dataclasses.replace(ep, frames=ep.frames[:short], times=ep.times[:short]),  # no tick to replay
     ]
     corr = cq.ConformalCorrection(q=np.full((cfg.t_pred, 2), 0.5), alpha=0.1, n_cal=10)
-    weights = RiskWeights(lam=1.5)
+    weights = RiskWeights(lam=1.5, window_size=20)
     for ep in episodes:
-        got = pl.warn_episode(model, corr, ep, weights, window_size=20, no_cqr=no_cqr).events
+        got = pl.warn_episode(model, corr, ep, weights, no_cqr=no_cqr).events
 
         # one forward pass per tick, in tick order
-        track = TrackState(weights=weights, window_size=20)
-        expected = []
-        for tick in range(cfg.t_obs - 1, len(ep.frames)):
+        ticks = range(cfg.t_obs - 1, len(ep.frames))
+        stream = []
+        for tick in ticks:
             history = scene_frames(ep)[tick - cfg.t_obs + 1 : tick + 1]
             pred = oracles.predict_one(model, md.make_window(history, cfg))
             pred = cq.apply_correction(pred, None if no_cqr else corr)
-            inputs = extract_risk_inputs(
-                pred, 0, list(range(1, ep.n)), history[-1].vehicles, ep.curvature, ep.dt, cfg.collision_radius
-            )
+            inputs = oracles.risk_inputs_one_tick(pred, history[-1].vehicles, ep.curvature, ep.dt, cfg.collision_radius)
             if no_cqr:
                 inputs = dataclasses.replace(inputs, sigma_pred=0.0)
-            expected.append(track.step(inputs, time=tick * ep.dt))
+            stream.append(inputs)
+        expected = oracles.replay_stream(stream, weights, times=[tick * ep.dt for tick in ticks])
 
         assert len(got) == len(expected) == max(0, len(ep.frames) - cfg.t_obs + 1)
         assert [e.triggered for e in got] == [e.triggered for e in expected]
@@ -226,9 +225,13 @@ def test_build_report_lead_time_percentile():
 
 def test_constant_density_frames_shape():
     cfg = tiny_config()
-    frames = pl.constant_density_frames(15, cfg, seed=1)
-    assert len(frames) == cfg.t_obs
-    assert all(f.n == 15 for f in frames)
+    states = pl.constant_density_frames(15, cfg, seed=1)
+    assert states.shape == (cfg.t_obs, 15, 8)
+    check_vehicle_states(states, 3)
+    # constant velocity: frame t is frame 0 moved t*dt along each velocity
+    for t in range(cfg.t_obs):
+        assert np.array_equal(states[t, :, 0:2], states[0, :, 0:2] + states[0, :, 2:4] * (t * cfg.dt))
+        assert np.array_equal(states[t, :, 2:], states[0, :, 2:])
 
 
 def test_fit_r2_exact_fits():
@@ -247,7 +250,7 @@ def test_run_bench_counts_work_per_frame(monkeypatch, budget):
     n_grid = [8, 40, 120]
     report = pl.run_bench(model, n_grid=n_grid, repeats=1, density=0.005, seed=0)
     for n, evals, pairs in zip(n_grid, report.score_evals, report.all_pairs):
-        window = md.make_window(pl.constant_density_frames(n, cfg, 0.005, 0), cfg)
+        window = md.window_from_states(pl.constant_density_frames(n, cfg, 0.005, 0), cfg)
         assert evals == cfg.l_s * cfg.k_heads * sum(len(src) for src, _ in window.edge_lists)
         assert pairs == cfg.l_s * cfg.k_heads * cfg.t_obs * n * n
 

@@ -190,6 +190,8 @@ def window_stats_per_tick(risks: np.ndarray, window_size: int) -> tuple[np.ndarr
     ``np.std`` over that window; a shorter one may differ from them in the
     last bits.
     """
+    if window_size < 2:
+        raise ValueError(f"window_size must be >= 2, got {window_size}")
     ticks = len(risks)
     table = sliding_window_view(np.concatenate([np.zeros(window_size), risks]), window_size)[:ticks]
     count = np.minimum(np.arange(ticks), window_size)

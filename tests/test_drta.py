@@ -410,6 +410,15 @@ def test_replay_ticks_spike_warns_at_its_tick():
     assert [math.isinf(e.threshold) for e in events] == [t < dr.WARMUP_MIN_SAMPLES for t in range(10)]
 
 
+def test_replay_ticks_rejects_a_one_slot_window():
+    # the window size reaches replay_ticks in its RiskWeights, and its
+    # statistics come from window_stats_per_tick: both refuse one slot
+    with pytest.raises(ValueError, match="window_size"):
+        replay(quiet_stream(3), dr.RiskWeights(window_size=1))
+    with pytest.raises(ValueError, match="window_size"):
+        dr.window_stats_per_tick(np.zeros(3), 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

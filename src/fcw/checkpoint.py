@@ -15,7 +15,7 @@ import numpy as np
 
 from .optim import ParameterStore
 
-MAGIC = b"FCWCKPT1"
+MAGIC = b"FCWCKPT2"
 
 
 def save_checkpoint(path: str | Path, params: ParameterStore, config: dict) -> None:

@@ -7,8 +7,9 @@ are deterministic given (config, seed), except wall-clock fields in bench.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 from . import cqr as cqr_mod
@@ -97,7 +98,7 @@ def _load_config(args) -> RunConfig:
         cfg.data.seed = args.seed
         cfg.train.seed = args.seed
     if getattr(args, "alpha", None) is not None:
-        cfg.model.alpha = args.alpha
+        cfg.model = replace(cfg.model, alpha=args.alpha)  # replace re-runs the config checks
     if getattr(args, "mode", None):
         cfg.risk.lam = LAMBDA_PRESETS[args.mode]
     if getattr(args, "lam", None) is not None:
@@ -107,8 +108,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _parse_ablations(raw: str | None, allowed: set) -> dict:
-    """``name`` switches map to True, ``name=VALUE`` to a float; only the
-    ``VALUED_ABLATIONS`` take a value."""
+    """``name`` switches map to True, ``name=VALUE`` to a finite float; only
+    the ``VALUED_ABLATIONS`` take a value."""
     out = {}
     if not raw:
         return out
@@ -123,7 +124,13 @@ def _parse_ablations(raw: str | None, allowed: set) -> dict:
         if not eq:
             out[name] = True
         elif name in VALUED_ABLATIONS:
-            out[name] = float(value)
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number):
+                raise ValueError(f"ablation {name!r} takes a finite number, got {value!r}")
+            out[name] = number
         else:
             raise ValueError(f"ablation {name!r} is an on/off switch and takes no value, got {item.strip()!r}")
     return out
@@ -211,7 +218,7 @@ def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     model, model_cfg = _load_model(args.checkpoint)
     if args.alpha is not None:
-        model_cfg.alpha = args.alpha
+        model_cfg = replace(model_cfg, alpha=args.alpha)
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
     _, cal_eps, _ = scenario.split_episodes(episodes, cfg.data.split_seed)

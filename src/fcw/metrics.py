@@ -94,11 +94,9 @@ def classification_metrics(outcomes: list[EpisodeOutcome]) -> tuple[ConfusionCou
     return counts, rates
 
 
-def awlt(outcomes: list[EpisodeOutcome]) -> tuple[float, float] | None:
-    """Mean and sample std of contact_time - first pre-contact warning over TP episodes.
-
-    Returns None when no episode counts as a true positive.
-    """
+def lead_times(outcomes: list[EpisodeOutcome]) -> np.ndarray:
+    """contact_time - first pre-contact warning of each dangerous episode
+    with a contact time and a warning before it, in episode order."""
     leads = []
     for o in outcomes:
         if not o.danger or o.contact_time is None:
@@ -106,11 +104,16 @@ def awlt(outcomes: list[EpisodeOutcome]) -> tuple[float, float] | None:
         pre = [t for t in o.warning_times if t < o.contact_time]
         if pre:
             leads.append(o.contact_time - min(pre))
-    if not leads:
+    return np.asarray(leads, dtype=np.float64)
+
+
+def awlt(outcomes: list[EpisodeOutcome]) -> tuple[float, float] | None:
+    """Mean and sample std of the ``lead_times``; None when no episode has one."""
+    leads = lead_times(outcomes)
+    if not len(leads):
         return None
-    arr = np.asarray(leads)
-    std = float(arr.std(ddof=1)) if len(arr) >= 2 else 0.0
-    return float(arr.mean()), std
+    std = float(leads.std(ddof=1)) if len(leads) >= 2 else 0.0
+    return float(leads.mean()), std
 
 
 def latency_percentiles(samples_ms: list[float]) -> dict:

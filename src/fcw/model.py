@@ -18,8 +18,8 @@ from . import scene_graph as sg
 from . import temporal as tp
 from .autodiff import Tensor
 from .optim import LRSchedule, OptimizerState, ParameterStore, adam_step, cosine_lr
-from .scene_graph import FEATURE_DIM, GatHeadParams, GatLayerParams, SceneFrame, WorkCounter
-from .temporal import GruLayerParams, GruParams, MhaHeadParams, MhaParams
+from .scene_graph import FEATURE_DIM, GatLayerParams, SceneFrame, WorkCounter
+from .temporal import GruLayerParams, GruParams, MhaParams
 
 # Windows per forward pass at inference; bounds the rows of one batch.
 PREDICT_CHUNK = 64
@@ -125,9 +125,7 @@ class HstanModel:
     bridge_b: Tensor = None
     gru: GruParams = None
     mha: MhaParams = None
-    point_decoder: list = field(default_factory=list)
-    lower_decoder: list = field(default_factory=list)
-    upper_decoder: list = field(default_factory=list)
+    decoder: list = field(default_factory=list)  # (w, b) layers of the point, lower and upper decoders
 
 
 @dataclass
@@ -145,68 +143,66 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _build_decoder(store: ParameterStore, rng, prefix: str, in_dim: int, hidden: tuple, out_dim: int):
+def _build_decoders(store: ParameterStore, rng, dims: list, paths: int) -> list:
+    """The (w, b) layers of ``paths`` decoders of widths ``dims``, drawn
+    decoder after decoder and stored packed as ``decode`` reads them."""
+    drawn = [[_glorot(rng, d_in, d_out) for d_in, d_out in zip(dims, dims[1:])] for _ in range(paths)]
     layers = []
-    dims = [in_dim, *hidden, out_dim]
-    for i in range(len(dims) - 1):
-        w = store.add(f"{prefix}/w{i}", _glorot(rng, dims[i], dims[i + 1]))
-        b = store.add(f"{prefix}/b{i}", np.zeros((1, dims[i + 1])))
-        layers.append((w, b))
+    for i, width in enumerate(dims[1:]):
+        if i == 0:
+            w, b = np.concatenate([dec[0] for dec in drawn], axis=1), np.zeros((1, paths * width))
+        else:
+            w, b = np.concatenate([dec[i] for dec in drawn]), np.zeros((paths, width))
+        layers.append((store.add(f"dec/w{i}", w), store.add(f"dec/b{i}", b)))
     return layers
 
 
-def decode(hf: Tensor, decoders: list) -> Tensor:
-    """Every decoder over ``hf`` (n, H) as one node: (n, P*out), the P
-    decoders' outputs side by side.
+def decode(hf: Tensor, layers: list) -> Tensor:
+    """The P decoders over ``hf`` (n, H) as one node: (n, P*out), their
+    outputs side by side.
 
-    A decoder is a list of ``(w, b)`` layers with ReLU between them. The
-    first layers run as one packed (H, P*h0) matmul; each later layer runs
-    the P decoders as one stacked ``np.matmul`` over (P, n, .). Parameters
-    stay stored per decoder and are packed at entry.
+    ``layers`` holds the decoders' ``(w, b)`` layers packed, with ReLU
+    between them: the first is one (H, P*h0) matmul plus a (1, P*h0) bias;
+    each later layer is a (P*h_in, h_out) weight, read as P stacked
+    (h_in, h_out) blocks for one ``np.matmul`` over (P, n, .), plus a
+    (P, h_out) bias, one row per decoder.
     """
-    n, paths = hf.shape[0], len(decoders)
-    w0 = np.concatenate([dec[0][0].data for dec in decoders], axis=1)
-    b0 = np.concatenate([dec[0][1].data for dec in decoders], axis=1)
-    later = [
-        (np.stack([dec[i][0].data for dec in decoders]), np.stack([dec[i][1].data for dec in decoders]))
-        for i in range(1, len(decoders[0]))
-    ]
-    a = (hf.data @ w0 + b0).reshape(n, paths, -1).transpose(1, 0, 2)  # (P, n, h0)
+    # a later layer's bias has one row per decoder; with no later layer the split is moot
+    n, paths = hf.shape[0], layers[-1][1].shape[0]
+    (w0, b0), later = layers[0], layers[1:]
+    blocks = [w.data.reshape(paths, -1, w.shape[1]) for w, _ in later]
+    a = (hf.data @ w0.data + b0.data).reshape(n, paths, -1).transpose(1, 0, 2)  # (P, n, h0)
     acts = []  # the ReLU outputs that feed the later layers
-    for w, b in later:
+    for w, (_, b) in zip(blocks, later):
         a = np.maximum(a, 0.0)
         acts.append(a)
-        a = np.matmul(a, w) + b
-    out = Tensor(a.transpose(1, 0, 2).reshape(n, -1), parents=(hf, *[t for dec in decoders for wb in dec for t in wb]))
+        a = np.matmul(a, w) + b.data[:, None, :]
+    out = Tensor(a.transpose(1, 0, 2).reshape(n, -1), parents=(hf, *[t for wb in layers for t in wb]))
 
     def backward(g):
         g = g.reshape(n, paths, -1).transpose(1, 0, 2)
-        for i in range(len(later), 0, -1):
-            w, act = later[i - 1][0], acts[i - 1]
-            g_w = np.matmul(act.transpose(0, 2, 1), g)
-            g_b = g.sum(axis=1, keepdims=True)
-            for p, dec in enumerate(decoders):
-                for param, grad in zip(dec[i], (g_w[p], g_b[p])):
-                    if param.requires_grad:
-                        param._accumulate(grad)
-            g = np.matmul(g, w.transpose(0, 2, 1)) * (act > 0.0)
+        for (w, b), block, act in zip(later[::-1], blocks[::-1], acts[::-1]):
+            if w.requires_grad:
+                w._accumulate(np.matmul(act.transpose(0, 2, 1), g).reshape(w.shape))
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=1))
+            g = np.matmul(g, block.transpose(0, 2, 1)) * (act > 0.0)
         g = g.transpose(1, 0, 2).reshape(n, -1)  # (n, P*h0)
-        g_w0 = hf.data.T @ g
-        g_b0 = g.sum(axis=0, keepdims=True)
-        width = w0.shape[1] // paths
-        for p, dec in enumerate(decoders):
-            cols = slice(p * width, (p + 1) * width)
-            for param, grad in zip(dec[0], (g_w0[:, cols], g_b0[:, cols])):
-                if param.requires_grad:
-                    param._accumulate(grad)
+        if w0.requires_grad:
+            w0._accumulate(hf.data.T @ g)
+        if b0.requires_grad:
+            b0._accumulate(g.sum(axis=0, keepdims=True))
         if hf.requires_grad:
-            hf._accumulate(g @ w0.T)
+            hf._accumulate(g @ w0.data.T)
 
     out._backward = backward
     return out
 
 
 def init_model(config: HstanConfig, seed: int = 0) -> HstanModel:
+    """A fresh model; each layer's parameters are drawn per head, gate or
+    decoder, in a fixed order, and stored packed as its fused op reads
+    them."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     model = HstanModel(config=config, params=store)
@@ -218,12 +214,14 @@ def init_model(config: HstanConfig, seed: int = 0) -> HstanModel:
         for layer_i in range(config.l_s):
             final = layer_i == config.l_s - 1
             d_out = config.d_h if final else config.d_h // config.k_heads
-            heads = []
-            for k in range(config.k_heads):
-                w_s = store.add(f"gat{layer_i}/h{k}/w", _glorot(rng, config.d_h, d_out))
-                a = store.add(f"gat{layer_i}/h{k}/a", _glorot(rng, 2 * d_out, 1))
-                heads.append(GatHeadParams(w_s=w_s, a=a))
-            model.gat_layers.append(GatLayerParams(heads=heads, combine="average" if final else "concat"))
+            heads = [(_glorot(rng, config.d_h, d_out), _glorot(rng, 2 * d_out, 1)) for _ in range(config.k_heads)]
+            model.gat_layers.append(
+                GatLayerParams(
+                    w=store.add(f"gat{layer_i}/w", np.concatenate([w for w, _ in heads], axis=1)),
+                    a=store.add(f"gat{layer_i}/a", np.concatenate([a.T for _, a in heads])),
+                    combine="average" if final else "concat",
+                )
+            )
 
     h = config.gru_hidden
     model.bridge_w = store.add("bridge/w", _glorot(rng, config.d_h, h))
@@ -232,42 +230,38 @@ def init_model(config: HstanConfig, seed: int = 0) -> HstanModel:
     if not config.no_tam:
         layers = []
         for li in range(config.gru_layers):
+            w_z, u_z, w_r, u_r, w_h, u_h = (_glorot(rng, h, h) for _ in range(6))
             layers.append(
                 GruLayerParams(
-                    w_z=store.add(f"gru{li}/wz", _glorot(rng, h, h)),
-                    u_z=store.add(f"gru{li}/uz", _glorot(rng, h, h)),
-                    b_z=store.add(f"gru{li}/bz", np.zeros((1, h))),
-                    w_r=store.add(f"gru{li}/wr", _glorot(rng, h, h)),
-                    u_r=store.add(f"gru{li}/ur", _glorot(rng, h, h)),
-                    b_r=store.add(f"gru{li}/br", np.zeros((1, h))),
-                    w_h=store.add(f"gru{li}/wh", _glorot(rng, h, h)),
-                    u_h=store.add(f"gru{li}/uh", _glorot(rng, h, h)),
-                    b_h=store.add(f"gru{li}/bh", np.zeros((1, h))),
+                    w=store.add(f"gru{li}/w", np.concatenate([w_z, w_r, w_h], axis=1)),
+                    u_zr=store.add(f"gru{li}/u_zr", np.concatenate([u_z, u_r], axis=1)),
+                    u_h=store.add(f"gru{li}/u_h", u_h),
+                    b=store.add(f"gru{li}/b", np.zeros((1, 3 * h))),
                 )
             )
         model.gru = GruParams(layers=layers)
         d_k = h // config.m_heads
-        heads = []
-        for m in range(config.m_heads):
-            heads.append(
-                MhaHeadParams(
-                    w_q=store.add(f"mha/h{m}/wq", _glorot(rng, h, d_k)),
-                    w_k=store.add(f"mha/h{m}/wk", _glorot(rng, h, d_k)),
-                    w_v=store.add(f"mha/h{m}/wv", _glorot(rng, h, d_k)),
-                )
-            )
-        model.mha = MhaParams(heads=heads, w_o=store.add("mha/wo", _glorot(rng, h, h)))
+        heads = [[_glorot(rng, h, d_k) for _ in range(3)] for _ in range(config.m_heads)]  # q, k, v per head
+        model.mha = MhaParams(
+            w_q=store.add("mha/w_q", np.concatenate([q for q, _, _ in heads], axis=1)),
+            w_kv=store.add("mha/w_kv", np.concatenate([k for _, k, _ in heads] + [v for _, _, v in heads], axis=1)),
+            w_o=store.add("mha/w_o", _glorot(rng, h, h)),
+            heads=config.m_heads,
+        )
 
-    out_dim = config.t_pred * 2
-    model.point_decoder = _build_decoder(store, rng, "dec_point", h, config.decoder_hidden, out_dim)
-    model.lower_decoder = _build_decoder(store, rng, "dec_lower", h, config.decoder_hidden, out_dim)
-    model.upper_decoder = _build_decoder(store, rng, "dec_upper", h, config.decoder_hidden, out_dim)
+    # the point, lower and upper decoders
+    model.decoder = _build_decoders(store, rng, [h, *config.decoder_hidden, config.t_pred * 2], 3)
     return model
 
 
 def rebuild_model(config: HstanConfig, store: ParameterStore) -> HstanModel:
-    """Reattach a loaded parameter store to the model structure."""
+    """Reattach a loaded parameter store to the model structure; the store
+    must hold exactly the model's parameters, each of its shape."""
     fresh = init_model(config, seed=0)
+    want, have = set(fresh.params.paths()), set(store.paths())
+    if want != have:
+        unknown, missing = sorted(have - want), sorted(want - have)
+        raise ValueError(f"checkpoint parameters differ from the model's: unknown {unknown}, missing {missing}")
     for path, t in fresh.params.items():
         loaded = store[path]
         if loaded.shape != t.shape:
@@ -455,7 +449,7 @@ def forward_batch(model: HstanModel, batch: PreparedBatch, counter: WorkCounter 
     else:
         g = ad.linear(h, model.bridge_w, model.bridge_b)
         hf = tp.mha_blocks(tp.gru_encode_steps(g, model.gru, cfg.t_obs), model.mha, cfg.t_obs)
-    return ForwardOutputs(hf=hf, disp=decode(hf, [model.point_decoder, model.lower_decoder, model.upper_decoder]))
+    return ForwardOutputs(hf=hf, disp=decode(hf, model.decoder))
 
 
 def _stacked_prediction(out: ForwardOutputs, batch: PreparedBatch, config: HstanConfig) -> PredictionBatch:

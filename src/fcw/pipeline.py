@@ -192,13 +192,7 @@ def build_report(
         lead = me.awlt(outcomes)
         if lead is not None:
             report.awlt_mean, report.awlt_std = lead
-            leads = []
-            for o in outcomes:
-                if o.danger and o.contact_time is not None:
-                    pre = [t for t in o.warning_times if t < o.contact_time]
-                    if pre:
-                        leads.append(o.contact_time - min(pre))
-            report.lead_time_p5 = float(np.percentile(leads, 5))
+            report.lead_time_p5 = float(np.percentile(me.lead_times(outcomes), 5))
     return report
 
 

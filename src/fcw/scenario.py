@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import HstanConfig, WindowSample, window_from_states
-from .scene_graph import FEATURE_DIM, check_vehicle_states, frame_edge_lists
+from .scene_graph import FEATURE_DIM, _radius_pairs, check_vehicle_states, frame_edge_lists
 
 FAMILIES = (
     "highway_merging",
@@ -280,17 +280,11 @@ _GENERATORS = {
 
 
 def _contact_scan(pos: np.ndarray) -> int | None:
-    """First frame index where any vehicle pair is below the contact threshold."""
+    """First frame index of (F, N, 2) positions where any vehicle pair is
+    below the contact threshold, from one neighbour search over all frames."""
     steps, n, _ = pos.shape
-    if n < 2:
-        return None
-    for t in range(steps):
-        diff = pos[t, :, None, :] - pos[t, None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        dist[np.diag_indices(n)] = np.inf
-        if (dist < CONTACT_THRESHOLD).any():
-            return t
-    return None
+    i, _ = _radius_pairs(pos.reshape(-1, 2), np.repeat(np.arange(steps), n), CONTACT_THRESHOLD)
+    return int(i.min()) // n if len(i) else None
 
 
 def _derive_kinematics(pos: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:

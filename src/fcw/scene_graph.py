@@ -6,7 +6,7 @@ that measurable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,14 +142,9 @@ def embed_features(x: Tensor, w_e: Tensor, b_e: Tensor) -> Tensor:
 
 
 @dataclass
-class GatHeadParams:
-    w_s: Tensor  # (D_in, D_out) shared transform
-    a: Tensor  # (2*D_out, 1) attention vector
-
-
-@dataclass
 class GatLayerParams:
-    heads: list[GatHeadParams] = field(default_factory=list)
+    w: Tensor  # (D_in, K*d_out): head k's transform in columns [k*d_out, (k+1)*d_out)
+    a: Tensor  # (K, 2*d_out): head k's attention vector, destination half first
     combine: str = "concat"  # hidden layers concat, final layer averages
     leaky_slope: float = 0.2
 
@@ -221,7 +216,8 @@ def gat_layer_edges(
     a_src . Wh[src]); the scores are softmax-normalised over each
     destination's edges and weight the messages Wh[src]. Hidden layers
     concatenate the heads, the final layer averages them; ELU follows.
-    The heads' transforms run as one (D, K*d_out) matmul and the edge work
+    The layer's parameters are stored packed (see ``GatLayerParams``), so
+    the heads' transforms run as one (D, K*d_out) matmul; the edge work
     runs head by head. Edges in any order are accepted. The per-node sums
     and maxima follow the mean in-degree: below ``SPARSE_DEGREE`` edges
     per node they are ``np.bincount`` and ``np.maximum.at`` calls, at and
@@ -234,10 +230,10 @@ def gat_layer_edges(
     """
     if layer.combine not in ("concat", "average"):
         raise ValueError(f"unknown combine mode: {layer.combine}")
-    heads, slope = layer.heads, layer.leaky_slope
+    slope = layer.leaky_slope
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky slope must be in (0, 1), got {slope}")
-    n, k, d_out = h.shape[0], len(heads), heads[0].w_s.shape[1]
+    n, k, d_out = h.shape[0], layer.a.shape[0], layer.a.shape[1] // 2
     if frames < 1 or n % frames:
         raise ValueError(f"{n} rows do not split into {frames} equal frames")
     src = np.asarray(src, dtype=np.intp)
@@ -247,11 +243,10 @@ def gat_layer_edges(
         counter.all_pairs_equivalent += k * frames * (n // frames) ** 2
     sparse = len(src) < SPARSE_DEGREE * n
     to_dst = _Segments(dst, n, sparse, d_out)
-    w = np.concatenate([head.w_s.data for head in heads], axis=1)
+    w, a = layer.w.data, layer.a.data
     wh = h.data @ w  # (n, K*d_out), head i in columns [i*d_out, (i+1)*d_out)
     # first half of each attention vector pairs with the destination node
-    a_dst = [head.a.data[:d_out, 0] for head in heads]
-    a_src = [head.a.data[d_out:, 0] for head in heads]
+    a_dst, a_src = a[:, :d_out], a[:, d_out:]
     alphas, zs, aggs = [], [], []
     for i in range(k):
         whi = wh[:, i * d_out : (i + 1) * d_out]
@@ -272,15 +267,15 @@ def gat_layer_edges(
             pre = pre + agg
         pre = pre * (1.0 / k)
     value, d_elu = ad.elu_and_derivative(pre)
-    params = [t for head in heads for t in (head.w_s, head.a)]
-    out = Tensor(value, parents=(h, *params))
+    out = Tensor(value, parents=(h, layer.w, layer.a))
 
     def backward(g):
         g_pre = g * d_elu
         # messages and source scores scatter onto the source nodes, d_out + 1 rows at once
         to_src = _Segments(src, n, sparse, d_out + 1)
         g_wh = np.empty_like(wh)
-        for i, head in enumerate(heads):
+        g_a = np.empty_like(a)
+        for i in range(k):
             cols = slice(i * d_out, (i + 1) * d_out)
             whi = wh[:, cols]
             g_agg = g_pre[:, cols] if layer.combine == "concat" else g_pre * (1.0 / k)
@@ -293,12 +288,12 @@ def gat_layer_edges(
             g_msgs *= alpha
             g_src = to_src.sum(np.vstack([g_msgs, g_z]))
             g_wh[:, cols] = g_src[:d_out].T + np.outer(g_src[d_out], a_src[i]) + np.outer(g_s_dst, a_dst[i])
-            if head.a.requires_grad:
-                head.a._accumulate(np.concatenate([whi.T @ g_s_dst, whi.T @ g_src[d_out]])[:, None])
-        g_w = h.data.T @ g_wh
-        for i, head in enumerate(heads):
-            if head.w_s.requires_grad:
-                head.w_s._accumulate(g_w[:, i * d_out : (i + 1) * d_out])
+            g_a[i, :d_out] = whi.T @ g_s_dst
+            g_a[i, d_out:] = whi.T @ g_src[d_out]
+        if layer.a.requires_grad:
+            layer.a._accumulate(g_a)
+        if layer.w.requires_grad:
+            layer.w._accumulate(h.data.T @ g_wh)
         if h.requires_grad:
             h._accumulate(g_wh @ w.T)
 

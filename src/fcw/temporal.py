@@ -3,10 +3,12 @@ vehicle and time step), then multi-head self-attention from each vehicle's
 last time position over all of its observed positions.
 
 Each GRU layer and the attention block are single autodiff nodes with a
-hand-written backward. Parameters stay stored per gate and per head; the
-ops pack them by concatenation at entry, cuDNN style (Appleyard et al.,
-2016): one ``(D, 3H)`` input matrix for the three gates over all T steps
-and one ``(H, 2H)`` recurrent matrix for the update and reset gates.
+hand-written backward. Parameters are stored packed in the layout the ops
+read, cuDNN style (Appleyard et al., 2016): per GRU layer one ``(D, 3H)``
+input matrix for the three gates over all T steps, one ``(H, 2H)``
+recurrent matrix for the update and reset gates, the candidate's
+``(H, H)`` and one ``(1, 3H)`` bias; for the attention one ``(H, M*d_k)``
+query matrix and one ``(H, 2*M*d_k)`` key and value matrix for all heads.
 """
 from __future__ import annotations
 
@@ -20,44 +22,30 @@ from .autodiff import ShapeMismatchError, Tensor
 
 @dataclass
 class GruLayerParams:
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
-    u_h: Tensor
-    b_h: Tensor
+    w: Tensor  # (D, 3H): input weights of the update, reset and candidate gates
+    u_zr: Tensor  # (H, 2H): recurrent weights of the update and reset gates
+    u_h: Tensor  # (H, H): recurrent weights of the candidate
+    b: Tensor  # (1, 3H): biases, gates as in ``w``
 
     def tensors(self) -> tuple[Tensor, ...]:
-        return (self.w_z, self.u_z, self.b_z, self.w_r, self.u_r, self.b_r, self.w_h, self.u_h, self.b_h)
+        return (self.w, self.u_zr, self.u_h, self.b)
 
 
 @dataclass
 class GruParams:
     layers: list[GruLayerParams] = field(default_factory=list)
 
-    @property
-    def hidden_size(self) -> int:
-        return self.layers[0].u_z.shape[0]
-
-
-@dataclass
-class MhaHeadParams:
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-
 
 @dataclass
 class MhaParams:
-    heads: list[MhaHeadParams] = field(default_factory=list)
-    w_o: Tensor | None = None
+    w_q: Tensor  # (H, M*d_k): head m's queries in columns [m*d_k, (m+1)*d_k)
+    w_kv: Tensor  # (H, 2*M*d_k): every head's keys, then every head's values
+    w_o: Tensor  # (M*d_k, H)
+    heads: int
 
     @property
     def d_k(self) -> int:
-        return self.heads[0].w_q.shape[1]
+        return self.w_q.shape[1] // self.heads
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
@@ -70,12 +58,10 @@ def _gru_layer(x: Tensor, p: GruLayerParams, steps: int) -> Tensor:
     z = sigmoid(x Wz + h Uz + bz); r likewise; the candidate uses the
     r-gated state; the new state is h + z * (candidate - h), from h = 0.
     """
-    hidden = p.u_z.shape[0]
+    hidden = p.u_h.shape[0]
     n = x.shape[0] // steps
-    w = np.concatenate([p.w_z.data, p.w_r.data, p.w_h.data], axis=1)
-    u_zr = np.concatenate([p.u_z.data, p.u_r.data], axis=1)
-    u_h = p.u_h.data
-    xw = (x.data @ w + np.concatenate([p.b_z.data, p.b_r.data, p.b_h.data], axis=1)).reshape(steps, n, 3 * hidden)
+    w, u_zr, u_h = p.w.data, p.u_zr.data, p.u_h.data
+    xw = (x.data @ w + p.b.data).reshape(steps, n, 3 * hidden)
     h_all = np.zeros((steps + 1, n, hidden))  # h_all[t] is the state before step t
     zr = np.empty((steps, n, 2 * hidden))
     cand = np.empty((steps, n, hidden))
@@ -105,13 +91,11 @@ def _gru_layer(x: Tensor, p: GruLayerParams, steps: int) -> Tensor:
             dh = dh * keep[t] + d_rh * r[t] + d_pre[t, :, : 2 * hidden] @ u_zr.T
         d_flat = d_pre.reshape(steps * n, 3 * hidden)
         rh = (r * h_prev).reshape(steps * n, hidden)
-        gw = x.data.T @ d_flat
-        gb = d_flat.sum(axis=0, keepdims=True)
-        gu_zr = h_prev.reshape(steps * n, hidden).T @ d_flat[:, : 2 * hidden]
         grads = (
-            gw[:, :hidden], gu_zr[:, :hidden], gb[:, :hidden],
-            gw[:, hidden : 2 * hidden], gu_zr[:, hidden:], gb[:, hidden : 2 * hidden],
-            gw[:, 2 * hidden :], rh.T @ d_flat[:, 2 * hidden :], gb[:, 2 * hidden :],
+            x.data.T @ d_flat,
+            h_prev.reshape(steps * n, hidden).T @ d_flat[:, : 2 * hidden],
+            rh.T @ d_flat[:, 2 * hidden :],
+            d_flat.sum(axis=0, keepdims=True),
         )
         for param, grad in zip(p.tensors(), grads):
             if param.requires_grad:
@@ -129,8 +113,8 @@ def gru_encode_steps(x: Tensor, p: GruParams, steps: int) -> Tensor:
     if steps < 1 or x.shape[0] == 0 or x.shape[0] % steps != 0:
         raise ValueError(f"cannot split {x.shape[0]} rows into {steps} time steps")
     for layer in p.layers:
-        if x.shape[1] != layer.w_z.shape[0]:
-            raise ShapeMismatchError(f"gru: input {x.shape} vs weight {layer.w_z.shape}")
+        if x.shape[1] != layer.w.shape[0]:
+            raise ShapeMismatchError(f"gru: input {x.shape} vs weight {layer.w.shape}")
         x = _gru_layer(x, layer, steps)
     return x
 
@@ -143,15 +127,12 @@ def mha_blocks(y: Tensor, p: MhaParams, steps: int) -> Tensor:
     attended last position of every vehicle. No causal mask; the history is
     fully observed.
     """
-    d_in = p.heads[0].w_q.shape[0]
-    if y.shape[1] != d_in or y.shape[0] % steps != 0:
-        raise ShapeMismatchError(f"mha: input {y.shape} vs weight {p.heads[0].w_q.shape}, {steps} steps")
-    m, d_k = len(p.heads), p.d_k
+    if y.shape[1] != p.w_q.shape[0] or y.shape[0] % steps != 0:
+        raise ShapeMismatchError(f"mha: input {y.shape} vs weight {p.w_q.shape}, {steps} steps")
+    m, d_k = p.heads, p.d_k
     n = y.shape[0] // steps
     inv = 1.0 / math.sqrt(d_k)
-    w_q = np.concatenate([h.w_q.data for h in p.heads], axis=1)
-    w_kv = np.concatenate([h.w_k.data for h in p.heads] + [h.w_v.data for h in p.heads], axis=1)
-    w_o = p.w_o.data
+    w_q, w_kv, w_o = p.w_q.data, p.w_kv.data, p.w_o.data
     last = y.data[(steps - 1) * n :]
     q = (last @ w_q).reshape(n, m, d_k)
     kv = (y.data @ w_kv).reshape(steps, n, 2, m, d_k)
@@ -160,8 +141,7 @@ def mha_blocks(y: Tensor, p: MhaParams, steps: int) -> Tensor:
     e = np.exp(s - s.max(axis=2, keepdims=True))
     att = e / e.sum(axis=2, keepdims=True)
     heads_out = np.einsum("nmt,tnmd->nmd", att, v).reshape(n, m * d_k)
-    params = [t for h in p.heads for t in (h.w_q, h.w_k, h.w_v)]
-    out = Tensor(heads_out @ w_o, parents=(y, *params, p.w_o))
+    out = Tensor(heads_out @ w_o, parents=(y, p.w_q, p.w_kv, p.w_o))
 
     def backward(g):
         if p.w_o.requires_grad:
@@ -174,17 +154,10 @@ def mha_blocks(y: Tensor, p: MhaParams, steps: int) -> Tensor:
         d_kv[:, :, 0] = np.einsum("nmt,nmd->tnmd", d_s, q)
         d_kv[:, :, 1] = np.einsum("nmt,nmd->tnmd", att, d_heads)
         d_kv = d_kv.reshape(steps * n, 2 * m * d_k)
-        g_q = last.T @ d_q
-        g_kv = y.data.T @ d_kv
-        for i, head in enumerate(p.heads):
-            cols = slice(i * d_k, (i + 1) * d_k)
-            for param, grad in (
-                (head.w_q, g_q[:, cols]),
-                (head.w_k, g_kv[:, cols]),
-                (head.w_v, g_kv[:, m * d_k :][:, cols]),
-            ):
-                if param.requires_grad:
-                    param._accumulate(grad)
+        if p.w_q.requires_grad:
+            p.w_q._accumulate(last.T @ d_q)
+        if p.w_kv.requires_grad:
+            p.w_kv._accumulate(y.data.T @ d_kv)
         if y.requires_grad:
             gy = d_kv @ w_kv.T
             gy[(steps - 1) * n :] += d_q @ w_q.T

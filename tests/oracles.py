@@ -290,6 +290,17 @@ def sum_all(x):
     return out
 
 
+def transpose(x):
+    out = Tensor(x.data.T, parents=(x,))
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g.T)
+
+    out._backward = backward
+    return out
+
+
 def mean_all(x):
     n = x.data.size
     out = Tensor([[x.data.mean()]], parents=(x,))
@@ -449,11 +460,22 @@ def block_matmul_nn(p, v, block):
     return out
 
 
+def block_cols(x, i, width):
+    """Columns [i*width, (i+1)*width) of a packed parameter, one head, gate
+    or decoder, as a node whose gradient reaches the stored tensor."""
+    return gather_cols(x, np.arange(i * width, (i + 1) * width))
+
+
 def gru_cell(x, h_prev, p):
-    """One GRU step of ``fcw.temporal.GruLayerParams`` p; rows are independent."""
-    z = sigmoid(add(add(matmul(x, p.w_z), matmul(h_prev, p.u_z)), p.b_z))
-    r = sigmoid(add(add(matmul(x, p.w_r), matmul(h_prev, p.u_r)), p.b_r))
-    h_tilde = tanh(add(add(matmul(x, p.w_h), matmul(mul(r, h_prev), p.u_h)), p.b_h))
+    """One GRU step of ``fcw.temporal.GruLayerParams`` p, gate by gate;
+    rows are independent."""
+    hidden = p.u_h.shape[0]
+    w_z, w_r, w_h = (block_cols(p.w, i, hidden) for i in range(3))
+    u_z, u_r = (block_cols(p.u_zr, i, hidden) for i in range(2))
+    b_z, b_r, b_h = (block_cols(p.b, i, hidden) for i in range(3))
+    z = sigmoid(add(add(matmul(x, w_z), matmul(h_prev, u_z)), b_z))
+    r = sigmoid(add(add(matmul(x, w_r), matmul(h_prev, u_r)), b_r))
+    h_tilde = tanh(add(add(matmul(x, w_h), matmul(mul(r, h_prev), p.u_h)), b_h))
     # (1 - z) * h_prev + z * h_tilde, written as h_prev + z * (h_tilde - h_prev)
     return add(h_prev, mul(z, sub(h_tilde, h_prev)))
 
@@ -464,7 +486,7 @@ def gru_encode(x, p, steps):
     n = x.shape[0] // steps
     seq = [ad.rows(x, t * n, (t + 1) * n) for t in range(steps)]
     for layer in p.layers:
-        h = ad.constant(np.zeros((n, layer.u_z.shape[0])))
+        h = ad.constant(np.zeros((n, layer.u_h.shape[0])))
         out = []
         for xt in seq:
             h = gru_cell(xt, h, layer)
@@ -476,12 +498,13 @@ def gru_encode(x, p, steps):
 def mha_all_positions(hv, p, block):
     """Self-attention within vehicle-major row blocks of length ``block``,
     every position attending: (B*block, H)."""
-    inv = 1.0 / math.sqrt(p.d_k)
+    m, d_k = p.heads, p.d_k
+    inv = 1.0 / math.sqrt(d_k)
     outs = []
-    for head in p.heads:
-        q = matmul(hv, head.w_q)
-        k = matmul(hv, head.w_k)
-        v = matmul(hv, head.w_v)
+    for i in range(m):
+        q = matmul(hv, block_cols(p.w_q, i, d_k))
+        k = matmul(hv, block_cols(p.w_kv, i, d_k))
+        v = matmul(hv, block_cols(p.w_kv, m + i, d_k))
         weights = softmax_rows(scale(block_matmul_nt(q, k, block), inv))
         outs.append(block_matmul_nn(weights, v, block))
     return matmul(concat_cols(outs), p.w_o)
@@ -499,14 +522,14 @@ def mha_last(y, p, steps):
 
 def gat_layer(h, src, dst, layer, counter=None):
     """``fcw.scene_graph.gat_layer_edges`` head by head as a chain of small ops."""
-    n = h.shape[0]
+    n, d_out = h.shape[0], layer.a.shape[1] // 2
     outs = []
-    for head in layer.heads:
-        d_out = head.w_s.shape[1]
-        wh = matmul(h, head.w_s)
+    for i in range(layer.a.shape[0]):
+        wh = matmul(h, block_cols(layer.w, i, d_out))
+        a = transpose(gather_rows(layer.a, [i]))  # (2*d_out, 1)
         # first half of the attention vector pairs with the destination node
-        s_dst = matmul(wh, ad.rows(head.a, 0, d_out))
-        s_src = matmul(wh, ad.rows(head.a, d_out, 2 * d_out))
+        s_dst = matmul(wh, ad.rows(a, 0, d_out))
+        s_src = matmul(wh, ad.rows(a, d_out, 2 * d_out))
         e = leaky_relu(add(gather_rows(s_src, src), gather_rows(s_dst, dst)), layer.leaky_slope)
         if counter is not None:
             counter.score_evals += len(src)
@@ -540,9 +563,19 @@ def mlp(x, layers):
     return h
 
 
-def decode(hf, decoders):
-    """``fcw.model.decode`` decoder by decoder, side by side."""
-    return concat_cols([mlp(hf, dec) for dec in decoders])
+def decode(hf, layers, paths=3):
+    """``fcw.model.decode`` decoder by decoder, side by side, each through
+    ``mlp`` over its slices of the packed layers."""
+    (w0, b0), later = layers[0], layers[1:]
+    h0 = w0.shape[1] // paths
+    outs = []
+    for p in range(paths):
+        dec = [(block_cols(w0, p, h0), block_cols(b0, p, h0))]
+        for w, b in later:
+            h_in = w.shape[0] // paths
+            dec.append((gather_rows(w, np.arange(p * h_in, (p + 1) * h_in)), gather_rows(b, [p])))
+        outs.append(mlp(hf, dec))
+    return concat_cols(outs)
 
 
 def forward_per_frame(model, windows, counter=None):
@@ -564,9 +597,7 @@ def forward_per_frame(model, windows, counter=None):
     else:
         g = ad.linear(ad.concat_rows(steps), model.bridge_w, model.bridge_b)
         hf = tp.mha_blocks(tp.gru_encode_steps(g, model.gru, cfg.t_obs), model.mha, cfg.t_obs)
-    return md.ForwardOutputs(
-        hf=hf, disp=decode(hf, [model.point_decoder, model.lower_decoder, model.upper_decoder])
-    )
+    return md.ForwardOutputs(hf=hf, disp=decode(hf, model.decoder))
 
 
 def pinball(pred, target, level):

@@ -481,6 +481,31 @@ def test_checkpoint_parameter_entries_are_checked(tmp_path, cfg_file, capsys, ar
         assert_clean_error(argv, capsys, str(ckpt), needle)
 
 
+@pytest.mark.parametrize("change", ["missing", "unknown"])
+def test_checkpoint_parameter_set_must_match_the_model(tmp_path, cfg_file, capsys, artifacts, change):
+    from fcw.checkpoint import load_checkpoint, save_checkpoint
+    from fcw.optim import ParameterStore
+
+    data, ckpt, _ = artifacts
+    store, config = load_checkpoint(ckpt)
+    edited = ParameterStore()
+    for path, t in store.items():
+        if not (change == "missing" and path == "gru0/u_h"):
+            edited.add(path, t.data)
+    if change == "unknown":
+        edited.add("extra/w", np.zeros((2, 2)))
+    save_checkpoint(ckpt, edited, config)
+    needle = "missing ['gru0/u_h']" if change == "missing" else "unknown ['extra/w']"
+    for argv in (calibrate_argv(cfg_file, data, ckpt, tmp_path), ["bench", "--checkpoint", str(ckpt)]):
+        assert_clean_error(argv, capsys, needle)
+
+
+def test_checkpoint_of_the_per_head_format_is_clean_error(tmp_path, cfg_file, capsys, artifacts):
+    data, ckpt, _ = artifacts
+    ckpt.write_bytes(b"FCWCKPT1" + ckpt.read_bytes()[8:])
+    assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, str(ckpt), "bad magic b'FCWCKPT1'")
+
+
 def test_calibration_is_bound_to_its_checkpoint(tmp_path, cfg_file, capsys, artifacts):
     import json
 
@@ -556,6 +581,24 @@ def test_warn_fixed_threshold_of_one_is_fixed(tmp_path, cfg_file, artifacts, val
                 "--data", str(data), "--out", str(events), "--ablation", f"fixed_threshold={value}"]) == 0
     logged = [e for ee in pl.load_events(events) for e in ee.events]
     assert logged and all(e.threshold == 1.0 and e.triggered == (e.risk > 1.0) for e in logged)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc", ""])
+def test_fixed_threshold_must_be_a_finite_number(tmp_path, cfg_file, capsys, artifacts, value):
+    data, ckpt, calib = artifacts
+    events = tmp_path / "events.csv"
+    argv = ["warn", "--config", cfg_file, "--checkpoint", str(ckpt), "--calibration", str(calib),
+            "--data", str(data), "--out", str(events), "--ablation", f"fixed_threshold={value}"]
+    assert_clean_error(argv, capsys, f"ablation 'fixed_threshold' takes a finite number, got {value!r}")
+    assert not events.exists()
+
+
+@pytest.mark.parametrize("alpha", ["2", "0", "-0.5", "1"])
+def test_calibrate_alpha_is_validated(tmp_path, cfg_file, capsys, artifacts, alpha):
+    data, ckpt, _ = artifacts
+    argv = calibrate_argv(cfg_file, data, ckpt, tmp_path)
+    assert_clean_error([*argv, "--alpha", alpha], capsys, "alpha must be in (0, 1)")
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command, switch", [("warn", "no_cqr=0"), ("train", "no_sam=1")])

@@ -162,6 +162,19 @@ def test_awlt_ignores_post_contact_warnings():
     assert mean == pytest.approx(1.0) and std == 0.0
 
 
+def test_lead_times_hand_value():
+    outcomes = [
+        outcome(0, True, 10.0, [7.0, 8.0]),  # lead 3.0 from the earliest warning
+        outcome(1, False, None, [1.0]),  # not dangerous: excluded
+        outcome(2, True, 5.0, [6.0, 4.5]),  # lead 0.5; the post-contact warning is ignored
+        outcome(3, True, None, [1.0]),  # no contact time: excluded
+        outcome(4, True, 6.0, []),  # silent: excluded
+    ]
+    leads = mt.lead_times(outcomes)
+    assert leads.dtype == np.float64 and leads.tolist() == [3.0, 0.5]
+    assert mt.lead_times(outcomes[3:]).shape == (0,)
+
+
 def test_awlt_none_when_no_true_positive():
     assert mt.awlt([outcome(0, True, 5.0, [])]) is None
 

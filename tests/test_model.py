@@ -369,14 +369,14 @@ def test_decoder_node_matches_the_mlp_oracle(hidden):
     rng = np.random.default_rng(len(hidden))
     store = ParameterStore()
     hf = store.add("hf", rng.standard_normal((7, 5)))
-    decoders = [md._build_decoder(store, rng, name, 5, hidden, 4) for name in ("a", "b", "c")]
+    layers = md._build_decoders(store, rng, [5, *hidden, 4], 3)
     for path in store.paths():  # nonzero biases, so the ReLU masks vary by row
         store[path].data += rng.standard_normal(store[path].shape) * 0.3
-    out = md.decode(hf, decoders)
+    out = md.decode(hf, layers)
     assert out.shape == (7, 12)
-    assert out._parents == (hf, *(t for dec in decoders for wb in dec for t in wb))  # one node
-    assert_matches_oracle(lambda: md.decode(hf, decoders), lambda: oracles.decode(hf, decoders), store)
-    assert grad_check(lambda: oracles.sum_all(oracles.square(md.decode(hf, decoders))), store, rng=rng) < 1e-6
+    assert out._parents == (hf, *(t for wb in layers for t in wb))  # one node
+    assert_matches_oracle(lambda: md.decode(hf, layers), lambda: oracles.decode(hf, layers, 3), store)
+    assert grad_check(lambda: oracles.sum_all(oracles.square(md.decode(hf, layers))), store, rng=rng) < 1e-6
 
 
 LOSS_CASES = ["pairs", "no_pairs", "no_collision_loss", "pinball_weight_0", "u_zero_ties", "gap_zero"]
@@ -473,14 +473,15 @@ def graph_size(root):
 def test_training_step_node_count(flag):
     # fused layers keep the graph of a desk-config step of 32 windows small:
     # one node per GRU layer, one per GAT layer (the batch's frames are one
-    # run), one attention node, one node for all three decoders, one loss node
+    # run), one attention node, one node for all three decoders, one loss
+    # node, and one leaf per packed parameter tensor (25 in all)
     cfg = md.desk_config(**({} if flag == "full" else {flag: True}))
     model = md.init_model(cfg, seed=0)
     windows = [episode_windows(cfg, n_vehicles=2 + k % 3, seed=k, count=1)[0] for k in range(32)]
     batch = md.prepare_batch(windows, cfg)
     loss, _ = md.training_loss(md.forward_batch(model, batch), batch, cfg)
     assert len(batch.pair_i) > 0  # the collision term is part of the graph
-    assert graph_size(loss) <= 70
+    assert graph_size(loss) <= 40
 
 
 # ---------------------------------------------------------------------------

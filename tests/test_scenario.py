@@ -15,6 +15,8 @@ import fcw.scenario as sc
 import fcw.scene_graph as sg
 from conftest import scene_frames, tiny_config
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # car-following model
@@ -146,6 +148,39 @@ def test_danger_label_matches_bruteforce_scan():
         assert ep.danger == (hit is not None)
         if hit is not None:
             assert ep.contact_time == pytest.approx(hit * spec.dt)
+
+
+def dense_contact_scan(pos):
+    """First frame of (F, N, 2) positions whose dense adjacency at the
+    contact threshold links two distinct vehicles."""
+    n = pos.shape[1]
+    hits = [t for t, p in enumerate(pos) if (oracles.dense_adjacency(p, sc.CONTACT_THRESHOLD) > np.eye(n)).any()]
+    return hits[0] if hits else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.5, 1.0, 3.0]),
+    st.sampled_from([0.0, 1e6 + 0.1]),
+)
+def test_contact_scan_matches_the_dense_per_frame_scan(frames, n, seed, step, offset):
+    # grid positions: coincident, touching, exactly-at-threshold and apart pairs
+    pos = np.random.default_rng(seed).integers(0, 8, size=(frames, n, 2)) * step + offset
+    assert sc._contact_scan(pos) == dense_contact_scan(pos)
+
+
+def test_contact_scan_takes_the_first_frame_strictly_inside():
+    pos = np.zeros((4, 3, 2))
+    pos[:, :, 0] = [0.0, 10.0, 20.0]
+    pos[1, 1, 0] = 2.0  # exactly at the threshold: no contact
+    pos[2, 2, 0] = 11.99  # inside it
+    pos[3, 1, 0] = 1.0
+    assert sc._contact_scan(pos) == dense_contact_scan(pos) == 2
+    assert sc._contact_scan(pos[:2]) is None
+    assert sc._contact_scan(pos[:, :1]) is None  # a lone vehicle never touches
 
 
 def test_kinematic_consistency_noiseless():

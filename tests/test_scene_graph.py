@@ -27,15 +27,22 @@ def make_frame(positions, vel=None):
     return sg.SceneFrame(timestamp=0.0, vehicles=feats)
 
 
+def packed_layer(heads, combine, store=None):
+    """A GAT layer packed from per-head (w, a) arrays, w (d_in, d_out) and
+    a (2*d_out, 1); its two tensors go into ``store`` when given."""
+    make = (lambda name, data: ad.parameter(data)) if store is None else store.add
+    return sg.GatLayerParams(
+        w=make("w", np.concatenate([w for w, _ in heads], axis=1)),
+        a=make("a", np.concatenate([a.T for _, a in heads])),
+        combine=combine,
+    )
+
+
 def random_layer(rng, d_in, d_out, k, combine):
     heads = [
-        sg.GatHeadParams(
-            w_s=ad.parameter(rng.standard_normal((d_in, d_out)) * 0.5),
-            a=ad.parameter(rng.standard_normal((2 * d_out, 1)) * 0.5),
-        )
-        for _ in range(k)
+        (rng.standard_normal((d_in, d_out)) * 0.5, rng.standard_normal((2 * d_out, 1)) * 0.5) for _ in range(k)
     ]
-    return sg.GatLayerParams(heads=heads, combine=combine)
+    return packed_layer(heads, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +222,7 @@ def test_embed_matches_hand_computation():
 
 
 def one_head_layer(w, a):
-    head = sg.GatHeadParams(w_s=ad.parameter(w), a=ad.parameter(a))
-    return sg.GatLayerParams(heads=[head], combine="average")
+    return packed_layer([(w, a)], "average")
 
 
 def one_head_output(h, w, a, positions, radius):
@@ -307,13 +313,7 @@ def test_layer_duplicate_heads_concat_halves_equal(rng):
     d = 4
     w = rng.standard_normal((d, 2))
     a = rng.standard_normal((4, 1))
-    layer = sg.GatLayerParams(
-        heads=[
-            sg.GatHeadParams(w_s=ad.parameter(w.copy()), a=ad.parameter(a.copy())),
-            sg.GatHeadParams(w_s=ad.parameter(w.copy()), a=ad.parameter(a.copy())),
-        ],
-        combine="concat",
-    )
+    layer = packed_layer([(w, a), (w, a)], "concat")
     h = ad.constant(rng.standard_normal((3, d)))
     out = layer_forward(h, [[0, 0], [5, 0], [9, 0]], 30.0, layer).data
     assert np.allclose(out[:, :2], out[:, 2:], atol=1e-12)
@@ -373,14 +373,8 @@ def test_work_counter_counts_pairs_per_stacked_frame(rng):
 def test_layer_gradients(rng):
     store = ParameterStore()
     d = 3
-    heads = [
-        sg.GatHeadParams(
-            w_s=store.add(f"h{k}/w", rng.standard_normal((d, d)) * 0.5),
-            a=store.add(f"h{k}/a", rng.standard_normal((2 * d, 1)) * 0.5),
-        )
-        for k in range(2)
-    ]
-    layer = sg.GatLayerParams(heads=heads, combine="average")
+    heads = [(rng.standard_normal((d, d)) * 0.5, rng.standard_normal((2 * d, 1)) * 0.5) for _ in range(2)]
+    layer = packed_layer(heads, "average", store)
     pos = [[0, 0], [8, 0], [16, 0]]
     h = ad.constant(rng.standard_normal((3, d)))
     err = grad_check(lambda: oracles.sum_all(oracles.square(layer_forward(h, pos, 30.0, layer))), store)
@@ -402,20 +396,14 @@ def test_gat_fused_matches_unfused_and_central_differences(combine, k, order):
         src, dst = src[perm], dst[perm]
     store = ParameterStore()
     h = store.add("h", rng.standard_normal((n, d_in)))
-    heads = [
-        sg.GatHeadParams(
-            w_s=store.add(f"h{i}/w", rng.standard_normal((d_in, d_out))),
-            a=store.add(f"h{i}/a", rng.standard_normal((2 * d_out, 1))),
-        )
-        for i in range(k)
-    ]
-    layer = sg.GatLayerParams(heads=heads, combine=combine)
+    heads = [(rng.standard_normal((d_in, d_out)), rng.standard_normal((2 * d_out, 1))) for _ in range(k)]
+    layer = packed_layer(heads, combine, store)
     fused = lambda counter=None: sg.gat_layer_edges(h, src, dst, layer, counter)
     counters = sg.WorkCounter(), sg.WorkCounter()
     out = fused(counters[0])
     oracles.gat_layer(h, src, dst, layer, counters[1])
     assert counters[0] == counters[1] and counters[0].score_evals == k * len(src)
-    assert out._parents == (h, *(t for head in heads for t in (head.w_s, head.a)))  # one node
+    assert out._parents == (h, layer.w, layer.a)  # one node
     assert out.shape == (n, d_out * (k if combine == "concat" else 1))
     assert_matches_oracle(fused, lambda: oracles.gat_layer(h, src, dst, layer), store, seed=k)
     assert grad_check(lambda: oracles.sum_all(oracles.square(fused())), store, rng=rng) < 1e-6
@@ -489,14 +477,8 @@ def test_gat_segment_paths_agree_with_each_other_and_the_oracle(combine):
     n, d_in, d_out, k = len(pos), 4, 3, 2
     store = ParameterStore()
     h = store.add("h", rng.standard_normal((n, d_in)))
-    heads = [
-        sg.GatHeadParams(
-            w_s=store.add(f"h{i}/w", rng.standard_normal((d_in, d_out))),
-            a=store.add(f"h{i}/a", rng.standard_normal((2 * d_out, 1))),
-        )
-        for i in range(k)
-    ]
-    layer = sg.GatLayerParams(heads=heads, combine=combine)
+    heads = [(rng.standard_normal((d_in, d_out)), rng.standard_normal((2 * d_out, 1))) for _ in range(k)]
+    layer = packed_layer(heads, combine, store)
     sparse, runs = (gat_on_path(h, src, dst, layer, path) for path in ("sparse", "runs"))
     assert_matches_oracle(sparse, runs, store, seed=1)
     for fused in (sparse, runs):

@@ -16,36 +16,39 @@ import oracles
 
 def zero_gru_layer(d_in, d_h):
     z = lambda r, c: ad.parameter(np.zeros((r, c)))
-    return tp.GruLayerParams(
-        w_z=z(d_in, d_h), u_z=z(d_h, d_h), b_z=z(1, d_h),
-        w_r=z(d_in, d_h), u_r=z(d_h, d_h), b_r=z(1, d_h),
-        w_h=z(d_in, d_h), u_h=z(d_h, d_h), b_h=z(1, d_h),
-    )
+    return tp.GruLayerParams(w=z(d_in, 3 * d_h), u_zr=z(d_h, 2 * d_h), u_h=z(d_h, d_h), b=z(1, 3 * d_h))
+
+
+def maker(store, prefix=""):
+    """Parameter factory: free parameters, or entries of ``store``."""
+    if store is None:
+        return lambda name, data: ad.parameter(data)
+    return lambda name, data: store.add(f"{prefix}{name}", data)
 
 
 def random_gru_layer(rng, d_in, d_h, scale=0.5, store=None, prefix=""):
-    if store is None:
-        p = lambda name, r, c: ad.parameter(rng.standard_normal((r, c)) * scale)
-    else:
-        p = lambda name, r, c: store.add(f"{prefix}{name}", rng.standard_normal((r, c)) * scale)
+    """A GRU layer packed from (w, u, b) draws per gate, in z, r, h order."""
+    make = maker(store, prefix)
+    draw = lambda r, c: rng.standard_normal((r, c)) * scale
+    (w_z, u_z, b_z), (w_r, u_r, b_r), (w_h, u_h, b_h) = [(draw(d_in, d_h), draw(d_h, d_h), draw(1, d_h)) for _ in "zrh"]
     return tp.GruLayerParams(
-        w_z=p("wz", d_in, d_h), u_z=p("uz", d_h, d_h), b_z=p("bz", 1, d_h),
-        w_r=p("wr", d_in, d_h), u_r=p("ur", d_h, d_h), b_r=p("br", 1, d_h),
-        w_h=p("wh", d_in, d_h), u_h=p("uh", d_h, d_h), b_h=p("bh", 1, d_h),
+        w=make("w", np.concatenate([w_z, w_r, w_h], axis=1)),
+        u_zr=make("u_zr", np.concatenate([u_z, u_r], axis=1)),
+        u_h=make("u_h", u_h),
+        b=make("b", np.concatenate([b_z, b_r, b_h], axis=1)),
     )
 
 
 def random_mha(rng, d, m, scale=1.0, store=None):
-    d_k = d // m
-    if store is None:
-        p = lambda name, r, c: ad.parameter(rng.standard_normal((r, c)) * scale)
-    else:
-        p = lambda name, r, c: store.add(name, rng.standard_normal((r, c)) * scale)
-    heads = [
-        tp.MhaHeadParams(w_q=p(f"m{k}/q", d, d_k), w_k=p(f"m{k}/k", d, d_k), w_v=p(f"m{k}/v", d, d_k))
-        for k in range(m)
-    ]
-    return tp.MhaParams(heads=heads, w_o=p("wo", d, d))
+    """Attention packed from (q, k, v) draws per head, then the output matrix."""
+    make = maker(store)
+    heads = [[rng.standard_normal((d, d // m)) * scale for _ in "qkv"] for _ in range(m)]
+    return tp.MhaParams(
+        w_q=make("wq", np.concatenate([q for q, _, _ in heads], axis=1)),
+        w_kv=make("wkv", np.concatenate([k for _, k, _ in heads] + [v for _, _, v in heads], axis=1)),
+        w_o=make("wo", rng.standard_normal((d, d)) * scale),
+        heads=m,
+    )
 
 
 def time_major(seqs):
@@ -82,10 +85,10 @@ def test_gru_cell_matches_reference(rng):
     out = oracles.gru_cell(ad.constant(x), ad.constant(h), layer).data
 
     sig = lambda a: 1.0 / (1.0 + np.exp(-a))
-    g = lambda t: t.data
-    z = sig(x @ g(layer.w_z) + h @ g(layer.u_z) + g(layer.b_z))
-    r = sig(x @ g(layer.w_r) + h @ g(layer.u_r) + g(layer.b_r))
-    h_tilde = np.tanh(x @ g(layer.w_h) + (r * h) @ g(layer.u_h) + g(layer.b_h))
+    g = lambda t, gate: t.data[:, gate * d_h : (gate + 1) * d_h]  # gates z, r, h
+    z = sig(x @ g(layer.w, 0) + h @ g(layer.u_zr, 0) + g(layer.b, 0))
+    r = sig(x @ g(layer.w, 1) + h @ g(layer.u_zr, 1) + g(layer.b, 1))
+    h_tilde = np.tanh(x @ g(layer.w, 2) + (r * h) @ layer.u_h.data + g(layer.b, 2))
     expected = (1 - z) * h + z * h_tilde
     assert np.allclose(out, expected, atol=1e-12)
 
@@ -123,8 +126,7 @@ def test_gru_encode_empty_raises():
 def test_gru_contraction_with_zero_input(rng):
     layer = random_gru_layer(rng, 2, 4)
     # zero the input weights so only the recurrent path is active
-    for name in ("w_z", "w_r", "w_h"):
-        getattr(layer, name).data[:] = 0.0
+    layer.w.data[:] = 0.0
     h = rng.uniform(-1, 1, size=(1, 4))
     x = ad.constant(np.zeros((1, 2)))
     out = oracles.gru_cell(x, ad.constant(h), layer)
@@ -143,7 +145,7 @@ def test_gru_fused_matches_unfused_and_central_differences(steps, n_layers):
     ]
     params = tp.GruParams(layers=layers)
     fused = lambda: tp.gru_encode_steps(x, params, steps)
-    node = fused()  # one node per layer, listing its input and all nine parameters
+    node = fused()  # one node per layer, listing its input and its four parameters
     for layer in reversed(layers):
         assert node._parents[1:] == layer.tensors()
         node = node._parents[0]
@@ -162,17 +164,17 @@ def test_mha_t1_projects_value(rng):
     p = random_mha(rng, d, 2)
     x = rng.standard_normal((1, d))
     out = tp.mha_blocks(ad.constant(x), p, 1).data
-    v = np.concatenate([x @ h.w_v.data for h in p.heads], axis=1)
+    v = x @ p.w_kv.data[:, d:]  # every head's values
     assert np.allclose(out, v @ p.w_o.data, rtol=0.0, atol=1e-12)
 
 
 def test_mha_uniform_when_query_zero(rng):
     d, t = 4, 5
     p = random_mha(rng, d, 1)
-    p.heads[0].w_q.data[:] = 0.0
+    p.w_q.data[:] = 0.0
     x = rng.standard_normal((t, d))  # one vehicle, time-major
     out = tp.mha_blocks(ad.constant(x), p, t).data
-    mean_v = (x @ p.heads[0].w_v.data).mean(axis=0, keepdims=True)
+    mean_v = (x @ p.w_kv.data[:, d:]).mean(axis=0, keepdims=True)
     assert np.allclose(out, mean_v @ p.w_o.data, rtol=0.0, atol=1e-12)
 
 
@@ -183,8 +185,7 @@ def test_mha_matches_brute_force(rng):
     out = tp.mha_blocks(ad.constant(x), p, t).data
 
     # the last position's query against every key, by hand
-    h = p.heads[0]
-    q, k, v = x[-1] @ h.w_q.data, x @ h.w_k.data, x @ h.w_v.data
+    q, k, v = x[-1] @ p.w_q.data, x @ p.w_kv.data[:, :d], x @ p.w_kv.data[:, d:]
     scores = k @ q / np.sqrt(d)
     att = np.exp(scores - scores.max())
     att /= att.sum()
@@ -224,7 +225,7 @@ def test_mha_fused_matches_unfused_and_central_differences(steps):
     fused = lambda: tp.mha_blocks(y, p, steps)
     out = fused()
     assert out.shape == (n, d)
-    assert out._parents == (y, *(t for h in p.heads for t in (h.w_q, h.w_k, h.w_v)), p.w_o)
+    assert out._parents == (y, p.w_q, p.w_kv, p.w_o)
     assert_matches_oracle(fused, lambda: oracles.mha_last(y, p, steps), store, seed=steps)
     assert grad_check(lambda: oracles.sum_all(oracles.square(fused())), store, rng=rng) < 1e-6
 
@@ -259,8 +260,7 @@ def test_gru_attention_composite_gradient(rng):
     d = 4
     store = ParameterStore()
     layer = random_gru_layer(rng, d, d, scale=0.4, store=store)
-    for name in ("b_z", "b_r", "b_h"):
-        getattr(layer, name).data[:] = 0.0
+    layer.b.data[:] = 0.0
     mha = random_mha(rng, d, 2, scale=0.4, store=store)
     x = ad.constant(rng.standard_normal((3, d)))  # one sequence of 3 steps
 

@@ -34,8 +34,10 @@ def main():
     episodes = sc.generate_episodes(specs)
     config = md.desk_config(l_s=1)
     train_eps, cal_eps, test_eps = sc.split_episodes(episodes, split_seed=0)
-    train, test = sc.dataset_windows(train_eps, config), sc.dataset_windows(test_eps, config)
-    print(f"{len(train)} train / {len(sc.dataset_windows(cal_eps, config))} cal / {len(test)} test windows")
+    train = sc.dataset_windows(train_eps, config)
+    span = config.t_obs + config.t_pred
+    cal, test = (sum(len(ep.frames) - span + 1 for ep in eps) for eps in (cal_eps, test_eps))
+    print(f"{len(train)} train / {cal} cal / {test} test windows")
 
     t0 = time.perf_counter()
     model, history = md.train(
@@ -51,8 +53,8 @@ def main():
     )
     print(f"trained in {time.perf_counter() - t0:.0f}s")
 
-    full = pl.prediction_metrics(model, test, config)
-    cv = pl.prediction_metrics(None, test, config, baseline="cv")
+    full = pl.prediction_metrics(model, test_eps, config)
+    cv = pl.prediction_metrics(None, test_eps, config, baseline="cv")
     gain = 1.0 - full["ade"] / cv["ade"]
     print(f"model ADE {full['ade']:.4f} m  FDE {full['fde']:.4f} m")
     print(f"cv    ADE {cv['ade']:.4f} m  FDE {cv['fde']:.4f} m")

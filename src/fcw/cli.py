@@ -16,7 +16,7 @@ from . import cqr as cqr_mod
 from . import pipeline, scenario
 from .checkpoint import checkpoint_sha256, load_checkpoint, save_checkpoint
 from .drta import LAMBDA_PRESETS, RiskWeights
-from .model import HstanConfig, desk_config, rebuild_model, train
+from .model import HstanConfig, check_finite, desk_config, rebuild_model, train
 from .pipeline import run_bench
 
 MODEL_ABLATIONS = {"no_sam", "no_tam", "single_head", "no_collision_loss"}
@@ -34,6 +34,11 @@ class DataConfig:
     seed: int = 0
     split_seed: int = 0
 
+    def __post_init__(self):
+        check_finite(self, ("duration", "dt"), positive=True)
+        if self.episodes_per_family < 1:
+            raise ValueError(f"episodes_per_family must be >= 1, got {self.episodes_per_family}")
+
 
 @dataclass
 class TrainConfig:
@@ -41,6 +46,12 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_finite(self, ("lr",), positive=True)
 
 
 @dataclass
@@ -51,9 +62,15 @@ class RunConfig:
     risk: RiskWeights = field(default_factory=RiskWeights)
 
 
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce(current, raw: str):
     if isinstance(current, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.strip().lower()
+        if word not in BOOL_WORDS:
+            raise ValueError(f"expected one of {'/'.join(BOOL_WORDS)}, got {raw.strip()!r}")
+        return BOOL_WORDS[word]
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -84,9 +101,13 @@ def parse_config_file(path: str | Path, cfg: RunConfig | None = None) -> RunConf
         target = sections[section]
         if not any(f.name == name for f in dc_fields(target)):
             raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
-        setattr(target, name, _coerce(getattr(target, name), raw))
-    cfg.model.__post_init__()
-    cfg.risk.__post_init__()
+        try:
+            value = _coerce(getattr(target, name), raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+        setattr(target, name, value)
+    for section in sections.values():
+        section.__post_init__()
     return cfg
 
 
@@ -222,11 +243,10 @@ def cmd_calibrate(args) -> int:
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
     _, cal_eps, _ = scenario.split_episodes(episodes, cfg.data.split_seed)
-    cal = scenario.dataset_windows(cal_eps, model_cfg)
-    if not cal:
+    if not cal_eps:
         print("error: calibration split is empty", file=sys.stderr)
         return 1
-    lower, upper, targets = cqr_mod.raw_intervals(model, cal)
+    lower, upper, targets = cqr_mod.raw_intervals(model, cal_eps)
     corr = cqr_mod.calibrate(lower, upper, targets, model_cfg.alpha)
     cqr_mod.save_correction(args.out, corr, checkpoint_sha256(args.checkpoint))
     raw_coverage, _ = cqr_mod.empirical_coverage(lower, upper, targets)
@@ -271,12 +291,10 @@ def cmd_eval(args) -> int:
         model, model_cfg = _load_model(args.checkpoint)
     _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
     if args.baseline == "cv":
-        test = scenario.dataset_windows(test_eps, model_cfg)
-        prediction = pipeline.prediction_metrics(None, test, model_cfg, baseline="cv")
+        prediction = pipeline.prediction_metrics(None, test_eps, model_cfg, baseline="cv")
     elif model is not None:
         corr = _load_calibration(args)
-        test = scenario.dataset_windows(test_eps, model_cfg)
-        prediction = pipeline.prediction_metrics(model, test, model_cfg, corr=corr)
+        prediction = pipeline.prediction_metrics(model, test_eps, model_cfg, corr=corr)
 
     outcomes = None
     if args.events:

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import HstanModel, PredictionBatch, WindowSample, predict_windows
+from .model import HstanModel, PredictionBatch, episode_targets, predict_episodes
+from .scenario import Episode, window_pieces
 
 
 def nonconformity(lower, upper, y):
@@ -90,16 +91,16 @@ def empirical_coverage(lower, upper, targets) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def raw_intervals(model: HstanModel, windows: list[WindowSample]):
-    """Stack raw lower/upper/target trajectories over calibration windows.
+def raw_intervals(model: HstanModel, episodes: list[Episode]):
+    """Stack raw lower/upper/target trajectories over every sliding window
+    of the calibration episodes.
 
     Returns arrays of shape (n_vehicles_total, T', 2); each vehicle in each
     window is one pooled example.
     """
-    if any(w.target_abs is None for w in windows):
-        raise ValueError("calibration windows need ground-truth futures")
-    pred = predict_windows(model, windows)
-    return pred.lower, pred.upper, np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows])
+    pieces = window_pieces(episodes, model.config)
+    pred = predict_episodes(model, pieces)
+    return pred.lower, pred.upper, episode_targets(pieces, model.config)
 
 
 def apply_correction(pred: PredictionBatch, corr: ConformalCorrection | None) -> PredictionBatch:

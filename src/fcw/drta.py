@@ -126,8 +126,8 @@ def risk_inputs_per_tick(
 
     ``last`` is the ticks' last observed states, (ticks, N, 8), and
     ``pred`` stacks the ticks' calibrated (N, T', 2) predictions tick after
-    tick, as ``predict_windows`` returns them. Returns one (ticks,) array
-    per field:
+    tick, as ``model.predict_episodes`` returns them for the piece of an
+    episode's ticks. Returns one (ticks,) array per field:
 
     - d_min scans every (step, threat) pair of predicted center distances;
     - ttc is dt times the first 1-based step at which some threat's

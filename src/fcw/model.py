@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from . import scene_graph as sg
@@ -25,6 +26,16 @@ from .temporal import GruLayerParams, GruParams, MhaParams
 PREDICT_CHUNK = 64
 # Edges per run of frames that one GAT call takes; a larger frame runs alone.
 GAT_EDGE_BUDGET = 2**15
+
+
+def check_finite(config, names: tuple, positive: bool) -> None:
+    """Each named field of ``config`` must be a finite number, above zero
+    when ``positive`` and at least zero otherwise."""
+    for name in names:
+        value = getattr(config, name)
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            kind = "positive" if positive else "nonnegative"
+            raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
 
 
 @dataclass
@@ -57,12 +68,10 @@ class HstanConfig:
             self.decoder_hidden = tuple(self.decoder_hidden)
         if self.t_obs < 1 or self.t_pred < 1:
             raise ValueError("t_obs and t_pred must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        check_finite(self, ("dt", "input_scale", "radius", "collision_radius"), positive=True)
+        check_finite(self, ("pinball_weight", "collision_weight"), positive=False)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.input_scale <= 0:
-            raise ValueError("input_scale must be positive")
         if self.single_head:
             self.k_heads = 1
             self.m_heads = 1
@@ -348,20 +357,22 @@ class PreparedBatch:
     pair_j: np.ndarray
 
 
-def _frame_runs(windows: list[WindowSample], offsets: list[int], frames: range) -> list:
-    """The batch's graphs of the observed ``frames`` as one block-diagonal
+def _frame_runs(parts: list, base: np.ndarray, total: int) -> list:
+    """The batch's graphs of its laid-out frames as one block-diagonal
     graph over the time-major rows, cut into runs of whole consecutive
-    frames.
+    frames; ``prepare_batch`` and ``episode_batch`` both lay out their
+    edges here.
 
-    A run holds at most ``GAT_EDGE_BUDGET`` edges unless it is one frame.
-    Each run is (t_lo, t_hi, src, dst), t counting the laid-out frames,
-    with indices local to its rows [t_lo*total, t_hi*total); edges keep the
-    (frame, window, dst, src) order, so dst is sorted within a run.
+    ``parts`` holds the (src, dst) edges of each (laid-out frame, block)
+    in that order, and ``base`` (frames, blocks) the row that index 0 of a
+    part maps to within its frame's rows. A run holds at most
+    ``GAT_EDGE_BUDGET`` edges unless it is one frame. Each run is (t_lo,
+    t_hi, src, dst), t counting the laid-out frames, with indices local to
+    its rows [t_lo*total, t_hi*total); edges keep the parts' order.
     """
-    total, count = offsets[-1], len(frames)
-    pieces = [w.edge_lists[t] for t in frames for w in windows]
-    counts = np.array([len(s) for s, _ in pieces], dtype=np.intp)
-    frame_edges = counts.reshape(count, len(windows)).sum(axis=1)
+    count = len(base)
+    counts = np.array([len(s) for s, _ in parts], dtype=np.intp)
+    frame_edges = counts.reshape(count, -1).sum(axis=1)
     starts, size = [0], 0
     for t in range(count):
         if t > starts[-1] and size + frame_edges[t] > GAT_EDGE_BUDGET:
@@ -369,12 +380,12 @@ def _frame_runs(windows: list[WindowSample], offsets: list[int], frames: range) 
             size = 0
         size += frame_edges[t]
     bounds = np.array([*starts, count])
-    # frame t of window w starts at row (t - t_lo)*total + offset_w of its run
+    # frame t's rows start at (t - t_lo)*total within its run
     t_lo = np.repeat(bounds[:-1], np.diff(bounds))
-    row0 = (np.arange(count) - t_lo)[:, None] * total + np.asarray(offsets[:-1])[None, :]
+    row0 = (np.arange(count) - t_lo)[:, None] * total + base
     shift = np.repeat(row0.reshape(-1), counts)
-    src = np.concatenate([s for s, _ in pieces])
-    dst = np.concatenate([d for _, d in pieces])
+    src = np.concatenate([s for s, _ in parts])
+    dst = np.concatenate([d for _, d in parts])
     src += shift
     dst += shift
     edge_bounds = np.concatenate([[0], np.cumsum(frame_edges)])[bounds]
@@ -384,19 +395,23 @@ def _frame_runs(windows: list[WindowSample], offsets: list[int], frames: range) 
     ]
 
 
+def _laid_out_frames(config: HstanConfig) -> range:
+    """The observed frames the model reads: all T, or under ``no_tam`` the last one."""
+    return range(config.t_obs - 1 if config.no_tam else 0, config.t_obs)
+
+
 def prepare_batch(windows: list[WindowSample], config: HstanConfig) -> PreparedBatch:
     """The windows' rows stacked for one forward pass.
 
-    Only the frames the model reads are laid out: all T observed frames,
-    or under ``no_tam`` the last one. The within-window collision pairs
-    are built only when every window has a target, since only the
-    training loss reads them.
+    Only the frames the model reads are laid out (``_laid_out_frames``).
+    The within-window collision pairs are built only when every window has
+    a target, since only the training loss reads them.
     """
     offsets = [0]
     for w in windows:
         offsets.append(offsets[-1] + w.n)
     total = offsets[-1]
-    frames = range(config.t_obs - 1 if config.no_tam else 0, config.t_obs)
+    frames = _laid_out_frames(config)
     x = np.concatenate([w.features[frames.start :] for w in windows], axis=1).reshape(len(frames) * total, -1)
     last_pos = np.concatenate([w.last_pos for w in windows], axis=0)
     target_disp = None
@@ -411,15 +426,105 @@ def prepare_batch(windows: list[WindowSample], config: HstanConfig) -> PreparedB
         pair_i = np.repeat(rows, later)
         run_start = np.repeat(np.cumsum(later) - later, later)
         pair_j = pair_i + 1 + np.arange(len(pair_i)) - run_start
+    parts = [w.edge_lists[t] for t in frames for w in windows]
+    base = np.broadcast_to(np.asarray(offsets[:-1], dtype=np.intp), (len(frames), len(windows)))
     return PreparedBatch(
         x=x,
-        edges=_frame_runs(windows, offsets, frames),
+        edges=_frame_runs(parts, base, total),
         offsets=offsets,
         last_pos=last_pos,
         target_disp=target_disp,
         pair_i=pair_i,
         pair_j=pair_j,
     )
+
+
+# ---------------------------------------------------------------------------
+# Batches straight from episode arrays
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EpisodeGraphs:
+    """One episode's vehicle states with the radius graphs of its first
+    frames, from one stacked ``edges_from_positions`` call: frame f's
+    edges are ``src[bounds[f] : bounds[f + 1]]`` (and ``dst``), indexing
+    the episode's rows frame-major (row f*N + v is vehicle v at frame f)."""
+
+    states: np.ndarray  # (F, N, 8)
+    src: np.ndarray
+    dst: np.ndarray
+    bounds: np.ndarray  # (frames with a graph + 1,)
+
+
+def episode_graphs(states: np.ndarray, radius: float, frames: int | None = None) -> EpisodeGraphs:
+    """The graphs of the first ``frames`` frames of ``states`` (all by default)."""
+    frames = len(states) if frames is None else frames
+    src, dst = sg.edges_from_positions(states[:frames, :, 0:2], radius)
+    bounds = np.searchsorted(dst, np.arange(frames + 1) * states.shape[1])
+    return EpisodeGraphs(states=states, src=src, dst=dst, bounds=bounds)
+
+
+def episode_batch(pieces: list[tuple[EpisodeGraphs, int, int]], config: HstanConfig) -> PreparedBatch:
+    """The ``PreparedBatch`` of the windows that start at frames lo..hi-1
+    of each piece's episode, piece after piece; the same arrays as
+    ``prepare_batch`` of those windows from ``window_from_states``, without
+    a per-window object, and with no targets or collision pairs.
+
+    A piece's features are one copy of its episode's sliding windows, less
+    each window's first-frame centroid, times ``input_scale``; its edges in
+    a laid-out frame are one slice of the episode's edge list, shifted by
+    one offset.
+    """
+    pieces = [(g, lo, hi) for g, lo, hi in pieces if hi > lo]
+    frames, t_obs = _laid_out_frames(config), config.t_obs
+    sizes = [g.states.shape[1] * (hi - lo) for g, lo, hi in pieces]
+    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+    total = int(starts[-1])
+    x = np.empty((len(frames), total, FEATURE_DIM))
+    last_pos = np.empty((total, 2))
+    offsets, parts = [], []
+    base = np.empty((len(frames), len(pieces)), dtype=np.intp)
+    for p, ((g, lo, hi), row) in enumerate(zip(pieces, starts.tolist())):
+        states, count, n = g.states, hi - lo, g.states.shape[1]
+        # (F', W, N, 8): laid-out frame f of window w is episode frame lo + w + frames.start + f
+        block = x[:, row : row + count * n].reshape(len(frames), count, n, FEATURE_DIM)
+        views = sliding_window_view(states[lo + frames.start : hi + t_obs - 1], len(frames), axis=0)
+        block[...] = views.transpose(3, 0, 1, 2)
+        block[..., 0:2] -= states[lo:hi, :, 0:2].mean(axis=1)[None, :, None, :]
+        # keep meter-scale inputs inside the well-conditioned range of tanh/ELU
+        block *= config.input_scale
+        last_pos[row : row + count * n] = states[lo + t_obs - 1 : hi + t_obs - 1, :, 0:2].reshape(-1, 2)
+        offsets.append(row + n * np.arange(count))
+        first = lo + frames.start + np.arange(len(frames))  # each laid-out frame's first episode frame
+        base[:, p] = row - first * n
+    for f in range(len(frames)):
+        for g, lo, hi in pieces:
+            # the piece's windows read consecutive episode frames in this slot
+            a, b = g.bounds[lo + frames.start + f], g.bounds[hi + frames.start + f]
+            parts.append((g.src[a:b], g.dst[a:b]))
+    return PreparedBatch(
+        x=x.reshape(len(frames) * total, FEATURE_DIM),
+        edges=_frame_runs(parts, base, total),
+        offsets=[*np.concatenate(offsets).tolist(), total],
+        last_pos=last_pos,
+        target_disp=None,
+        pair_i=np.zeros(0, dtype=np.intp),
+        pair_j=np.zeros(0, dtype=np.intp),
+    )
+
+
+def episode_targets(pieces: list[tuple[EpisodeGraphs, int, int]], config: HstanConfig) -> np.ndarray:
+    """The (sumN, T', 2) future positions of every window of the pieces,
+    in ``episode_batch`` row order, from one sliding view of each
+    episode's future frames; every window needs its T' future frames."""
+    parts = [np.zeros((0, config.t_pred, 2))]
+    for g, lo, hi in pieces:
+        future = sliding_window_view(g.states[config.t_obs :, :, 0:2], config.t_pred, axis=0)  # (W, N, 2, T')
+        if hi > len(future):
+            raise ValueError(f"windows up to start {hi - 1} need ground-truth futures; the episode has {len(future)}")
+        parts.append(future[lo:hi].transpose(0, 1, 3, 2).reshape(-1, config.t_pred, 2))
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -475,14 +580,29 @@ def outputs_to_predictions(
     ]
 
 
-def predict_windows(model: HstanModel, windows: list[WindowSample]) -> PredictionBatch:
-    """Raw predictions for every window as one stack over the windows'
-    vehicle rows, in window order (window i holds the ``windows[i].n`` rows
-    after those of the windows before it); ``PREDICT_CHUNK`` windows per
-    forward pass."""
+def _chunks(pieces: list, size: int):
+    """The pieces' windows in runs of ``size`` (the last may be shorter),
+    each run a list of pieces; a run goes on across pieces."""
+    chunk, room = [], size
+    for g, lo, hi in pieces:
+        while lo < hi:
+            take = min(room, hi - lo)
+            chunk.append((g, lo, lo + take))
+            lo, room = lo + take, room - take
+            if room == 0:
+                yield chunk
+                chunk, room = [], size
+    if chunk:
+        yield chunk
+
+
+def predict_episodes(model: HstanModel, pieces: list[tuple[EpisodeGraphs, int, int]]) -> PredictionBatch:
+    """Raw predictions of every window of the pieces (``episode_batch``) as
+    one stack over their vehicle rows, piece after piece and window after
+    window; ``PREDICT_CHUNK`` windows per forward pass."""
     parts = []
-    for start in range(0, len(windows), PREDICT_CHUNK):
-        batch = prepare_batch(windows[start : start + PREDICT_CHUNK], model.config)
+    for chunk in _chunks(pieces, PREDICT_CHUNK):
+        batch = episode_batch(chunk, model.config)
         parts.append(_stacked_prediction(forward_batch(model, batch), batch, model.config))
     if len(parts) == 1:
         return parts[0]

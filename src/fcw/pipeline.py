@@ -14,14 +14,14 @@ from .drta import RiskWeights, WarningEvent, replay_ticks, risk_inputs_per_tick
 from .model import (
     HstanConfig,
     HstanModel,
-    WindowSample,
+    episode_batch,
+    episode_graphs,
+    episode_targets,
     forward_batch,
-    predict_windows,
-    prepare_batch,
-    window_from_states,
+    predict_episodes,
 )
-from .scenario import Episode, cv_baseline
-from .scene_graph import WorkCounter, frame_edge_lists
+from .scenario import Episode, cv_baseline, window_pieces
+from .scene_graph import FEATURE_DIM, WorkCounter
 
 EVENT_HEADER = "episode_id,tick,time,risk,r_pred,r_kin,r_geo,mu,sigma,threshold,triggered"
 
@@ -43,20 +43,18 @@ def warn_episode(
     """The warning events of every tick of one episode; ego is vehicle 0,
     the rest are threats.
 
-    Every frame's radius graph is built once for the episode and every
-    tick's window is predicted in one batched call. The correction, the
-    risk inputs (``drta.risk_inputs_per_tick``), the thresholds and the
-    decisions (``drta.replay_ticks``) then run over all ticks at once.
+    Every frame's radius graph is built once for the episode, and every
+    tick's window is predicted from the episode array in one batched call
+    (``model.predict_episodes``). The correction, the risk inputs
+    (``drta.risk_inputs_per_tick``), the thresholds and the decisions
+    (``drta.replay_ticks``) then run over all ticks at once. An episode
+    shorter than ``t_obs`` has no tick to replay.
     """
     cfg = model.config
     states = episode.frames
     ticks = np.arange(cfg.t_obs - 1, len(states))
-    edges = frame_edge_lists(states[:, :, 0:2], cfg.radius)
-    windows = [
-        window_from_states(states[lo : lo + cfg.t_obs], cfg, edges=edges[lo : lo + cfg.t_obs])
-        for lo in range(len(ticks))
-    ]
-    pred = cqr_mod.apply_correction(predict_windows(model, windows), None if no_cqr else corr)
+    piece = (episode_graphs(states, cfg.radius), 0, len(ticks))
+    pred = cqr_mod.apply_correction(predict_episodes(model, [piece]), None if no_cqr else corr)
     inputs = risk_inputs_per_tick(
         pred, states[cfg.t_obs - 1 :], episode.curvature, episode.dt, cfg.collision_radius
     )
@@ -138,27 +136,31 @@ def outcomes_from_events(
 
 def prediction_metrics(
     model: HstanModel | None,
-    windows: list[WindowSample],
+    episodes: list[Episode],
     config: HstanConfig,
     corr=None,
     baseline: str | None = None,
 ) -> dict:
-    """ADE/FDE/collision-rate (and coverage when calibrated) over windows."""
-    truth = np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows])  # (sumN, T', 2)
+    """ADE/FDE/collision-rate (and coverage when calibrated) over every
+    sliding window of the episodes."""
+    if not episodes:
+        raise ValueError("prediction metrics need at least one episode")
+    pieces = window_pieces(episodes, config)
+    truth = episode_targets(pieces, config)  # (sumN, T', 2)
     pred = None
     if baseline == "cv":
-        # the last observed velocities are model inputs, stored scaled
-        velocities = np.concatenate([w.features[-1, :, 2:4] for w in windows]) / config.input_scale
-        points = cv_baseline(np.concatenate([w.last_pos for w in windows]), velocities, config.t_pred, config.dt)
+        last = np.concatenate(
+            [g.states[lo + config.t_obs - 1 : hi + config.t_obs - 1].reshape(-1, FEATURE_DIM) for g, lo, hi in pieces]
+        )
+        points = cv_baseline(last[:, 0:2], last[:, 2:4], config.t_pred, config.dt)
     else:
-        pred = predict_windows(model, windows)
+        pred = predict_episodes(model, pieces)
         points = pred.point
+    counts = np.repeat([g.states.shape[1] for g, _, _ in pieces], [hi - lo for _, lo, hi in pieces])
     out = {
         "ade": me.ade(points, truth),
         "fde": me.fde(points, truth),
-        "collision_rate": me.collision_rate(
-            np.split(points, np.cumsum([w.n for w in windows])[:-1]), config.collision_radius / 2.0
-        ),
+        "collision_rate": me.collision_rate(np.split(points, np.cumsum(counts)[:-1]), config.collision_radius / 2.0),
     }
     if pred is not None and corr is not None:
         out["raw_coverage"], _ = cqr_mod.empirical_coverage(pred.lower, pred.upper, truth)
@@ -235,7 +237,7 @@ class BenchReport:
     score_evals: list[int]
     all_pairs: list[int]
     latency_ms: dict[int, dict]
-    prep_p50_ms: list[float]  # median window_from_states time per N
+    prep_p50_ms: list[float]  # median time per N to build the window's graphs and batch (episode_batch)
     linear_r2_edges: float
     quadratic_r2_all_pairs: float
     linear_r2_all_pairs: float
@@ -274,10 +276,9 @@ def run_bench(
         prep_samples = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            window = window_from_states(states, cfg)
+            batch = episode_batch([(episode_graphs(states, cfg.radius), 0, 1)], cfg)
             prep_samples.append((time.perf_counter() - t0) * 1000.0)
         prep.append(float(np.median(prep_samples)))
-        batch = prepare_batch([window], cfg)
         counter = WorkCounter()
         forward_batch(model, batch, counter)
         score_evals.append(counter.score_evals)

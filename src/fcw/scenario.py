@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import HstanConfig, WindowSample, window_from_states
+from .model import EpisodeGraphs, HstanConfig, WindowSample, episode_graphs, window_from_states
 from .scene_graph import FEATURE_DIM, _radius_pairs, check_vehicle_states, frame_edge_lists
 
 FAMILIES = (
@@ -353,13 +353,20 @@ class DatasetSplits:
     test_episodes: list[Episode] = field(default_factory=list)
 
 
+def _window_count(episode: Episode, config: HstanConfig) -> int:
+    """How many windows with a full future the episode holds; at least one."""
+    span = config.t_obs + config.t_pred
+    if len(episode.frames) < span:
+        raise ValueError(f"episode {episode.episode_id} has {len(episode.frames)} frames, needs >= {span}")
+    return len(episode.frames) - span + 1
+
+
 def episode_windows(episode: Episode, config: HstanConfig, stride: int = 1) -> list[WindowSample]:
     """Sliding windows of one episode; every frame's radius graph is built
     once, in one stacked call, and each window takes its slice."""
     states = episode.frames
     span = config.t_obs + config.t_pred
-    if len(states) < span:
-        raise ValueError(f"episode {episode.episode_id} has {len(states)} frames, needs >= {span}")
+    count = _window_count(episode, config)
     edges = frame_edge_lists(states[:, :, 0:2], config.radius)
     return [
         window_from_states(
@@ -371,7 +378,7 @@ def episode_windows(episode: Episode, config: HstanConfig, stride: int = 1) -> l
             family=episode.family,
             start=start,
         )
-        for start in range(0, len(states) - span + 1, stride)
+        for start in range(0, count, stride)
     ]
 
 
@@ -397,6 +404,17 @@ def split_episodes(
 def dataset_windows(episodes: list[Episode], config: HstanConfig, stride: int = 1) -> list[WindowSample]:
     """Sliding windows of every episode, in episode order."""
     return [w for ep in episodes for w in episode_windows(ep, config, stride)]
+
+
+def window_pieces(episodes: list[Episode], config: HstanConfig) -> list[tuple[EpisodeGraphs, int, int]]:
+    """Every sliding window of each episode, the same windows as
+    ``dataset_windows``, as one ``model.episode_batch`` piece per episode;
+    only the frames a window observes get a graph."""
+    pieces = []
+    for ep in episodes:
+        count = _window_count(ep, config)
+        pieces.append((episode_graphs(ep.frames, config.radius, count + config.t_obs - 1), 0, count))
+    return pieces
 
 
 def make_dataset(

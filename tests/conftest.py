@@ -55,6 +55,17 @@ def labelled_window(frames, config: HstanConfig):
     return window_from_states(states[: config.t_obs], config, future_pos=states[config.t_obs :, :, 0:2])
 
 
+def assert_batches_equal(got, want):
+    """Two ``PreparedBatch`` objects lay out the same rows, frame runs and
+    offsets, array for array."""
+    assert got.offsets == want.offsets
+    assert np.array_equal(got.x, want.x) and got.x.dtype == want.x.dtype
+    assert np.array_equal(got.last_pos, want.last_pos)
+    assert [run[:2] for run in got.edges] == [run[:2] for run in want.edges]
+    for (_, _, src, dst), (_, _, want_src, want_dst) in zip(got.edges, want.edges):
+        assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -4,13 +4,18 @@ Each oracle recomputes a quantity the program produces in batched or
 edge-list form, by the direct (dense or one-at-a-time) route, so tests can
 compare the two.
 """
+import dataclasses
 import math
 from collections import deque
 
 import numpy as np
 
 import fcw.autodiff as ad
+import fcw.cqr as cq
+import fcw.drta as dr
+import fcw.metrics as me
 import fcw.model as md
+import fcw.pipeline as pl
 import fcw.scene_graph as sg
 import fcw.temporal as tp
 from fcw.autodiff import ShapeMismatchError, Tensor
@@ -66,6 +71,60 @@ def predict_one(model, window):
     """Raw prediction of a single window through its own forward pass."""
     batch = md.prepare_batch([window], model.config)
     return md.outputs_to_predictions(md.forward_batch(model, batch), batch, model.config)[0]
+
+
+def predict_windows(model, windows):
+    """Raw predictions for every window as one stack over the windows'
+    vehicle rows, in window order, ``md.PREDICT_CHUNK`` windows per forward
+    pass; the per-window route of ``md.predict_episodes``, from
+    ``WindowSample`` objects through ``md.prepare_batch``."""
+    parts = []
+    for start in range(0, len(windows), md.PREDICT_CHUNK):
+        batch = md.prepare_batch(windows[start : start + md.PREDICT_CHUNK], model.config)
+        parts.append(md._stacked_prediction(md.forward_batch(model, batch), batch, model.config))
+    empty = np.zeros((0, model.config.t_pred, 2))
+    point, lower, upper = (
+        np.concatenate([getattr(p, key) for p in parts] or [empty]) for key in ("point", "lower", "upper")
+    )
+    return md.PredictionBatch(point=point, lower=lower, upper=upper)
+
+
+def warn_episode(model, corr, episode, weights, fixed_threshold=None, no_cqr=False):
+    """``pipeline.warn_episode`` with one ``WindowSample`` per tick through
+    ``predict_windows``."""
+    cfg = model.config
+    states = episode.frames
+    ticks = np.arange(cfg.t_obs - 1, len(states))
+    edges = sg.frame_edge_lists(states[:, :, 0:2], cfg.radius)
+    windows = [
+        md.window_from_states(states[lo : lo + cfg.t_obs], cfg, edges=edges[lo : lo + cfg.t_obs])
+        for lo in range(len(ticks))
+    ]
+    pred = cq.apply_correction(predict_windows(model, windows), None if no_cqr else corr)
+    inputs = dr.risk_inputs_per_tick(pred, states[cfg.t_obs - 1 :], episode.curvature, episode.dt, cfg.collision_radius)
+    if no_cqr:
+        inputs = dataclasses.replace(inputs, sigma_pred=np.zeros(len(ticks)))
+    events = dr.replay_ticks(inputs, ticks * episode.dt, weights, fixed_threshold)
+    return pl.EpisodeEvents(episode_id=episode.episode_id, events=events)
+
+
+def prediction_metrics(model, windows, config, corr=None):
+    """``pipeline.prediction_metrics`` of a model over ``WindowSample``
+    windows through ``predict_windows``."""
+    truth = np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows])
+    pred = predict_windows(model, windows)
+    out = {
+        "ade": me.ade(pred.point, truth),
+        "fde": me.fde(pred.point, truth),
+        "collision_rate": me.collision_rate(
+            np.split(pred.point, np.cumsum([w.n for w in windows])[:-1]), config.collision_radius / 2.0
+        ),
+    }
+    if corr is not None:
+        out["raw_coverage"], _ = cq.empirical_coverage(pred.lower, pred.upper, truth)
+        lower, upper = cq.conformal_interval(pred.lower, pred.upper, corr)
+        out["coverage"], out["mean_width"] = cq.empirical_coverage(lower, upper, truth)
+    return out
 
 
 def risk_total(inp, w):

@@ -62,8 +62,8 @@ def c3_bundle():
     t0 = time.perf_counter()
     model, _ = md.train(splits.train, config, seed=0, epochs=50, batch_size=32, base_lr=1e-2)
     train_seconds = time.perf_counter() - t0
-    full = pl.prediction_metrics(model, splits.test, config)
-    cv = pl.prediction_metrics(None, splits.test, config, baseline="cv")
+    full = pl.prediction_metrics(model, splits.test_episodes, config)
+    cv = pl.prediction_metrics(None, splits.test_episodes, config, baseline="cv")
     return {
         "config": config,
         "splits": splits,
@@ -85,7 +85,7 @@ def _train_ablation(bundle, epochs=50, **flags):
 def _ablation_report(model, config, bundle, fixed_threshold=None, no_cqr=False):
     """Full pipeline for one switch: calibrate, replay, evaluate."""
     splits = bundle["splits"]
-    corr = cq.calibrate(*cq.raw_intervals(model, splits.cal), config.alpha)
+    corr = cq.calibrate(*cq.raw_intervals(model, splits.cal_episodes), config.alpha)
     test_eps = splits.test_episodes[:2]
     events = [
         pl.warn_episode(
@@ -94,7 +94,7 @@ def _ablation_report(model, config, bundle, fixed_threshold=None, no_cqr=False):
         for ep in test_eps
     ]
     outcomes = pl.outcomes_from_events(test_eps, events, config.t_obs)
-    prediction = pl.prediction_metrics(model, splits.test, config, corr=corr)
+    prediction = pl.prediction_metrics(model, splits.test_episodes, config, corr=corr)
     return pl.build_report(prediction, outcomes)
 
 
@@ -188,7 +188,7 @@ def test_criterion_4_cv_learnability(capfd):
     config = md.desk_config(pinball_weight=0.0, collision_weight=0.0, gru_hidden=64)
     splits = sc.make_dataset(episodes, config, split_seed=0)
     model, _ = md.train(splits.train, config, seed=0, epochs=50, batch_size=16, base_lr=5e-3)
-    ade = pl.prediction_metrics(model, splits.test, config)["ade"]
+    ade = pl.prediction_metrics(model, splits.test_episodes, config)["ade"]
     report(capfd, 4, ade < 0.05, f"trained test ADE {ade:.4f} m (< 0.05 m)")
 
 
@@ -356,8 +356,8 @@ def test_criterion_8_ablations(capfd, c3_bundle):
     # model-stage switches: trained on the criterion-3 dataset
     no_sam_model, no_sam_cfg = _train_ablation(c3_bundle, no_sam=True)
     no_tam_model, no_tam_cfg = _train_ablation(c3_bundle, no_tam=True)
-    ade_no_sam = pl.prediction_metrics(no_sam_model, c3_bundle["splits"].test, no_sam_cfg)["ade"]
-    ade_no_tam = pl.prediction_metrics(no_tam_model, c3_bundle["splits"].test, no_tam_cfg)["ade"]
+    ade_no_sam = pl.prediction_metrics(no_sam_model, c3_bundle["splits"].test_episodes, no_sam_cfg)["ade"]
+    ade_no_tam = pl.prediction_metrics(no_tam_model, c3_bundle["splits"].test_episodes, no_tam_cfg)["ade"]
 
     results["no_sam"] = _ablation_report(no_sam_model, no_sam_cfg, c3_bundle)
     results["no_tam"] = _ablation_report(no_tam_model, no_tam_cfg, c3_bundle)

@@ -4,6 +4,8 @@ import pytest
 
 import fcw.cli as cli
 
+import oracles
+
 TEST_CFG = """\
 # desk-scale settings for the command-flow tests
 model.d_h = 8
@@ -184,12 +186,13 @@ def test_calibrate_one_pass_matches_prediction_metrics(tmp_path, cfg_file, capsy
 
     model, model_cfg = cli._load_model(str(ckpt))
     episodes = sc.load_dataset(data / "trajectories.csv", data / "labels.csv")
-    cal = sc.make_dataset(episodes, model_cfg, split_seed=cli.parse_config_file(cfg_file).data.split_seed).cal
+    splits = sc.make_dataset(episodes, model_cfg, split_seed=cli.parse_config_file(cfg_file).data.split_seed)
+    cal = splits.cal
     assert len(cal) > chunk
     assert len(rows_per_call) == -(-len(cal) // chunk)  # one pass per chunk, not two per window
     assert sum(rows_per_call) == len(cal)
 
-    stats = pl.prediction_metrics(model, cal, model_cfg, corr=cq.load_correction(calib))
+    stats = pl.prediction_metrics(model, splits.cal_episodes, model_cfg, corr=cq.load_correction(calib))
     assert (
         f"raw coverage={stats['raw_coverage']:.3f}  calibrated coverage={stats['coverage']:.3f}  "
         f"mean width={stats['mean_width']:.3f} m"
@@ -215,7 +218,9 @@ def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_f
                 "--checkpoint", str(ckpt), "--calibration", str(calib), "--out", str(report)]) == 0
     capsys.readouterr()
 
-    # the same artifacts written from make_dataset, which windows every split
+    # the same artifacts written from make_dataset's windows, which every
+    # split builds as WindowSample objects, and the per-window prediction
+    # route of tests/oracles.py; the commands build batches from episode arrays
     cfg = cli.parse_config_file(cfg_file)
     traj, labels = data / "trajectories.csv", data / "labels.csv"
     splits = sc.make_dataset(sc.load_dataset(traj, labels), cfg.model, split_seed=cfg.data.split_seed)
@@ -229,19 +234,17 @@ def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_f
 
     model, model_cfg = cli._load_model(str(ckpt))
     model_cfg.alpha = 0.2
-    lower, upper, targets = cq.raw_intervals(model, splits.cal)
-    corr = cq.calibrate(lower, upper, targets, model_cfg.alpha)
+    pred = oracles.predict_windows(model, splits.cal)
+    targets = np.concatenate([w.target_abs.transpose(1, 0, 2) for w in splits.cal])
+    corr = cq.calibrate(pred.lower, pred.upper, targets, model_cfg.alpha)
     cq.save_correction(ref / "calib.json", corr, checkpoint_sha256(ckpt))
     assert (ref / "calib.json").read_bytes() == calib.read_bytes()
 
-    replayed = [
-        pl.warn_episode(model, corr, ep, cfg.risk)
-        for ep in splits.test_episodes
-    ]
+    replayed = [oracles.warn_episode(model, corr, ep, cfg.risk) for ep in splits.test_episodes]
     pl.save_events(ref / "events.csv", replayed)
     assert (ref / "events.csv").read_bytes() == events.read_bytes()
 
-    prediction = pl.prediction_metrics(model, splits.test, model_cfg, corr=corr)
+    prediction = oracles.prediction_metrics(model, splits.test, model_cfg, corr=corr)
     outcomes = pl.outcomes_from_events(splits.test_episodes, replayed, model_cfg.t_obs)
     assert pl.build_report(prediction, outcomes).to_text() == report.read_text()
 
@@ -628,3 +631,67 @@ def test_risk_settings_are_checked_at_load(tmp_path, capsys, setting, flags, nee
     argv = ["warn", "--config", str(cfg), "--checkpoint", str(tmp_path / "none.ckpt"),
             "--data", str(tmp_path / "none"), "--out", str(tmp_path / "events.csv"), *flags]
     assert_clean_error(argv, capsys, needle)
+
+
+# ---------------------------------------------------------------------------
+# config values
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "setting, needle",
+    [
+        ("model.no_sam = treu", "model.no_sam: expected one of 1/true/yes/on/0/false/no/off, got 'treu'"),
+        ("model.radius = -5", "radius must be finite and positive, got -5.0"),
+        ("model.dt = nan", "dt must be finite and positive, got nan"),
+        ("model.input_scale = inf", "input_scale must be finite and positive, got inf"),
+        ("model.collision_radius = -1", "collision_radius must be finite and positive, got -1.0"),
+        ("model.pinball_weight = nan", "pinball_weight must be finite and nonnegative, got nan"),
+        ("model.collision_weight = -0.1", "collision_weight must be finite and nonnegative, got -0.1"),
+        ("train.lr = -0.1", "lr must be finite and positive, got -0.1"),
+        ("train.lr = nan", "lr must be finite and positive, got nan"),
+        ("train.epochs = 0", "epochs must be >= 1, got 0"),
+        ("train.batch_size = 0", "batch_size must be >= 1, got 0"),
+        ("data.duration = -1", "duration must be finite and positive, got -1.0"),
+        ("data.dt = 0", "dt must be finite and positive, got 0.0"),
+        ("data.episodes_per_family = 0", "episodes_per_family must be >= 1, got 0"),
+    ],
+)
+def test_config_values_are_validated(tmp_path, capsys, setting, needle):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TEST_CFG + setting + "\n")
+    assert_clean_error(["gen", "--config", str(cfg), "--out", str(tmp_path / "data")], capsys, needle)
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("word, value", [("1", True), ("Yes", True), ("on", True), ("0", False), ("FALSE", False), ("off", False)])
+def test_config_bool_words(tmp_path, word, value):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(f"model.no_collision_loss = {word}\n")
+    assert cli.parse_config_file(cfg).model.no_collision_loss is value
+
+
+@pytest.mark.parametrize("command", ["calibrate", "eval"])
+def test_episode_shorter_than_a_window_with_its_future_is_clean_error(tmp_path, cfg_file, capsys, artifacts, command):
+    # the model was trained on 3 s episodes; these last 0.5 s, fewer than t_obs + t_pred = 7 frames
+    _, ckpt, calib = artifacts
+    short_cfg, short = tmp_path / "short.cfg", tmp_path / "short"
+    short_cfg.write_text(TEST_CFG.replace("data.duration = 3.0", "data.duration = 0.5"))
+    assert run(["gen", "--config", str(short_cfg), "--out", str(short)]) == 0
+    argv = [command, "--config", str(short_cfg), "--checkpoint", str(ckpt), "--data", str(short)]
+    if command == "calibrate":
+        argv += ["--out", str(tmp_path / "c.json")]
+    else:
+        argv += ["--calibration", str(calib), "--out", str(tmp_path / "report.txt")]
+    assert_clean_error(argv, capsys, "frames, needs >= 7")
+
+
+def test_empty_test_split_is_clean_error(tmp_path, cfg_file, capsys):
+    # two episodes only: the splitter keeps everything in train, so eval has no window to score
+    few = tmp_path / "few.cfg"
+    few.write_text(TEST_CFG.replace("data.episodes_per_family = 3", "data.episodes_per_family = 1"))
+    data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+    assert run(["gen", "--config", str(few), "--out", str(data)]) == 0
+    assert run(["train", "--config", str(few), "--data", str(data), "--out", str(ckpt)]) == 0
+    for extra in (["--checkpoint", str(ckpt)], ["--baseline", "cv"]):
+        assert_clean_error(["eval", "--config", str(few), "--data", str(data), *extra], capsys, "at least one episode")

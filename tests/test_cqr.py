@@ -1,4 +1,6 @@
 """Split-conformal calibration: score oracles, finite-sample coverage."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 
 import fcw.cqr as cq
 import fcw.model as md
+import fcw.scenario as sc
 
 from conftest import tiny_config
-from test_model import episode_windows
 
 import oracles
 
@@ -150,9 +152,11 @@ def test_coverage_exact_oracle_discrete():
 def test_calibrate_raw_intervals_shapes_and_apply():
     cfg = tiny_config()
     model = md.init_model(cfg, seed=0)
-    windows = episode_windows(cfg, n_vehicles=2, seed=70, count=6)
-    lower, upper, targets = cq.raw_intervals(model, windows)
+    episodes = sc.cv_episodes(2, n_vehicles=2, duration=1.0, seed=70)
+    windows = sc.dataset_windows(episodes, cfg)
+    lower, upper, targets = cq.raw_intervals(model, episodes)
     assert lower.shape == upper.shape == targets.shape == (sum(w.n for w in windows), cfg.t_pred, 2)
+    assert np.array_equal(targets, np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows]))
     corr = cq.calibrate(lower, upper, targets, alpha=0.2)
     assert corr.q.shape == (cfg.t_pred, 2)
     assert corr.n_cal == sum(w.n for w in windows)
@@ -175,12 +179,14 @@ def test_apply_correction_none_orders_bounds():
 
 
 def test_raw_intervals_require_targets():
+    # an episode too short for one window with its T' future frames
     cfg = tiny_config()
     model = md.init_model(cfg, seed=0)
-    w = episode_windows(cfg, n_vehicles=2, seed=71, count=1)[0]
-    w.target_abs = None
-    with pytest.raises(ValueError):
-        cq.raw_intervals(model, [w])
+    ep = sc.cv_episodes(1, n_vehicles=2, duration=1.0, seed=71)[0]
+    span = cfg.t_obs + cfg.t_pred
+    short = dataclasses.replace(ep, frames=ep.frames[: span - 1], times=ep.times[: span - 1])
+    with pytest.raises(ValueError, match=f"has {span - 1} frames, needs >= {span}"):
+        cq.raw_intervals(model, [ep, short])
 
 
 def test_correction_file_roundtrip(tmp_path):

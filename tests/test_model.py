@@ -10,7 +10,7 @@ from fcw.checkpoint import load_checkpoint, save_checkpoint
 from fcw.optim import ParameterStore, grad_check
 from fcw.scene_graph import SceneFrame, WorkCounter
 
-from conftest import assert_matches_oracle, labelled_window, random_frames, tiny_config
+from conftest import assert_batches_equal, assert_matches_oracle, labelled_window, random_frames, tiny_config
 
 import oracles
 
@@ -25,8 +25,13 @@ def episode_windows(config, n_vehicles=2, seed=0, count=3):
     return windows
 
 
+def one_window(frames, config):
+    """The piece of the one window that ``frames`` make."""
+    return (md.episode_graphs(np.stack([f.vehicles for f in frames]), config.radius), 0, 1)
+
+
 def predict_frames(model, frames):
-    return md.predict_windows(model, [md.make_window(frames, model.config)])
+    return md.predict_episodes(model, [one_window(frames, model.config)])
 
 
 def translate_frames(frames, dx, dy):
@@ -236,28 +241,88 @@ def test_no_tam_lays_out_and_attends_over_the_last_frame_only():
     )
 
 
-def test_predict_windows_matches_per_window_loop():
+def test_predict_episodes_matches_per_window_loop():
     cfg = tiny_config()
     model = md.init_model(cfg, seed=11)
     counts = [1, 2, 3, 5]
-    windows = [
-        episode_windows(cfg, n_vehicles=counts[k % len(counts)], seed=100 + k, count=1)[0]
-        for k in range(md.PREDICT_CHUNK + 6)
-    ]
-    stack = md.predict_windows(model, windows)
-    rows = sum(w.n for w in windows)
+    frames = [random_frames(counts[k % len(counts)], cfg.t_obs, seed=100 + k) for k in range(md.PREDICT_CHUNK + 6)]
+    stack = md.predict_episodes(model, [one_window(f, cfg) for f in frames])
+    rows = sum(f[0].n for f in frames)
     for key in ("point", "lower", "upper"):
         assert getattr(stack, key).shape == (rows, cfg.t_pred, 2)
     start = 0
-    for w in windows:
-        solo = oracles.predict_one(model, w)
+    for f in frames:
+        solo = oracles.predict_one(model, md.make_window(f, cfg))
         for key in ("point", "lower", "upper"):
-            got = getattr(stack, key)[start : start + w.n]
+            got = getattr(stack, key)[start : start + f[0].n]
             assert np.allclose(got, getattr(solo, key), rtol=0.0, atol=1e-12)
-        start += w.n
-    empty = md.predict_windows(model, [])
+        start += f[0].n
+    graphs = one_window(frames[0], cfg)[0]
+    for pieces in ([], [(graphs, 0, 0)]):
+        empty = md.predict_episodes(model, pieces)
+        for key in ("point", "lower", "upper"):
+            assert getattr(empty, key).shape == (0, cfg.t_pred, 2)
+
+
+def episode_states(n, count, seed, spread):
+    return np.stack([f.vehicles for f in random_frames(n, count, seed=seed, spread=spread)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 40), st.integers(0, 6), st.sampled_from([5.0, 20.0, 60.0])),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+    st.sampled_from([0, 40, 400, 2**15]),
+    st.integers(1, 9),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_episode_batch_matches_the_per_window_path(episodes, no_tam, budget, chunk, seed, data):
+    cfg = tiny_config(no_tam=no_tam)
+    model = md.init_model(cfg, seed=seed % 5)
+    pieces = []
+    for k, (n, extra, spread) in enumerate(episodes):
+        states = episode_states(n, cfg.t_obs + extra, seed + k, spread)
+        graphs = md.episode_graphs(states, cfg.radius)
+        windows = extra + 1
+        lo = data.draw(st.integers(0, windows))
+        hi = data.draw(st.integers(lo, windows))
+        # a piece may be empty, and the same episode may come back in a later piece
+        pieces += [(graphs, lo, hi), (graphs, 0, data.draw(st.integers(0, windows)))]
+    windows = [
+        md.window_from_states(g.states[s : s + cfg.t_obs], cfg) for g, lo, hi in pieces for s in range(lo, hi)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(md, "GAT_EDGE_BUDGET", budget)
+        mp.setattr(md, "PREDICT_CHUNK", chunk)
+        if windows:
+            got, want = md.episode_batch(pieces, cfg), md.prepare_batch(windows, cfg)
+            assert_batches_equal(got, want)
+            assert got.target_disp is None and len(got.pair_i) == len(got.pair_j) == 0
+        stack, ref = md.predict_episodes(model, pieces), oracles.predict_windows(model, windows)
     for key in ("point", "lower", "upper"):
-        assert getattr(empty, key).shape == (0, cfg.t_pred, 2)
+        assert np.array_equal(getattr(stack, key), getattr(ref, key)), key
+
+
+def test_episode_targets_are_the_windows_futures():
+    cfg = tiny_config()
+    graphs = md.episode_graphs(episode_states(3, cfg.t_obs + cfg.t_pred + 4, 5, 20.0), cfg.radius)
+    pieces = [(graphs, 1, 4), (graphs, 0, 5)]
+    want = np.concatenate(
+        [
+            graphs.states[s + cfg.t_obs : s + cfg.t_obs + cfg.t_pred, :, 0:2].transpose(1, 0, 2)
+            for _, lo, hi in pieces
+            for s in range(lo, hi)
+        ]
+    )
+    assert np.array_equal(md.episode_targets(pieces, cfg), want)
+    assert md.episode_targets([], cfg).shape == (0, cfg.t_pred, 2)
+    with pytest.raises(ValueError, match="ground-truth futures"):
+        md.episode_targets([(graphs, 0, 6)], cfg)
 
 
 def prepare_with_budget(windows, cfg, budget):
@@ -534,9 +599,9 @@ def test_checkpoint_rebuild_predicts_identically(tmp_path):
     save_checkpoint(path, model.params, cfg.to_dict())
     store, cfg_dict = load_checkpoint(path)
     rebuilt = md.rebuild_model(md.HstanConfig.from_dict(cfg_dict), store)
-    probe = episode_windows(cfg, n_vehicles=3, seed=55, count=1)[0]
-    a = md.predict_windows(model, [probe])
-    b = md.predict_windows(rebuilt, [probe])
+    probe = [one_window(random_frames(3, cfg.t_obs, seed=55), cfg)]
+    a = md.predict_episodes(model, probe)
+    b = md.predict_episodes(rebuilt, probe)
     assert np.array_equal(a.point, b.point)
     assert np.array_equal(a.lower, b.lower)
     assert np.array_equal(a.upper, b.upper)

@@ -10,7 +10,7 @@ import fcw.scenario as sc
 from fcw.drta import RiskWeights
 from fcw.scene_graph import check_vehicle_states
 
-from conftest import scene_frames, tiny_config
+from conftest import assert_batches_equal, scene_frames, tiny_config
 
 import oracles
 
@@ -28,8 +28,7 @@ def small_model(**cfg_overrides):
 def test_cv_baseline_metrics_near_zero_on_cv_data():
     cfg = tiny_config()
     eps = sc.cv_episodes(4, n_vehicles=2, duration=2.0, seed=0)
-    windows = [w for ep in eps for w in sc.episode_windows(ep, cfg)]
-    stats = pl.prediction_metrics(None, windows, cfg, baseline="cv")
+    stats = pl.prediction_metrics(None, eps, cfg, baseline="cv")
     assert stats["ade"] < 1e-9
     assert stats["fde"] < 1e-9
 
@@ -45,7 +44,7 @@ def test_cv_baseline_metrics_match_extrapolation_from_the_episode():
         steps = np.arange(1, cfg.t_pred + 1)[:, None, None]
         guess = ep.frames[tick, :, 0:2] + ep.frames[tick, :, 2:4] * (steps * cfg.dt)
         errors.append(np.hypot(*(guess - ep.frames[tick + 1 : tick + 1 + cfg.t_pred, :, 0:2]).T))
-    stats = pl.prediction_metrics(None, windows, cfg, baseline="cv")
+    stats = pl.prediction_metrics(None, [ep], cfg, baseline="cv")
     assert stats["ade"] == pytest.approx(np.mean(errors), rel=1e-12)
     assert stats["fde"] == pytest.approx(np.mean([e[:, -1] for e in errors]), rel=1e-12)
 
@@ -53,14 +52,28 @@ def test_cv_baseline_metrics_match_extrapolation_from_the_episode():
 def test_prediction_metrics_with_correction_reports_coverage():
     model, cfg = small_model()
     eps = sc.cv_episodes(3, n_vehicles=2, duration=2.0, seed=1)
-    windows = [w for ep in eps for w in sc.episode_windows(ep, cfg)]
     import fcw.cqr as cq
 
-    corr = cq.calibrate(*cq.raw_intervals(model, windows), alpha=0.2)
-    stats = pl.prediction_metrics(model, windows, cfg, corr=corr)
+    corr = cq.calibrate(*cq.raw_intervals(model, eps), alpha=0.2)
+    stats = pl.prediction_metrics(model, eps, cfg, corr=corr)
     assert 0.0 <= stats["raw_coverage"] <= 1.0
     assert stats["coverage"] >= 0.8 - 0.1  # in-sample, conformal level 0.8
     assert stats["mean_width"] >= 0.0
+    # the per-window route, through WindowSample objects, gives the same figures
+    windows = [w for ep in eps for w in sc.episode_windows(ep, cfg)]
+    assert stats == oracles.prediction_metrics(model, windows, cfg, corr=corr)
+
+
+def test_prediction_metrics_need_episodes_with_a_full_window():
+    model, cfg = small_model()
+    ep = sc.cv_episodes(1, n_vehicles=2, duration=2.0, seed=1)[0]
+    span = cfg.t_obs + cfg.t_pred
+    short = dataclasses.replace(ep, frames=ep.frames[: span - 1], times=ep.times[: span - 1])
+    for m, baseline in ((model, None), (None, "cv")):
+        with pytest.raises(ValueError, match=f"has {span - 1} frames, needs >= {span}"):
+            pl.prediction_metrics(m, [ep, short], cfg, baseline=baseline)
+        with pytest.raises(ValueError, match="at least one episode"):
+            pl.prediction_metrics(m, [], cfg, baseline=baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +141,39 @@ def test_warn_episode_reuses_one_graph_build(monkeypatch):
     model, cfg = small_model(radius=25.15)
     ep = sc.gen_scenario(sc.ScenarioSpec(family="congested_traffic", duration=2.0, seed=1), 1)
     calls, seen = [], []
-    real_edges, real_predict = sg.edges_from_positions, pl.predict_windows
+    real_edges, real_predict = sg.edges_from_positions, pl.predict_episodes
 
     def counting(positions, radius):
         calls.append(positions.shape)
         return real_edges(positions, radius)
 
-    def capturing(model, windows):
-        seen.extend(windows)
-        return real_predict(model, windows)
+    def capturing(model, pieces):
+        seen.extend(pieces)
+        return real_predict(model, pieces)
 
     monkeypatch.setattr(sg, "edges_from_positions", counting)
-    monkeypatch.setattr(pl, "predict_windows", capturing)
+    monkeypatch.setattr(pl, "predict_episodes", capturing)
     pl.warn_episode(model, None, ep, RiskWeights())
     assert calls == [(len(ep.frames), ep.n, 2)]  # one stacked call for the whole episode
     monkeypatch.undo()
-    assert len(seen) == len(ep.frames) - cfg.t_obs + 1
-    for tick, w in enumerate(seen, start=cfg.t_obs - 1):
-        fresh = md.make_window(scene_frames(ep)[tick - cfg.t_obs + 1 : tick + 1], cfg)
-        assert np.array_equal(w.features, fresh.features) and np.array_equal(w.last_pos, fresh.last_pos)
-        for (src, dst), (want_src, want_dst) in zip(w.edge_lists, fresh.edge_lists, strict=True):
-            assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+    assert [(lo, hi) for _, lo, hi in seen] == [(0, len(ep.frames) - cfg.t_obs + 1)]
+    # the batch laid out from the episode array is the one of the per-tick windows
+    got = md.episode_batch(seen, cfg)
+    fresh = [
+        md.make_window(scene_frames(ep)[tick - cfg.t_obs + 1 : tick + 1], cfg)
+        for tick in range(cfg.t_obs - 1, len(ep.frames))
+    ]
+    assert_batches_equal(got, md.prepare_batch(fresh, cfg))
+
+
+def test_episode_shorter_than_the_window_replays_to_no_events():
+    model, cfg = small_model()
+    ep = sc.gen_scenario(sc.ScenarioSpec(family="cut_in", duration=3.0, seed=3), 7)
+    for frames in (1, cfg.t_obs - 1):
+        short = dataclasses.replace(ep, frames=ep.frames[:frames], times=ep.times[:frames])
+        assert pl.warn_episode(model, None, short, RiskWeights()).events == []
+    one = dataclasses.replace(ep, frames=ep.frames[: cfg.t_obs], times=ep.times[: cfg.t_obs])
+    assert [e.tick for e in pl.warn_episode(model, None, one, RiskWeights()).events] == [0]
 
 
 def test_no_cqr_zeroes_uncertainty():

@@ -103,6 +103,8 @@ def test_warn_episode_matches_per_tick_loop(no_cqr):
         ep,
         dataclasses.replace(ep, frames=ep.frames[:, :1]),  # the ego alone: no threats
         dataclasses.replace(ep, frames=ep.frames[:short], times=ep.times[:short]),  # no tick to replay
+        dataclasses.replace(ep, frames=ep.frames[:1], times=ep.times[:1]),
+        dataclasses.replace(ep, frames=ep.frames[: cfg.t_obs], times=ep.times[: cfg.t_obs]),  # one tick
     ]
     corr = cq.ConformalCorrection(q=np.full((cfg.t_pred, 2), 0.5), alpha=0.1, n_cal=10)
     weights = RiskWeights(lam=1.5, window_size=20)
@@ -164,16 +166,6 @@ def test_warn_episode_reuses_one_graph_build(monkeypatch):
         for tick in range(cfg.t_obs - 1, len(ep.frames))
     ]
     assert_batches_equal(got, md.prepare_batch(fresh, cfg))
-
-
-def test_episode_shorter_than_the_window_replays_to_no_events():
-    model, cfg = small_model()
-    ep = sc.gen_scenario(sc.ScenarioSpec(family="cut_in", duration=3.0, seed=3), 7)
-    for frames in (1, cfg.t_obs - 1):
-        short = dataclasses.replace(ep, frames=ep.frames[:frames], times=ep.times[:frames])
-        assert pl.warn_episode(model, None, short, RiskWeights()).events == []
-    one = dataclasses.replace(ep, frames=ep.frames[: cfg.t_obs], times=ep.times[: cfg.t_obs])
-    assert [e.tick for e in pl.warn_episode(model, None, one, RiskWeights()).events] == [0]
 
 
 def test_no_cqr_zeroes_uncertainty():

@@ -94,7 +94,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"linear: input {x.shape} vs weight {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ShapeMismatchError(f"linear: bias {b.shape} vs weight {w.shape}")
-    out = Tensor(x.data @ w.data + b.data, parents=(x, w, b))
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y, parents=(x, w, b))
 
     def backward(g):
         if x.requires_grad:
@@ -127,8 +129,11 @@ def elu_and_derivative(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     both equal the two-branch form bit for bit, signed zeros and infinities
     included.
     """
-    e = np.exp(np.minimum(z, 0.0))
-    return np.maximum(z, 0.0) + (e - 1.0), e
+    e = np.minimum(z, 0.0)
+    np.exp(e, out=e)
+    value = np.subtract(e, 1.0)
+    value += np.maximum(z, 0.0)
+    return value, e
 
 
 def elu(x: Tensor) -> Tensor:

@@ -7,6 +7,7 @@ are deterministic given (config, seed), except wall-clock fields in bench.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -320,7 +321,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fcw`` argument parser, built once per process: ``parse_args``
+    fills a fresh namespace on every call, so calls share no state."""
     parser = argparse.ArgumentParser(prog="fcw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -362,12 +362,14 @@ def _window_count(episode: Episode, config: HstanConfig) -> int:
 
 
 def episode_windows(episode: Episode, config: HstanConfig, stride: int = 1) -> list[WindowSample]:
-    """Sliding windows of one episode; every frame's radius graph is built
-    once, in one stacked call, and each window takes its slice."""
+    """Sliding windows of one episode; the radius graph of every frame a
+    window observes is built once, in one stacked call, and each window
+    takes its slice. An episode too short for one window raises before any
+    graph is built."""
     states = episode.frames
     span = config.t_obs + config.t_pred
     count = _window_count(episode, config)
-    edges = frame_edge_lists(states[:, :, 0:2], config.radius)
+    edges = frame_edge_lists(states[: count + config.t_obs - 1, :, 0:2], config.radius)
     return [
         window_from_states(
             states[start : start + config.t_obs],

@@ -6,6 +6,7 @@ that measurable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +99,26 @@ def _radius_pairs(points: np.ndarray, group: np.ndarray, radius: float) -> tuple
     count = np.maximum(ends - first - 1, 0)
     a = np.repeat(first, count)
     run_start = np.repeat(np.cumsum(count) - count, count)
-    b = a + 1 + np.arange(len(a)) - run_start
-    i, j = rows[order[a]], rows[order[b]]
-    diff = points[i] - points[j]
-    keep = (group[i] == group[j]) & (np.sqrt((diff**2).sum(axis=1)) < radius)
-    return i[keep], j[keep]
+    b = np.arange(len(a))
+    b -= run_start
+    b += a
+    b += 1
+    # the distance test on 1-D columns in sweep order: dx*dx + dy*dy is
+    # exactly the row sum of the squared difference
+    ranked = rows[order]
+    xs, ys = points[ranked, 0], points[ranked, 1]
+    dist = xs[a]
+    dist -= xs[b]
+    dist *= dist
+    dy = ys[a]
+    dy -= ys[b]
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
+    ranked_group = group[ranked]
+    keep = ranked_group[a] == ranked_group[b]
+    keep &= dist < radius
+    return ranked[a[keep]], ranked[b[keep]]
 
 
 def edges_from_positions(positions: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +135,13 @@ def edges_from_positions(positions: np.ndarray, radius: float) -> tuple[np.ndarr
     points = positions.reshape(-1, 2)
     rows = np.arange(len(points))
     i, j = _radius_pairs(points, rows // max(n, 1), radius)
-    total = len(points)
-    code = np.concatenate([i * total + j, j * total + i, rows * (total + 1)])
+    total, m = len(points), len(i)
+    code = np.empty(2 * m + total, dtype=np.intp)  # dst * total + src of every edge
+    np.multiply(i, total, out=code[:m])
+    code[:m] += j
+    np.multiply(j, total, out=code[m : 2 * m])
+    code[m : 2 * m] += i
+    np.multiply(rows, total + 1, out=code[2 * m :])
     code.sort()
     dst, src = np.divmod(code, max(total, 1))
     return src, dst
@@ -191,8 +212,10 @@ class _Segments:
         if self.bins is None:
             return self._runs(np.add, values, 0.0)
         lead = values.shape[:-1]
-        size = int(np.prod(lead, dtype=np.intp)) * self.n
-        return np.bincount(self.bins[: values.size], weights=values.reshape(-1), minlength=size).reshape(*lead, self.n)
+        size = math.prod(lead) * self.n
+        sums = np.bincount(self.bins[: values.size], weights=values.reshape(-1), minlength=size)
+        # without edges bincount counts in integers; the sums stay float64
+        return sums.astype(np.float64, copy=False).reshape(*lead, self.n)
 
     def max(self, values: np.ndarray) -> np.ndarray:
         if self.bins is None:
@@ -245,49 +268,75 @@ def gat_layer_edges(
     to_dst = _Segments(dst, n, sparse, d_out)
     w, a = layer.w.data, layer.a.data
     wh = h.data @ w  # (n, K*d_out), head i in columns [i*d_out, (i+1)*d_out)
+    wh_t = wh.T.copy()  # head i's messages gather from the contiguous rows [i*d_out, (i+1)*d_out)
     # first half of each attention vector pairs with the destination node
     a_dst, a_src = a[:, :d_out], a[:, d_out:]
-    alphas, zs, aggs = [], [], []
+    alphas, zs = [], []
+    concat = layer.combine == "concat"
+    pre = np.empty((n, k * d_out)) if concat else None
+    msgs = np.empty((d_out, len(src)))  # one message buffer for every head
     for i in range(k):
-        whi = wh[:, i * d_out : (i + 1) * d_out]
-        z = (whi @ a_src[i])[src] + (whi @ a_dst[i])[dst]
-        score = np.maximum(z, slope * z)  # LeakyReLU, branch-free for a slope in (0, 1)
-        ex = np.exp(score - to_dst.max(score)[dst])
-        alpha = ex / to_dst.sum(ex)[dst]
+        cols = slice(i * d_out, (i + 1) * d_out)
+        whi = wh[:, cols]
+        z = (whi @ a_src[i])[src]
+        z += (whi @ a_dst[i])[dst]
+        score = np.multiply(z, slope)
+        np.maximum(z, score, out=score)  # LeakyReLU, branch-free for a slope in (0, 1)
+        alpha = to_dst.max(score)[dst]
+        np.subtract(score, alpha, out=alpha)
+        np.exp(alpha, out=alpha)
+        norm = to_dst.sum(alpha)[dst]
+        np.divide(alpha, norm, out=alpha)
         alphas.append(alpha)
         zs.append(z)
-        msgs = np.take(whi.T, src, axis=1)  # (d_out, E)
+        # src was bounds-checked by the score gather above, so "wrap" is exact
+        np.take(wh_t[cols], src, axis=1, out=msgs, mode="wrap")
         msgs *= alpha
-        aggs.append(to_dst.sum(msgs).T)
-    if layer.combine == "concat":
-        pre = np.concatenate(aggs, axis=1)
-    else:
-        pre = aggs[0]
-        for agg in aggs[1:]:
-            pre = pre + agg
-        pre = pre * (1.0 / k)
+        agg = to_dst.sum(msgs).T
+        if concat:
+            pre[:, cols] = agg
+        elif i == 0:
+            pre = agg
+        else:
+            pre += agg
+    if not concat:
+        pre *= 1.0 / k
     value, d_elu = ad.elu_and_derivative(pre)
     out = Tensor(value, parents=(h, layer.w, layer.a))
 
     def backward(g):
-        g_pre = g * d_elu
+        # (K*d_out, n) for concat, (d_out, n) for average: rows gather contiguously by edge
+        g_pre_t = np.multiply(g.T, d_elu.T, out=np.empty(g.shape[::-1]))
+        if not concat:
+            g_pre_t *= 1.0 / k
+        wh_t = wh.T.copy()
         # messages and source scores scatter onto the source nodes, d_out + 1 rows at once
         to_src = _Segments(src, n, sparse, d_out + 1)
+        stack = np.empty((d_out + 1, len(src)))
+        g_msgs, g_z = stack[:d_out], stack[d_out]
+        msgs = np.empty((d_out, len(src)))
         g_wh = np.empty_like(wh)
         g_a = np.empty_like(a)
+        term = np.empty((n, d_out))
         for i in range(k):
             cols = slice(i * d_out, (i + 1) * d_out)
             whi = wh[:, cols]
-            g_agg = g_pre[:, cols] if layer.combine == "concat" else g_pre * (1.0 / k)
             alpha = alphas[i]
-            g_msgs = np.take(g_agg.T, dst, axis=1)  # (d_out, E)
-            g_alpha = np.einsum("de,de->e", g_msgs, np.take(whi.T, src, axis=1))
+            # edge indices were bounds-checked by the forward's gathers, so "wrap" is exact
+            np.take(g_pre_t[cols] if concat else g_pre_t, dst, axis=1, out=g_msgs, mode="wrap")
+            np.take(wh_t[cols], src, axis=1, out=msgs, mode="wrap")
+            g_alpha = np.einsum("de,de->e", g_msgs, msgs)
             inner = to_dst.sum(alpha * g_alpha)
-            g_z = alpha * (g_alpha - inner[dst]) * np.where(zs[i] > 0.0, 1.0, slope)
+            np.subtract(g_alpha, inner[dst], out=g_z)
+            g_z *= alpha
+            g_z *= np.where(zs[i] > 0.0, 1.0, slope)
             g_s_dst = to_dst.sum(g_z)
             g_msgs *= alpha
-            g_src = to_src.sum(np.vstack([g_msgs, g_z]))
-            g_wh[:, cols] = g_src[:d_out].T + np.outer(g_src[d_out], a_src[i]) + np.outer(g_s_dst, a_dst[i])
+            g_src = to_src.sum(stack)
+            g_whi = g_wh[:, cols]
+            g_whi[...] = g_src[:d_out].T
+            g_whi += np.multiply.outer(g_src[d_out], a_src[i], out=term)
+            g_whi += np.multiply.outer(g_s_dst, a_dst[i], out=term)
             g_a[i, :d_out] = whi.T @ g_s_dst
             g_a[i, d_out:] = whi.T @ g_src[d_out]
         if layer.a.requires_grad:

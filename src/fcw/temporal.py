@@ -48,10 +48,6 @@ class MhaParams:
         return self.w_q.shape[1] // self.heads
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-a))
-
-
 def _gru_layer(x: Tensor, p: GruLayerParams, steps: int) -> Tensor:
     """One GRU layer over a time-major (T*n, D) stack as one node.
 
@@ -61,36 +57,65 @@ def _gru_layer(x: Tensor, p: GruLayerParams, steps: int) -> Tensor:
     hidden = p.u_h.shape[0]
     n = x.shape[0] // steps
     w, u_zr, u_h = p.w.data, p.u_zr.data, p.u_h.data
-    xw = (x.data @ w + p.b.data).reshape(steps, n, 3 * hidden)
+    xw = x.data @ w
+    xw += p.b.data
+    xw = xw.reshape(steps, n, 3 * hidden)
     h_all = np.zeros((steps + 1, n, hidden))  # h_all[t] is the state before step t
     zr = np.empty((steps, n, 2 * hidden))
     cand = np.empty((steps, n, hidden))
+    # Each step writes into these arrays and one scratch, never into a fresh
+    # temporary. The sigmoid's negation is folded into the weights:
+    # h @ (-U) is exactly -(h @ U), and (-m) - xw exactly -(xw + m).
+    neg_u_zr = -u_zr
+    rh = np.empty((n, hidden))
     for t in range(steps):
-        h = h_all[t]
-        zr[t] = _sigmoid(xw[t, :, : 2 * hidden] + h @ u_zr)
-        cand[t] = np.tanh(xw[t, :, 2 * hidden :] + (zr[t, :, hidden:] * h) @ u_h)
-        h_all[t + 1] = h + zr[t, :, :hidden] * (cand[t] - h)
+        h, gates, c, h_next = h_all[t], zr[t], cand[t], h_all[t + 1]
+        np.matmul(h, neg_u_zr, out=gates)
+        gates -= xw[t, :, : 2 * hidden]
+        np.exp(gates, out=gates)
+        gates += 1.0
+        np.divide(1.0, gates, out=gates)
+        np.multiply(gates[:, hidden:], h, out=rh)
+        np.matmul(rh, u_h, out=c)
+        c += xw[t, :, 2 * hidden :]
+        np.tanh(c, out=c)
+        np.subtract(c, h, out=h_next)
+        h_next *= gates[:, :hidden]
+        h_next += h
     out = Tensor(h_all[1:].reshape(steps * n, hidden), parents=(x, *p.tensors()))
 
     def backward(g):
         g = g.reshape(steps, n, hidden)
         h_prev, z, r = h_all[:-1], zr[:, :, :hidden], zr[:, :, hidden:]
-        # per-step factors of the chain rule, for all steps at once
-        keep = 1.0 - z
-        via_cand = z * (1.0 - cand * cand)
-        via_z = (cand - h_prev) * z * keep
-        via_r = h_prev * r * (1.0 - r)
+        # per-step factors of the chain rule, for all steps at once, each
+        # built in place in one array
+        keep = np.subtract(1.0, z)
+        via_cand = cand * cand
+        np.subtract(1.0, via_cand, out=via_cand)
+        via_cand *= z
+        via_z = cand - h_prev
+        via_z *= z
+        via_z *= keep
+        rh = h_prev * r
+        via_r = np.subtract(1.0, r)
+        via_r *= rh
         d_pre = np.empty((steps, n, 3 * hidden))  # gradients of the gate pre-activations
         dh = np.zeros((n, hidden))
+        d_rh, d_zr = np.empty((n, hidden)), np.empty((n, hidden))
         for t in range(steps - 1, -1, -1):
             dh += g[t]
             d_cand = np.multiply(dh, via_cand[t], out=d_pre[t, :, 2 * hidden :])
-            d_rh = d_cand @ u_h.T
+            np.matmul(d_cand, u_h.T, out=d_rh)
             np.multiply(dh, via_z[t], out=d_pre[t, :, :hidden])
             np.multiply(d_rh, via_r[t], out=d_pre[t, :, hidden : 2 * hidden])
-            dh = dh * keep[t] + d_rh * r[t] + d_pre[t, :, : 2 * hidden] @ u_zr.T
+            # dh <- dh * keep + d_rh * r + d_pre[zr] @ U_zr^T, summed in that order
+            dh *= keep[t]
+            d_rh *= r[t]
+            dh += d_rh
+            np.matmul(d_pre[t, :, : 2 * hidden], u_zr.T, out=d_zr)
+            dh += d_zr
         d_flat = d_pre.reshape(steps * n, 3 * hidden)
-        rh = (r * h_prev).reshape(steps * n, hidden)
+        rh = rh.reshape(steps * n, hidden)
         grads = (
             x.data.T @ d_flat,
             h_prev.reshape(steps * n, hidden).T @ d_flat[:, : 2 * hidden],

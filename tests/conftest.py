@@ -95,3 +95,59 @@ def assert_matches_oracle(fused, unfused, store, seed=0, rtol=1e-12):
         assert (got is None) == (want is None), path
         if want is not None:
             assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max()), path
+
+
+def assert_same_bits(got, want, what=""):
+    """Equal shapes, NaN in the same places, and every other entry equal bit
+    for bit (signed zeros included)."""
+    assert got.shape == want.shape, what
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), what
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)), what
+
+
+def _value_and_grads(build, tensors, seed):
+    for t in tensors:
+        t.grad = None
+    out = build()
+    out.backward(seed)
+    return out.data.copy(), [None if t.grad is None else t.grad.copy() for t in tensors]
+
+
+def assert_bit_identical_runs(fused, reference, tensors, seed):
+    """Two zero-argument builders of one node give the same output and, for
+    the output gradient ``seed``, the same gradient of every tensor in
+    ``tensors``, bit for bit."""
+    got, want = _value_and_grads(fused, tensors, seed), _value_and_grads(reference, tensors, seed)
+    assert_same_bits(got[0], want[0], "output")
+    for i, (g, w) in enumerate(zip(got[1], want[1])):
+        assert_same_bits(g, w, f"gradient of tensor {i}")
+
+
+def assert_buffer_safe(build, x1, x2, params, rng):
+    """``build(x)`` run on x1 and then x2, and backpropagated in reverse
+    order, leaves every input and the first output as they were, and gives
+    each input the gradient of its own single run; ``params``, shared by
+    both runs, get the sum of the two single runs' gradients."""
+    tensors = (x1, x2, *params)
+    before = [t.data.copy() for t in tensors]
+    singles = []
+    for x in (x1, x2):
+        out = build(x)
+        seed = rng.standard_normal(out.shape)
+        singles.append((seed, *_value_and_grads(lambda: build(x), tensors, seed)))
+    for t in tensors:
+        t.grad = None
+    out1, out2 = build(x1), build(x2)
+    first = out1.data.copy()
+    assert_same_bits(first, singles[0][1], "first output")
+    out2.backward(singles[1][0])
+    out1.backward(singles[0][0])
+    assert_same_bits(out1.data, first, "first output after the second run")
+    assert_same_bits(out2.data, singles[1][1], "second output")
+    for t, data in zip(tensors, before):
+        assert_same_bits(t.data, data, "input")
+    assert_same_bits(x1.grad, singles[0][2][0], "first input's gradient")
+    assert_same_bits(x2.grad, singles[1][2][1], "second input's gradient")
+    for i, p in enumerate(params, start=2):
+        assert_same_bits(p.grad, singles[1][2][i] + singles[0][2][i], f"gradient of parameter {i - 2}")

@@ -690,3 +690,162 @@ def training_loss(disp, batch, config):
         total = add(total, scale(penalty, cw))
     parts = {"mse": mse.item(), "pinball": pin.item(), "collision": collision_value, "loss": total.item()}
     return total, parts
+
+
+# ---------------------------------------------------------------------------
+# Allocating forms of the hot kernels. Each performs the same float
+# operations on the same operands in the same order as the program's kernel,
+# but makes a fresh temporary per operation, so the program's outputs and
+# gradients must equal these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def elu_and_derivative_allocating(z):
+    """``fcw.autodiff.elu_and_derivative``, one temporary per operation."""
+    e = np.exp(np.minimum(z, 0.0))
+    return np.maximum(z, 0.0) + (e - 1.0), e
+
+
+def gru_layer_allocating(x, p, steps):
+    """``fcw.temporal._gru_layer``, one temporary per operation."""
+    hidden = p.u_h.shape[0]
+    n = x.shape[0] // steps
+    w, u_zr, u_h = p.w.data, p.u_zr.data, p.u_h.data
+    xw = (x.data @ w + p.b.data).reshape(steps, n, 3 * hidden)
+    h_all = np.zeros((steps + 1, n, hidden))
+    zr = np.empty((steps, n, 2 * hidden))
+    cand = np.empty((steps, n, hidden))
+    for t in range(steps):
+        h = h_all[t]
+        zr[t] = 1.0 / (1.0 + np.exp(-(xw[t, :, : 2 * hidden] + h @ u_zr)))
+        cand[t] = np.tanh(xw[t, :, 2 * hidden :] + (zr[t, :, hidden:] * h) @ u_h)
+        h_all[t + 1] = h + zr[t, :, :hidden] * (cand[t] - h)
+    out = Tensor(h_all[1:].reshape(steps * n, hidden), parents=(x, *p.tensors()))
+
+    def backward(g):
+        g = g.reshape(steps, n, hidden)
+        h_prev, z, r = h_all[:-1], zr[:, :, :hidden], zr[:, :, hidden:]
+        keep = 1.0 - z
+        via_cand = z * (1.0 - cand * cand)
+        via_z = (cand - h_prev) * z * keep
+        via_r = h_prev * r * (1.0 - r)
+        d_pre = np.empty((steps, n, 3 * hidden))
+        dh = np.zeros((n, hidden))
+        for t in range(steps - 1, -1, -1):
+            dh += g[t]
+            d_cand = np.multiply(dh, via_cand[t], out=d_pre[t, :, 2 * hidden :])
+            d_rh = d_cand @ u_h.T
+            np.multiply(dh, via_z[t], out=d_pre[t, :, :hidden])
+            np.multiply(d_rh, via_r[t], out=d_pre[t, :, hidden : 2 * hidden])
+            dh = dh * keep[t] + d_rh * r[t] + d_pre[t, :, : 2 * hidden] @ u_zr.T
+        d_flat = d_pre.reshape(steps * n, 3 * hidden)
+        rh = (r * h_prev).reshape(steps * n, hidden)
+        grads = (
+            x.data.T @ d_flat,
+            h_prev.reshape(steps * n, hidden).T @ d_flat[:, : 2 * hidden],
+            rh.T @ d_flat[:, 2 * hidden :],
+            d_flat.sum(axis=0, keepdims=True),
+        )
+        for param, grad in zip(p.tensors(), grads):
+            if param.requires_grad:
+                param._accumulate(grad)
+        if x.requires_grad:
+            x._accumulate(d_flat @ w.T)
+
+    out._backward = backward
+    return out
+
+
+def gat_layer_allocating(h, src, dst, layer):
+    """``fcw.scene_graph.gat_layer_edges``, one temporary per operation and
+    messages gathered from strided column views; its segment sums take the
+    same path as the program's (``fcw.scene_graph.SPARSE_DEGREE``)."""
+    slope = layer.leaky_slope
+    n, k, d_out = h.shape[0], layer.a.shape[0], layer.a.shape[1] // 2
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    sparse = len(src) < sg.SPARSE_DEGREE * n
+    to_dst = sg._Segments(dst, n, sparse, d_out)
+    w, a = layer.w.data, layer.a.data
+    wh = h.data @ w
+    a_dst, a_src = a[:, :d_out], a[:, d_out:]
+    alphas, zs, aggs = [], [], []
+    for i in range(k):
+        whi = wh[:, i * d_out : (i + 1) * d_out]
+        z = (whi @ a_src[i])[src] + (whi @ a_dst[i])[dst]
+        score = np.maximum(z, slope * z)
+        ex = np.exp(score - to_dst.max(score)[dst])
+        alpha = ex / to_dst.sum(ex)[dst]
+        alphas.append(alpha)
+        zs.append(z)
+        msgs = np.take(whi.T, src, axis=1)
+        msgs *= alpha
+        aggs.append(to_dst.sum(msgs).T)
+    if layer.combine == "concat":
+        pre = np.concatenate(aggs, axis=1)
+    else:
+        pre = aggs[0]
+        for agg in aggs[1:]:
+            pre = pre + agg
+        pre = pre * (1.0 / k)
+    value, d_elu = elu_and_derivative_allocating(pre)
+    out = Tensor(value, parents=(h, layer.w, layer.a))
+
+    def backward(g):
+        g_pre = g * d_elu
+        to_src = sg._Segments(src, n, sparse, d_out + 1)
+        g_wh = np.empty_like(wh)
+        g_a = np.empty_like(a)
+        for i in range(k):
+            cols = slice(i * d_out, (i + 1) * d_out)
+            whi = wh[:, cols]
+            g_agg = g_pre[:, cols] if layer.combine == "concat" else g_pre * (1.0 / k)
+            alpha = alphas[i]
+            g_msgs = np.take(g_agg.T, dst, axis=1)
+            g_alpha = np.einsum("de,de->e", g_msgs, np.take(whi.T, src, axis=1))
+            inner = to_dst.sum(alpha * g_alpha)
+            g_z = alpha * (g_alpha - inner[dst]) * np.where(zs[i] > 0.0, 1.0, slope)
+            g_s_dst = to_dst.sum(g_z)
+            g_msgs *= alpha
+            g_src = to_src.sum(np.vstack([g_msgs, g_z]))
+            g_wh[:, cols] = g_src[:d_out].T + np.outer(g_src[d_out], a_src[i]) + np.outer(g_s_dst, a_dst[i])
+            g_a[i, :d_out] = whi.T @ g_s_dst
+            g_a[i, d_out:] = whi.T @ g_src[d_out]
+        if layer.a.requires_grad:
+            layer.a._accumulate(g_a)
+        if layer.w.requires_grad:
+            layer.w._accumulate(h.data.T @ g_wh)
+        if h.requires_grad:
+            h._accumulate(g_wh @ w.T)
+
+    out._backward = backward
+    return out
+
+
+def radius_pairs_rowwise(points, group, radius):
+    """``fcw.scene_graph._radius_pairs`` with its distance test on gathered
+    2-D rows: sqrt of the row sum of the squared difference."""
+    empty = np.zeros(0, dtype=np.intp)
+    rows = np.flatnonzero(np.isfinite(points).all(axis=1))
+    if len(rows) < 2 or not radius > 0:
+        return empty, empty
+    pts = points[rows]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    axis = int(np.argmax(hi - lo))
+    span = hi[axis] - lo[axis]
+    reach = min(radius, span)
+    stride = span + 2.0 * reach + 1.0
+    key = (pts[:, axis] - lo[axis]) + group[rows] * stride
+    order = np.argsort(key)
+    key = key[order]
+    band = reach + 64.0 * np.finfo(np.float64).eps * (key[-1] + reach)
+    ends = np.searchsorted(key, key + band, side="right")
+    first = np.arange(len(key))
+    count = np.maximum(ends - first - 1, 0)
+    a = np.repeat(first, count)
+    run_start = np.repeat(np.cumsum(count) - count, count)
+    b = a + 1 + np.arange(len(a)) - run_start
+    i, j = rows[order[a]], rows[order[b]]
+    diff = points[i] - points[j]
+    keep = (group[i] == group[j]) & (np.sqrt((diff**2).sum(axis=1)) < radius)
+    return i[keep], j[keep]

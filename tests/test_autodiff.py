@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fcw.autodiff as ad
 from fcw.optim import ParameterStore, grad_check
 
-from conftest import assert_matches_oracle
+from conftest import assert_matches_oracle, assert_same_bits
 
 import oracles
 
@@ -72,6 +72,23 @@ def test_branch_free_elu_is_bit_identical_to_the_two_branch_form():
     for got, want in ((value, np.where(z > 0.0, z, e - 1.0)), (deriv, np.where(z > 0.0, 1.0, e))):
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))  # signed zeros as well
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 40), st.booleans())
+def test_linear_and_elu_epilogues_are_bit_identical_to_the_allocating_form(seed, rows, cols, transposed):
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308]
+    x = rng.standard_normal((rows, 3)) * 20.0
+    x.reshape(-1)[rng.integers(0, x.size, 4)] = rng.choice(special, 4)
+    w, b = rng.standard_normal((3, cols)), rng.standard_normal((1, cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = ad.linear(ad.constant(x), ad.constant(w), ad.constant(b)).data
+        assert_same_bits(y, x @ w + b)
+        z = y.T if transposed else y  # the averaging GAT layer hands ELU a transposed view
+        for got, want in zip(ad.elu_and_derivative(z), oracles.elu_and_derivative_allocating(z)):
+            assert_same_bits(got, want)
+            assert got.flags.c_contiguous == want.flags.c_contiguous
 
 
 def test_softmax_symmetric_row():

@@ -596,6 +596,31 @@ def test_fixed_threshold_must_be_a_finite_number(tmp_path, cfg_file, capsys, art
     assert not events.exists()
 
 
+def test_main_calls_share_one_parser_and_no_state(tmp_path, cfg_file, capsys, artifacts, monkeypatch):
+    data, ckpt, _ = artifacts
+    seen = []
+    real = cli._load_config
+    monkeypatch.setattr(cli, "_load_config", lambda args: seen.append(args) or real(args))
+    argv = calibrate_argv(cfg_file, data, ckpt, tmp_path)
+    capsys.readouterr()
+    assert run([*argv, "--alpha", "0.2"]) == 0
+    assert run(argv) == 0
+    assert [args.alpha for args in seen] == [0.2, None]
+    assert seen[0] is not seen[1]
+    assert cli.build_parser() is cli.build_parser()
+    default_alpha = cli.parse_config_file(cfg_file).model.alpha
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("alpha=")]
+    assert [line.split()[0] for line in printed] == ["alpha=0.2", f"alpha={default_alpha}"]
+
+
+@pytest.mark.parametrize("argv", [[], ["calibrate"], ["warn", "--bogus"], ["eval", "--data", "d", "--baseline", "ca"]])
+def test_parse_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "usage: fcw" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["2", "0", "-0.5", "1"])
 def test_calibrate_alpha_is_validated(tmp_path, cfg_file, capsys, artifacts, alpha):
     data, ckpt, _ = artifacts

@@ -315,7 +315,13 @@ def test_episode_windows_reuse_one_graph_build(monkeypatch):
 
     monkeypatch.setattr(sg, "edges_from_positions", counting)
     windows = sc.episode_windows(ep, cfg)
-    assert calls == [(len(ep.frames), ep.n, 2)]  # one stacked call for the whole episode
+    observed = len(windows) + cfg.t_obs - 1  # the last t_pred frames are only ever a future
+    assert calls == [(observed, ep.n, 2)]  # one stacked call for every observed frame
+    keep = cfg.t_obs + cfg.t_pred - 1  # one frame short of a window with its future
+    short = dataclasses.replace(ep, frames=ep.frames[:keep], times=ep.times[:keep])
+    with pytest.raises(ValueError, match="needs >="):
+        sc.episode_windows(short, cfg)
+    assert len(calls) == 1  # no window, no graph
     monkeypatch.undo()
     for w in windows:
         fresh = md.make_window(scene_frames(ep)[w.start : w.start + cfg.t_obs], cfg)

@@ -14,7 +14,7 @@ import fcw.pipeline as pl
 import fcw.scene_graph as sg
 from fcw.optim import ParameterStore, grad_check
 
-from conftest import assert_matches_oracle
+from conftest import assert_bit_identical_runs, assert_buffer_safe, assert_matches_oracle
 
 import oracles
 
@@ -128,6 +128,22 @@ def test_stacked_edges_match_dense_adjacency(pos):
         dense_dst, dense_src = np.nonzero(oracles.dense_adjacency(pos[k], RADIUS))
         assert np.array_equal(src[frame == k] - k * n, dense_src)
         assert np.array_equal(dst[frame == k] - k * n, dense_dst)
+
+
+@settings(max_examples=80, deadline=None)
+@given(position_stacks(), st.data())
+def test_radius_pairs_match_the_rowwise_distance_test(pos, data):
+    points = pos.reshape(-1, 2).copy()
+    # non-finite coordinates in some rows, exact-radius grid pairs from the draw
+    rows = data.draw(st.lists(st.integers(0, len(points) - 1), max_size=3))
+    values = data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), min_size=len(rows), max_size=len(rows)))
+    for row, value in zip(rows, values):
+        points[row, data.draw(st.integers(0, 1))] = value
+    group = np.arange(len(points)) // pos.shape[1]
+    got = sg._radius_pairs(points, group, RADIUS)
+    want = oracles.radius_pairs_rowwise(points, group, RADIUS)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_band_padding_keeps_pairs_just_inside_radius():
@@ -449,6 +465,7 @@ def test_segment_reductions_match_scatter_oracle(case, sparse, one_row):
         np.maximum.at(row_max, index, row)
     want_sum, want_max = want_sum.reshape(*values.shape[:-1], n), want_max.reshape(*values.shape[:-1], n)
     assert got_sum.shape == got_max.shape == want_sum.shape
+    assert got_sum.dtype == got_max.dtype == np.float64
     assert np.allclose(got_sum, want_sum, rtol=0.0, atol=1e-12 * max(1.0, np.abs(values).max(initial=0.0)))
     assert np.array_equal(got_max, want_max)
 
@@ -485,3 +502,47 @@ def test_gat_segment_paths_agree_with_each_other_and_the_oracle(combine):
         assert_matches_oracle(fused, lambda: oracles.gat_layer(h, src, dst, layer), store, seed=2)
         assert grad_check(lambda: oracles.sum_all(oracles.square(fused())), store, rng=rng) < 1e-6
         assert not fused().data[3].any()  # no in-edges: ELU(0) = 0
+
+
+@st.composite
+def gat_cases(draw):
+    """(h, src, dst, layer): n = 1-200 nodes, a random edge list in any
+    order (some nodes without in-edges), 1-3 heads of width 1-4, and a few
+    non-finite feature rows."""
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degree = draw(st.sampled_from([0.5, 2.0, 12.0]))  # both sides of SPARSE_DEGREE
+    e = int(rng.integers(0, int(degree * n) + 2))
+    src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
+    d_in, d_out, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    layer = random_layer(rng, d_in, d_out, k, draw(st.sampled_from(["concat", "average"])))
+    h = ad.parameter(rng.standard_normal((n, d_in)) * draw(st.sampled_from([0.1, 1.0, 10.0])))
+    for row, value in zip(rng.integers(0, n, draw(st.integers(0, 2))), [np.nan, np.inf]):
+        h.data[row, 0] = value
+    return h, src, dst, layer
+
+
+@settings(max_examples=60, deadline=None)
+@given(gat_cases(), st.sampled_from(["sparse", "runs"]))
+def test_gat_layer_is_bit_identical_to_the_allocating_form(case, path):
+    h, src, dst, layer = case
+    width = layer.w.shape[1] if layer.combine == "concat" else layer.a.shape[1] // 2
+    seed = np.random.default_rng(len(src)).standard_normal((h.shape[0], width))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(sg, "SPARSE_DEGREE", 10**9 if path == "sparse" else 0)
+        assert_bit_identical_runs(
+            lambda: sg.gat_layer_edges(h, src, dst, layer),
+            lambda: oracles.gat_layer_allocating(h, src, dst, layer),
+            (h, layer.w, layer.a),
+            seed,
+        )
+
+
+@pytest.mark.parametrize("combine", ["concat", "average"])
+def test_gat_layer_buffers_do_not_leak_between_calls(combine):
+    rng = np.random.default_rng(11)
+    pos = rng.uniform(0, 60, (40, 2))
+    src, dst = sg.edges_from_positions(pos, 20.0)
+    layer = random_layer(rng, 5, 3, 2, combine)
+    h1, h2 = (ad.parameter(rng.standard_normal((40, 5))) for _ in range(2))
+    assert_buffer_safe(lambda h: sg.gat_layer_edges(h, src, dst, layer), h1, h2, (layer.w, layer.a), rng)

@@ -2,6 +2,8 @@
 ops against their unfused oracles, hand arithmetic and central differences."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fcw.autodiff as ad
 import fcw.model as md
@@ -9,7 +11,7 @@ import fcw.scene_graph as sg
 import fcw.temporal as tp
 from fcw.optim import ParameterStore, grad_check
 
-from conftest import assert_matches_oracle, random_frames, tiny_config
+from conftest import assert_bit_identical_runs, assert_buffer_safe, assert_matches_oracle, random_frames, tiny_config
 
 import oracles
 
@@ -152,6 +154,44 @@ def test_gru_fused_matches_unfused_and_central_differences(steps, n_layers):
     assert node is x
     assert_matches_oracle(fused, lambda: oracles.gru_encode(x, params, steps), store, seed=steps)
     assert grad_check(lambda: oracles.sum_all(oracles.square(fused())), store, rng=rng) < 1e-6
+
+
+def gru_case(seed, steps, n, d_in, d_h, scale, blowups):
+    """An input stack and a packed layer drawn from ``seed``, with
+    ``blowups`` input rows set to NaN, +inf or -inf."""
+    rng = np.random.default_rng(seed)
+    x = ad.parameter(rng.standard_normal((steps * n, d_in)) * scale)
+    for row, value in zip(rng.choice(steps * n, size=min(blowups, steps * n), replace=False), [np.nan, np.inf, -np.inf]):
+        x.data[row, rng.integers(d_in)] = value
+    layer = random_gru_layer(rng, d_in, d_h, scale=scale)
+    return rng, x, layer
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.integers(1, 200),
+    st.integers(1, 6),
+    st.integers(1, 9),
+    st.sampled_from([0.1, 1.0, 4.0]),
+    st.integers(0, 3),
+)
+def test_gru_layer_is_bit_identical_to_the_allocating_form(seed, steps, n, d_in, d_h, scale, blowups):
+    rng, x, layer = gru_case(seed, steps, n, d_in, d_h, scale, blowups)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_bit_identical_runs(
+            lambda: tp._gru_layer(x, layer, steps),
+            lambda: oracles.gru_layer_allocating(x, layer, steps),
+            (x, *layer.tensors()),
+            rng.standard_normal((steps * n, d_h)),
+        )
+
+
+def test_gru_layer_buffers_do_not_leak_between_calls():
+    rng, x, layer = gru_case(3, 8, 50, 4, 6, 1.0, 0)
+    x2 = ad.parameter(rng.standard_normal(x.shape))
+    assert_buffer_safe(lambda inp: tp._gru_layer(inp, layer, 8), x, x2, layer.tensors(), rng)
 
 
 # ---------------------------------------------------------------------------

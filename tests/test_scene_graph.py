@@ -511,7 +511,7 @@ def gat_cases(draw):
     non-finite feature rows."""
     n = draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    degree = draw(st.sampled_from([0.5, 2.0, 12.0]))  # both sides of SPARSE_DEGREE
+    degree = draw(st.sampled_from([0.5, 2.0, 12.0]))  # mean in-degree: sparse to dense edge lists
     e = int(rng.integers(0, int(degree * n) + 2))
     src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
     d_in, d_out, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))

@@ -161,7 +161,8 @@ def gru_case(seed, steps, n, d_in, d_h, scale, blowups):
     ``blowups`` input rows set to NaN, +inf or -inf."""
     rng = np.random.default_rng(seed)
     x = ad.parameter(rng.standard_normal((steps * n, d_in)) * scale)
-    for row, value in zip(rng.choice(steps * n, size=min(blowups, steps * n), replace=False), [np.nan, np.inf, -np.inf]):
+    rows = rng.choice(steps * n, size=min(blowups, steps * n), replace=False)
+    for row, value in zip(rows, [np.nan, np.inf, -np.inf]):
         x.data[row, rng.integers(d_in)] = value
     layer = random_gru_layer(rng, d_in, d_h, scale=scale)
     return rng, x, layer

@@ -152,9 +152,12 @@ def frame_edge_lists(positions: np.ndarray, radius: float) -> list[tuple[np.ndar
     stack, from one stacked ``edges_from_positions`` call."""
     n_frames, n = positions.shape[:2]
     src, dst = edges_from_positions(positions, radius)
-    frame = dst // n
-    bounds = np.searchsorted(frame, np.arange(1, n_frames))
-    return list(zip(np.split(src - frame * n, bounds), np.split(dst - frame * n, bounds)))
+    offset = dst // n
+    bounds = np.searchsorted(offset, np.arange(1, n_frames))
+    offset *= n  # each edge's first frame row; src and dst are fresh, so shift them in place
+    src -= offset
+    dst -= offset
+    return list(zip(np.split(src, bounds), np.split(dst, bounds)))
 
 
 def embed_features(x: Tensor, w_e: Tensor, b_e: Tensor) -> Tensor:

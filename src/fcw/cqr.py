@@ -108,9 +108,9 @@ def apply_correction(pred: PredictionBatch, corr: ConformalCorrection | None) ->
     rows; without a correction, each interval's bounds are put in order."""
     if corr is None:
         lo, up = np.minimum(pred.lower, pred.upper), np.maximum(pred.lower, pred.upper)
-        return PredictionBatch(point=pred.point, lower=lo, upper=up, conformal_applied=False)
+        return PredictionBatch(point=pred.point, lower=lo, upper=up)
     lo, up = conformal_interval(pred.lower, pred.upper, corr)
-    return PredictionBatch(point=pred.point, lower=lo, upper=up, conformal_applied=True)
+    return PredictionBatch(point=pred.point, lower=lo, upper=up)
 
 
 def save_correction(path: str | Path, corr: ConformalCorrection, checkpoint_sha256: str) -> None:

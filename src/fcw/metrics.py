@@ -141,9 +141,7 @@ class EvalReport:
     coverage: float | None = None
     mean_width: float | None = None
     raw_coverage: float | None = None
-    latency: dict | None = None
     counts: ConfusionCounts | None = None
-    extras: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
         """Machine-readable key=value block plus a human table."""
@@ -176,11 +174,6 @@ class EvalReport:
             put("fp", self.counts.fp)
             put("tn", self.counts.tn)
             put("fn", self.counts.fn)
-        if self.latency:
-            for k, v in self.latency.items():
-                put(f"latency_{k}_ms", v)
-        for k, v in sorted(self.extras.items()):
-            put(k, v)
 
         table = ["", "metric                 value", "-" * 30]
         for line in kv:

@@ -144,7 +144,6 @@ class PredictionBatch:
     point: np.ndarray  # (N, T', 2)
     lower: np.ndarray  # (N, T', 2)
     upper: np.ndarray  # (N, T', 2)
-    conformal_applied: bool = False
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -280,167 +279,7 @@ def rebuild_model(config: HstanConfig, store: ParameterStore) -> HstanModel:
 
 
 # ---------------------------------------------------------------------------
-# Window samples and batches
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class WindowSample:
-    """One training/inference sample: T observed frames, optional T' future."""
-
-    features: np.ndarray  # (T, N, C) centroid-relative model inputs
-    last_pos: np.ndarray  # (N, 2) absolute last observed positions
-    edge_lists: list  # per-frame (src, dst) arrays
-    target_abs: np.ndarray | None = None  # (T', N, 2)
-    episode_id: int = -1
-    family: str = ""
-    start: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[1]
-
-
-def window_from_states(
-    states: np.ndarray,
-    config: HstanConfig,
-    future_pos: np.ndarray | None = None,
-    edges: list | None = None,
-    episode_id: int = -1,
-    family: str = "",
-    start: int = 0,
-) -> WindowSample:
-    """Window sample of T observed vehicle states (T, N, 8), with the T'
-    future positions (T', N, 2) as its target when given.
-
-    ``edges`` takes the frames' per-frame radius graphs when the caller has
-    already built them, e.g. once for a whole episode; otherwise all T
-    graphs are built here in one stacked call.
-    """
-    if len(states) != config.t_obs:
-        raise ValueError(f"expected {config.t_obs} observed frames, got {len(states)}")
-    centroid = states[0, :, 0:2].mean(axis=0)
-    feats = states.copy()  # (T, N, C)
-    feats[:, :, 0:2] -= centroid
-    # keep meter-scale inputs inside the well-conditioned range of tanh/ELU
-    feats *= config.input_scale
-    if edges is None:
-        edges = sg.frame_edge_lists(states[:, :, 0:2], config.radius)
-    if future_pos is not None and len(future_pos) != config.t_pred:
-        raise ValueError(f"expected {config.t_pred} future frames, got {len(future_pos)}")
-    return WindowSample(
-        features=feats,
-        last_pos=states[-1, :, 0:2].copy(),
-        edge_lists=edges,
-        target_abs=future_pos,
-        episode_id=episode_id,
-        family=family,
-        start=start,
-    )
-
-
-def make_window(frames: list[SceneFrame], config: HstanConfig) -> WindowSample:
-    """Window sample of T observed frames: one stack, then ``window_from_states``."""
-    if len({f.n for f in frames}) > 1:
-        raise ValueError("vehicle roster changed within the observation window")
-    return window_from_states(np.stack([f.vehicles for f in frames]), config)
-
-
-@dataclass
-class PreparedBatch:
-    x: np.ndarray  # (F*sumN, C) time-major: row f*sumN + v is vehicle v at the f-th laid-out frame
-    edges: list[tuple[int, int, np.ndarray, np.ndarray]]  # frame runs (t_lo, t_hi, src, dst)
-    offsets: list[int]  # per-window vehicle offsets; trailing total
-    last_pos: np.ndarray  # (sumN, 2)
-    target_disp: np.ndarray | None  # (sumN, T'*2)
-    pair_i: np.ndarray  # within-window vehicle pairs, global row indices; empty without targets
-    pair_j: np.ndarray
-
-
-def _frame_runs(parts: list, base: np.ndarray, total: int) -> list:
-    """The batch's graphs of its laid-out frames as one block-diagonal
-    graph over the time-major rows, cut into runs of whole consecutive
-    frames; ``prepare_batch`` and ``episode_batch`` both lay out their
-    edges here.
-
-    ``parts`` holds the (src, dst) edges of each (laid-out frame, block)
-    in that order, and ``base`` (frames, blocks) the row that index 0 of a
-    part maps to within its frame's rows. A run holds at most
-    ``GAT_EDGE_BUDGET`` edges unless it is one frame. Each run is (t_lo,
-    t_hi, src, dst), t counting the laid-out frames, with indices local to
-    its rows [t_lo*total, t_hi*total); edges keep the parts' order.
-    """
-    count = len(base)
-    counts = np.array([len(s) for s, _ in parts], dtype=np.intp)
-    frame_edges = counts.reshape(count, -1).sum(axis=1)
-    starts, size = [0], 0
-    for t in range(count):
-        if t > starts[-1] and size + frame_edges[t] > GAT_EDGE_BUDGET:
-            starts.append(t)
-            size = 0
-        size += frame_edges[t]
-    bounds = np.array([*starts, count])
-    # frame t's rows start at (t - t_lo)*total within its run
-    t_lo = np.repeat(bounds[:-1], np.diff(bounds))
-    row0 = (np.arange(count) - t_lo)[:, None] * total + base
-    shift = np.repeat(row0.reshape(-1), counts)
-    src = np.concatenate([s for s, _ in parts])
-    dst = np.concatenate([d for _, d in parts])
-    src += shift
-    dst += shift
-    edge_bounds = np.concatenate([[0], np.cumsum(frame_edges)])[bounds]
-    return [
-        (lo, hi, src[e_lo:e_hi], dst[e_lo:e_hi])
-        for lo, hi, e_lo, e_hi in zip(starts, bounds[1:].tolist(), edge_bounds[:-1], edge_bounds[1:])
-    ]
-
-
-def _laid_out_frames(config: HstanConfig) -> range:
-    """The observed frames the model reads: all T, or under ``no_tam`` the last one."""
-    return range(config.t_obs - 1 if config.no_tam else 0, config.t_obs)
-
-
-def prepare_batch(windows: list[WindowSample], config: HstanConfig) -> PreparedBatch:
-    """The windows' rows stacked for one forward pass.
-
-    Only the frames the model reads are laid out (``_laid_out_frames``).
-    The within-window collision pairs are built only when every window has
-    a target, since only the training loss reads them.
-    """
-    offsets = [0]
-    for w in windows:
-        offsets.append(offsets[-1] + w.n)
-    total = offsets[-1]
-    frames = _laid_out_frames(config)
-    x = np.concatenate([w.features[frames.start :] for w in windows], axis=1).reshape(len(frames) * total, -1)
-    last_pos = np.concatenate([w.last_pos for w in windows], axis=0)
-    target_disp = None
-    pair_i = pair_j = np.zeros(0, dtype=np.intp)
-    if all(w.target_abs is not None for w in windows):
-        disp = np.concatenate([w.target_abs for w in windows], axis=1) - last_pos  # (T', sumN, 2)
-        target_disp = disp.transpose(1, 0, 2).reshape(total, -1)
-        # within-window pairs i < j in row-major order: row r pairs with every
-        # later row of its own window (one batch-wide build, no per-window calls)
-        rows = np.arange(total)
-        later = np.repeat(offsets[1:], [w.n for w in windows]) - rows - 1
-        pair_i = np.repeat(rows, later)
-        run_start = np.repeat(np.cumsum(later) - later, later)
-        pair_j = pair_i + 1 + np.arange(len(pair_i)) - run_start
-    parts = [w.edge_lists[t] for t in frames for w in windows]
-    base = np.broadcast_to(np.asarray(offsets[:-1], dtype=np.intp), (len(frames), len(windows)))
-    return PreparedBatch(
-        x=x,
-        edges=_frame_runs(parts, base, total),
-        offsets=offsets,
-        last_pos=last_pos,
-        target_disp=target_disp,
-        pair_i=pair_i,
-        pair_j=pair_j,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batches straight from episode arrays
+# Episode graphs, windows and batches
 # ---------------------------------------------------------------------------
 
 
@@ -455,6 +294,7 @@ class EpisodeGraphs:
     src: np.ndarray
     dst: np.ndarray
     bounds: np.ndarray  # (frames with a graph + 1,)
+    centroids: np.ndarray  # (F, 2) each frame's mean vehicle position
 
 
 def episode_graphs(states: np.ndarray, radius: float, frames: int | None = None) -> EpisodeGraphs:
@@ -462,56 +302,151 @@ def episode_graphs(states: np.ndarray, radius: float, frames: int | None = None)
     frames = len(states) if frames is None else frames
     src, dst = sg.edges_from_positions(states[:frames, :, 0:2], radius)
     bounds = np.searchsorted(dst, np.arange(frames + 1) * states.shape[1])
-    return EpisodeGraphs(states=states, src=src, dst=dst, bounds=bounds)
+    return EpisodeGraphs(states=states, src=src, dst=dst, bounds=bounds, centroids=states[:, :, 0:2].mean(axis=1))
+
+
+@dataclass
+class WindowSample:
+    """The window that observes frames start .. start+t_obs-1 of its
+    episode: a view into the episode's arrays, not a copy, with the T'
+    future positions as its target when known."""
+
+    graphs: EpisodeGraphs
+    start: int
+    t_obs: int
+    target_abs: np.ndarray | None = None  # (T', N, 2)
+    episode_id: int = -1
+
+    @property
+    def n(self) -> int:
+        return self.graphs.states.shape[1]
+
+    @property
+    def edge_lists(self) -> list:
+        """Each observed frame's radius graph as frame-local (src, dst)."""
+        g, n = self.graphs, self.n
+        cuts = g.bounds[self.start : self.start + self.t_obs + 1].tolist()
+        frames = range(self.start, self.start + self.t_obs)
+        return [(g.src[a:b] - f * n, g.dst[a:b] - f * n) for f, a, b in zip(frames, cuts, cuts[1:])]
+
+
+def make_window(frames: list[SceneFrame], config: HstanConfig) -> WindowSample:
+    """The window of T observed frames, with their graphs from one stacked build."""
+    if len({f.n for f in frames}) > 1:
+        raise ValueError("vehicle roster changed within the observation window")
+    if len(frames) != config.t_obs:
+        raise ValueError(f"expected {config.t_obs} observed frames, got {len(frames)}")
+    graphs = episode_graphs(np.stack([f.vehicles for f in frames]), config.radius)
+    return WindowSample(graphs=graphs, start=0, t_obs=config.t_obs)
+
+
+@dataclass
+class PreparedBatch:
+    x: np.ndarray  # (F*sumN, C) time-major: row f*sumN + v is vehicle v at the f-th laid-out frame
+    edges: list[tuple[int, int, np.ndarray, np.ndarray]]  # frame runs (t_lo, t_hi, src, dst)
+    offsets: list[int]  # per-window vehicle offsets; trailing total
+    last_pos: np.ndarray  # (sumN, 2)
+    target_disp: np.ndarray | None  # (sumN, T'*2)
+    pair_i: np.ndarray  # within-window vehicle pairs, global row indices; empty without targets
+    pair_j: np.ndarray
+
+
+def _laid_out_frames(config: HstanConfig) -> range:
+    """The observed frames the model reads: all T, or under ``no_tam`` the last one."""
+    return range(config.t_obs - 1 if config.no_tam else 0, config.t_obs)
 
 
 def episode_batch(pieces: list[tuple[EpisodeGraphs, int, int]], config: HstanConfig) -> PreparedBatch:
     """The ``PreparedBatch`` of the windows that start at frames lo..hi-1
-    of each piece's episode, piece after piece; the same arrays as
-    ``prepare_batch`` of those windows from ``window_from_states``, without
-    a per-window object, and with no targets or collision pairs.
+    of each piece's episode, piece after piece, with no targets or
+    collision pairs; only the frames the model reads are laid out
+    (``_laid_out_frames``).
 
-    A piece's features are one copy of its episode's sliding windows, less
-    each window's first-frame centroid, times ``input_scale``; its edges in
-    a laid-out frame are one slice of the episode's edge list, shifted by
-    one offset.
+    The features are one concatenation of every window's frames, less
+    the window's first-frame centroid (from ``episode_graphs``), times
+    ``input_scale``. The edges of a (laid-out frame, piece) are one slice
+    of the episode's edge list, shifted by one offset. Together they form
+    one block-diagonal graph over the time-major rows, cut into runs of
+    whole consecutive frames; a run holds at most ``GAT_EDGE_BUDGET``
+    edges unless it is one frame. Each run is (t_lo, t_hi, src, dst), t
+    counting the laid-out frames, with indices local to its rows
+    [t_lo*total, t_hi*total).
     """
     pieces = [(g, lo, hi) for g, lo, hi in pieces if hi > lo]
     frames, t_obs = _laid_out_frames(config), config.t_obs
-    sizes = [g.states.shape[1] * (hi - lo) for g, lo, hi in pieces]
-    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
-    total = int(starts[-1])
-    x = np.empty((len(frames), total, FEATURE_DIM))
-    last_pos = np.empty((total, 2))
-    offsets, parts = [], []
-    base = np.empty((len(frames), len(pieces)), dtype=np.intp)
-    for p, ((g, lo, hi), row) in enumerate(zip(pieces, starts.tolist())):
-        states, count, n = g.states, hi - lo, g.states.shape[1]
-        # (F', W, N, 8): laid-out frame f of window w is episode frame lo + w + frames.start + f
-        block = x[:, row : row + count * n].reshape(len(frames), count, n, FEATURE_DIM)
-        views = sliding_window_view(states[lo + frames.start : hi + t_obs - 1], len(frames), axis=0)
-        block[...] = views.transpose(3, 0, 1, 2)
-        block[..., 0:2] -= states[lo:hi, :, 0:2].mean(axis=1)[None, :, None, :]
-        # keep meter-scale inputs inside the well-conditioned range of tanh/ELU
-        block *= config.input_scale
-        last_pos[row : row + count * n] = states[lo + t_obs - 1 : hi + t_obs - 1, :, 0:2].reshape(-1, 2)
-        offsets.append(row + n * np.arange(count))
-        first = lo + frames.start + np.arange(len(frames))  # each laid-out frame's first episode frame
-        base[:, p] = row - first * n
-    for f in range(len(frames)):
-        for g, lo, hi in pieces:
-            # the piece's windows read consecutive episode frames in this slot
-            a, b = g.bounds[lo + frames.start + f], g.bounds[hi + frames.start + f]
-            parts.append((g.src[a:b], g.dst[a:b]))
+    depth = len(frames)
+    ns = np.array([g.states.shape[1] for g, _, _ in pieces], dtype=np.intp)
+    counts = [hi - lo for _, lo, hi in pieces]
+    sizes = ns * counts  # rows of each piece in one laid-out frame
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    # one copy of every window's laid-out frames, window after window
+    x = np.concatenate(
+        [g.states[start + frames.start : start + t_obs] for g, lo, hi in pieces for start in range(lo, hi)], axis=1
+    )
+    last_pos = x[-1, :, 0:2].copy()
+    window_rows = np.repeat(ns, counts)
+    x[:, :, 0:2] -= np.repeat(np.concatenate([g.centroids[lo:hi] for g, lo, hi in pieces]), window_rows, axis=0)
+    # keep meter-scale inputs inside the well-conditioned range of tanh/ELU
+    x *= config.input_scale
+
+    # in laid-out frame f a piece's windows read episode frames lo+f'..hi-1+f', f' = frames.start + f:
+    # one range of the episode's edge list
+    lows = np.array([g.bounds[lo + frames.start : lo + t_obs] for g, lo, _ in pieces]).T  # (F', P)
+    highs = np.array([g.bounds[hi + frames.start : hi + t_obs] for g, _, hi in pieces]).T
+    part_edges = highs - lows
+    ranges = list(zip([g for g, _, _ in pieces] * depth, lows.reshape(-1).tolist(), highs.reshape(-1).tolist()))
+    frame_edges = part_edges.sum(axis=1).tolist()
+    run_starts, size = [0], 0
+    for t, count in enumerate(frame_edges):
+        if t > run_starts[-1] and size + count > GAT_EDGE_BUDGET:
+            run_starts.append(t)
+            size = 0
+        size += count
+    run_bounds = [*run_starts, depth]
+    # an edge's episode row i maps to row i - (lo + frames.start + f)*n + start of its
+    # piece, plus (f - t_lo)*total within its run
+    t_lo = np.repeat(run_starts, np.diff(run_bounds))
+    first = np.array([lo for _, lo, _ in pieces], dtype=np.intp) + frames.start
+    row0 = (np.arange(depth) - t_lo)[:, None] * total + starts - (first + np.arange(depth)[:, None]) * ns
+    shift = np.repeat(row0.reshape(-1), part_edges.reshape(-1))
+    src = np.concatenate([g.src[a:b] for g, a, b in ranges])
+    dst = np.concatenate([g.dst[a:b] for g, a, b in ranges])
+    src += shift
+    dst += shift
+    edge_bounds = np.cumsum([0, *frame_edges])[run_bounds].tolist()
     return PreparedBatch(
-        x=x.reshape(len(frames) * total, FEATURE_DIM),
-        edges=_frame_runs(parts, base, total),
-        offsets=[*np.concatenate(offsets).tolist(), total],
+        x=x.reshape(depth * total, FEATURE_DIM),
+        edges=[
+            (lo, hi, src[e_lo:e_hi], dst[e_lo:e_hi])
+            for lo, hi, e_lo, e_hi in zip(run_bounds, run_bounds[1:], edge_bounds, edge_bounds[1:])
+        ],
+        offsets=np.cumsum([0, *window_rows.tolist()]).tolist(),
         last_pos=last_pos,
         target_disp=None,
         pair_i=np.zeros(0, dtype=np.intp),
         pair_j=np.zeros(0, dtype=np.intp),
     )
+
+
+def prepare_batch(windows: list[WindowSample], config: HstanConfig) -> PreparedBatch:
+    """The windows' rows stacked for one forward pass: ``episode_batch`` of
+    one piece per window, plus the targets and the within-window collision
+    pairs that only the training loss reads, built only when every window
+    has a target."""
+    batch = episode_batch([(w.graphs, w.start, w.start + 1) for w in windows], config)
+    if all(w.target_abs is not None for w in windows):
+        offsets, total = batch.offsets, batch.offsets[-1]
+        disp = np.concatenate([w.target_abs for w in windows], axis=1) - batch.last_pos  # (T', sumN, 2)
+        batch.target_disp = disp.transpose(1, 0, 2).reshape(total, -1)
+        # within-window pairs i < j in row-major order: row r pairs with every
+        # later row of its own window (one batch-wide build, no per-window calls)
+        rows = np.arange(total)
+        later = np.repeat(offsets[1:], [w.n for w in windows]) - rows - 1
+        batch.pair_i = np.repeat(rows, later)
+        run_start = np.repeat(np.cumsum(later) - later, later)
+        batch.pair_j = batch.pair_i + 1 + np.arange(len(batch.pair_i)) - run_start
+    return batch
 
 
 def episode_targets(pieces: list[tuple[EpisodeGraphs, int, int]], config: HstanConfig) -> np.ndarray:

@@ -1,9 +1,8 @@
-"""Parameter storage, Adam, cosine learning-rate schedule, gradient checking."""
+"""Parameter storage, Adam and the cosine learning-rate schedule."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -65,9 +64,6 @@ class ParameterStore:
         for t in self._params.values():
             t.grad = None
 
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
 
 @dataclass
 class OptimizerState:
@@ -121,50 +117,3 @@ def cosine_lr(epoch: int, sched: LRSchedule) -> float:
         raise ValueError(f"epoch {epoch} outside [0, {sched.total_epochs}]")
     span = sched.base_rate - sched.min_rate
     return sched.min_rate + 0.5 * span * (1.0 + math.cos(math.pi * epoch / sched.total_epochs))
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: ParameterStore,
-    h: float = 1e-5,
-    max_coords_per_param: int = 10,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` must be a deterministic scalar-valued closure over ``params``.
-    Samples up to ``max_coords_per_param`` coordinates per parameter.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    rng = rng or np.random.default_rng(0)
-
-    params.zero_grad()
-    out = f()
-    if not np.isfinite(out.item()):
-        raise FloatingPointError("non-finite function value in grad_check")
-    out.backward()
-
-    worst = 0.0
-    for _, p in params.items():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        n = flat.size
-        if n <= max_coords_per_param:
-            coords = np.arange(n)
-        else:
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + h
-            fp = f().item()
-            flat[c] = orig - h
-            fm = f().item()
-            flat[c] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                raise FloatingPointError("non-finite function value in grad_check")
-            numeric = (fp - fm) / (2.0 * h)
-            a = analytic.reshape(-1)[c]
-            err = abs(a - numeric) / max(1.0, abs(a))
-            worst = max(worst, err)
-    return worst

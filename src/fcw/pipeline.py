@@ -169,13 +169,8 @@ def prediction_metrics(
     return out
 
 
-def build_report(
-    prediction: dict | None,
-    outcomes: list[me.EpisodeOutcome] | None,
-    latency: dict | None = None,
-    extras: dict | None = None,
-) -> me.EvalReport:
-    report = me.EvalReport(latency=latency, extras=extras or {})
+def build_report(prediction: dict | None, outcomes: list[me.EpisodeOutcome] | None) -> me.EvalReport:
+    report = me.EvalReport()
     if prediction:
         report.ade = prediction.get("ade")
         report.fde = prediction.get("fde")
@@ -266,9 +261,13 @@ def run_bench(
     density: float = 0.02,
     seed: int = 0,
 ) -> BenchReport:
+    """Work counts and latencies of one window per scene size; the scaling
+    fits need at least 3 distinct sizes, each of at least one vehicle."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     n_grid = n_grid or [10, 20, 40, 80, 120]
+    if min(n_grid) < 1 or len(set(n_grid)) < 3:
+        raise ValueError(f"n_grid needs at least 3 distinct sizes, each >= 1, got {n_grid}")
     cfg = model.config
     score_evals, all_pairs, latency, prep = [], [], {}, []
     for n in n_grid:

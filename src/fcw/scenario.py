@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import EpisodeGraphs, HstanConfig, WindowSample, episode_graphs, window_from_states
-from .scene_graph import FEATURE_DIM, _radius_pairs, check_vehicle_states, frame_edge_lists
+from .model import EpisodeGraphs, HstanConfig, WindowSample, episode_graphs
+from .scene_graph import FEATURE_DIM, _radius_pairs, check_vehicle_states
 
 FAMILIES = (
     "highway_merging",
@@ -361,29 +361,6 @@ def _window_count(episode: Episode, config: HstanConfig) -> int:
     return len(episode.frames) - span + 1
 
 
-def episode_windows(episode: Episode, config: HstanConfig, stride: int = 1) -> list[WindowSample]:
-    """Sliding windows of one episode; the radius graph of every frame a
-    window observes is built once, in one stacked call, and each window
-    takes its slice. An episode too short for one window raises before any
-    graph is built."""
-    states = episode.frames
-    span = config.t_obs + config.t_pred
-    count = _window_count(episode, config)
-    edges = frame_edge_lists(states[: count + config.t_obs - 1, :, 0:2], config.radius)
-    return [
-        window_from_states(
-            states[start : start + config.t_obs],
-            config,
-            future_pos=states[start + config.t_obs : start + span, :, 0:2],
-            edges=edges[start : start + config.t_obs],
-            episode_id=episode.episode_id,
-            family=episode.family,
-            start=start,
-        )
-        for start in range(0, count, stride)
-    ]
-
-
 def split_episodes(
     episodes: list[Episode], split_seed: int = 0
 ) -> tuple[list[Episode], list[Episode], list[Episode]]:
@@ -403,15 +380,29 @@ def split_episodes(
     return train, cal, test
 
 
-def dataset_windows(episodes: list[Episode], config: HstanConfig, stride: int = 1) -> list[WindowSample]:
-    """Sliding windows of every episode, in episode order."""
-    return [w for ep in episodes for w in episode_windows(ep, config, stride)]
+def dataset_windows(episodes: list[Episode], config: HstanConfig) -> list[WindowSample]:
+    """Every sliding window with a full future of each episode, in episode
+    order: views into the episode arrays, which share one graph build per
+    episode (``window_pieces``)."""
+    span = config.t_obs + config.t_pred
+    return [
+        WindowSample(
+            graphs=g,
+            start=start,
+            t_obs=config.t_obs,
+            target_abs=g.states[start + config.t_obs : start + span, :, 0:2],
+            episode_id=ep.episode_id,
+        )
+        for ep, (g, lo, hi) in zip(episodes, window_pieces(episodes, config))
+        for start in range(lo, hi)
+    ]
 
 
 def window_pieces(episodes: list[Episode], config: HstanConfig) -> list[tuple[EpisodeGraphs, int, int]]:
-    """Every sliding window of each episode, the same windows as
-    ``dataset_windows``, as one ``model.episode_batch`` piece per episode;
-    only the frames a window observes get a graph."""
+    """Every sliding window with a full future of each episode as one
+    ``model.episode_batch`` piece per episode; only the frames a window
+    observes get a graph. An episode too short for one window raises
+    before its graph is built."""
     pieces = []
     for ep in episodes:
         count = _window_count(ep, config)
@@ -423,14 +414,13 @@ def make_dataset(
     episodes: list[Episode],
     config: HstanConfig,
     split_seed: int = 0,
-    stride: int = 1,
 ) -> DatasetSplits:
     """Sliding windows split by episode (never by window) into 70/15/15."""
     train, cal, test = split_episodes(episodes, split_seed)
     return DatasetSplits(
-        train=dataset_windows(train, config, stride),
-        cal=dataset_windows(cal, config, stride),
-        test=dataset_windows(test, config, stride),
+        train=dataset_windows(train, config),
+        cal=dataset_windows(cal, config),
+        test=dataset_windows(test, config),
         train_episodes=train,
         cal_episodes=cal,
         test_episodes=test,
@@ -539,39 +529,6 @@ def load_dataset(traj_path: str | Path, labels_path: str | Path) -> list[Episode
             episodes.append(Episode(episode_id=eid, frames=states, times=times, **meta[eid]))
         except ValueError as exc:
             raise ValueError(f"{traj_path}: episode {eid}: {exc}") from None
-    return episodes
-
-
-def cv_episodes(
-    n_episodes: int,
-    n_vehicles: int = 3,
-    duration: float = 6.0,
-    dt: float = 0.1,
-    max_speed: float = 15.0,
-    seed: int = 0,
-) -> list[Episode]:
-    """Noiseless straight-line constant-velocity episodes (training sanity data)."""
-    rng = np.random.default_rng(seed)
-    episodes = []
-    steps = int(round(duration / dt)) + 1
-    times = np.arange(steps) * dt
-    for eid in range(n_episodes):
-        pos0 = rng.uniform(-40, 40, size=(n_vehicles, 2))
-        vel = rng.uniform(-max_speed, max_speed, size=(n_vehicles, 2))
-        pos = pos0[None, :, :] + vel[None, :, :] * times[:, None, None]
-        v_arr, a_arr = _derive_kinematics(pos, dt)
-        contact_idx = _contact_scan(pos)
-        episodes.append(
-            Episode(
-                episode_id=eid,
-                family="cv",
-                dt=dt,
-                frames=_states(pos, v_arr, a_arr),
-                times=times,
-                danger=contact_idx is not None,
-                contact_time=contact_idx * dt if contact_idx is not None else None,
-            )
-        )
     return episodes
 
 

@@ -147,19 +147,6 @@ def edges_from_positions(positions: np.ndarray, radius: float) -> tuple[np.ndarr
     return src, dst
 
 
-def frame_edge_lists(positions: np.ndarray, radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-frame local (src, dst) radius graphs of a (F, N, 2) position
-    stack, from one stacked ``edges_from_positions`` call."""
-    n_frames, n = positions.shape[:2]
-    src, dst = edges_from_positions(positions, radius)
-    offset = dst // n
-    bounds = np.searchsorted(offset, np.arange(1, n_frames))
-    offset *= n  # each edge's first frame row; src and dst are fresh, so shift them in place
-    src -= offset
-    dst -= offset
-    return list(zip(np.split(src, bounds), np.split(dst, bounds)))
-
-
 def embed_features(x: Tensor, w_e: Tensor, b_e: Tensor) -> Tensor:
     """ELU(x @ W_e + b_e): lift raw vehicle features to the hidden width."""
     return ad.elu(ad.linear(x, w_e, b_e))

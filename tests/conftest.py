@@ -1,9 +1,10 @@
-"""Shared fixtures: tiny configurations and scene builders."""
+"""Shared fixtures: tiny configurations, scene builders and checkers."""
 import numpy as np
 import pytest
 
 import fcw.autodiff as ad
-from fcw.model import HstanConfig, window_from_states
+from fcw.model import HstanConfig, WindowSample, episode_graphs
+from fcw.scenario import Episode, _contact_scan, _derive_kinematics, _states
 from fcw.scene_graph import SceneFrame
 
 import oracles
@@ -50,9 +51,83 @@ def scene_frames(episode):
 
 
 def labelled_window(frames, config: HstanConfig):
-    """Window of the first T frames, with the positions of the rest as its target."""
+    """Window of the first T frames, with the positions of the next T' as its target."""
     states = np.stack([f.vehicles for f in frames])
-    return window_from_states(states[: config.t_obs], config, future_pos=states[config.t_obs :, :, 0:2])
+    graphs = episode_graphs(states, config.radius, config.t_obs)
+    target = states[config.t_obs : config.t_obs + config.t_pred, :, 0:2]
+    return WindowSample(graphs=graphs, start=0, t_obs=config.t_obs, target_abs=target)
+
+
+def cv_episodes(n_episodes, n_vehicles=3, duration=6.0, dt=0.1, max_speed=15.0, seed=0):
+    """Noiseless straight-line constant-velocity episodes (training sanity data)."""
+    rng = np.random.default_rng(seed)
+    episodes = []
+    steps = int(round(duration / dt)) + 1
+    times = np.arange(steps) * dt
+    for eid in range(n_episodes):
+        pos0 = rng.uniform(-40, 40, size=(n_vehicles, 2))
+        vel = rng.uniform(-max_speed, max_speed, size=(n_vehicles, 2))
+        pos = pos0[None, :, :] + vel[None, :, :] * times[:, None, None]
+        v_arr, a_arr = _derive_kinematics(pos, dt)
+        contact_idx = _contact_scan(pos)
+        episodes.append(
+            Episode(
+                episode_id=eid,
+                family="cv",
+                dt=dt,
+                frames=_states(pos, v_arr, a_arr),
+                times=times,
+                danger=contact_idx is not None,
+                contact_time=contact_idx * dt if contact_idx is not None else None,
+            )
+        )
+    return episodes
+
+
+def n_scalars(store) -> int:
+    """The number of parameter scalars in a ``ParameterStore``."""
+    return sum(t.data.size for _, t in store.items())
+
+
+def grad_check(f, params, h=1e-5, max_coords_per_param=10, rng=None):
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` must be a deterministic scalar-valued closure over ``params``.
+    Samples up to ``max_coords_per_param`` coordinates per parameter.
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    rng = rng or np.random.default_rng(0)
+
+    params.zero_grad()
+    out = f()
+    if not np.isfinite(out.item()):
+        raise FloatingPointError("non-finite function value in grad_check")
+    out.backward()
+
+    worst = 0.0
+    for _, p in params.items():
+        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        n = flat.size
+        if n <= max_coords_per_param:
+            coords = np.arange(n)
+        else:
+            coords = rng.choice(n, size=max_coords_per_param, replace=False)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + h
+            fp = f().item()
+            flat[c] = orig - h
+            fm = f().item()
+            flat[c] = orig
+            if not (np.isfinite(fp) and np.isfinite(fm)):
+                raise FloatingPointError("non-finite function value in grad_check")
+            numeric = (fp - fm) / (2.0 * h)
+            a = analytic.reshape(-1)[c]
+            err = abs(a - numeric) / max(1.0, abs(a))
+            worst = max(worst, err)
+    return worst
 
 
 def assert_batches_equal(got, want):

@@ -67,20 +67,136 @@ def dense_attention(h, w_s, a, adjacency, slope=0.2):
     return weights
 
 
+# ---------------------------------------------------------------------------
+# The per-window layout: each window its own copy of its features and
+# graphs, stacked window by window, as the program laid out batches before
+# it read windows straight from episode arrays.
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass
+class WindowCopy:
+    """One window as its own arrays: T observed frames, optional T' future."""
+
+    features: np.ndarray  # (T, N, C) centroid-relative model inputs
+    last_pos: np.ndarray  # (N, 2) absolute last observed positions
+    edge_lists: list  # per-frame (src, dst) arrays
+    target_abs: np.ndarray | None = None  # (T', N, 2)
+
+    @property
+    def n(self):
+        return self.features.shape[1]
+
+
+def frame_edge_lists(positions, radius):
+    """Per-frame local (src, dst) radius graphs of a (F, N, 2) position
+    stack, from one stacked ``edges_from_positions`` call."""
+    n_frames, n = positions.shape[:2]
+    src, dst = sg.edges_from_positions(positions, radius)
+    frame = dst // n
+    bounds = np.searchsorted(frame, np.arange(1, n_frames))
+    return list(zip(np.split(src - frame * n, bounds), np.split(dst - frame * n, bounds)))
+
+
+def window_from_states(states, config, future_pos=None, edges=None):
+    """The window of T observed vehicle states (T, N, 8): its features
+    less the first frame's centroid, times ``input_scale``; ``edges``
+    takes the frames' graphs when the caller built them, else they are
+    built here."""
+    if len(states) != config.t_obs:
+        raise ValueError(f"expected {config.t_obs} observed frames, got {len(states)}")
+    centroid = states[0, :, 0:2].mean(axis=0)
+    feats = states.copy()
+    feats[:, :, 0:2] -= centroid
+    feats *= config.input_scale
+    if edges is None:
+        edges = frame_edge_lists(states[:, :, 0:2], config.radius)
+    return WindowCopy(features=feats, last_pos=states[-1, :, 0:2].copy(), edge_lists=edges, target_abs=future_pos)
+
+
+def copy_windows(windows, config):
+    """The ``WindowCopy`` of each of the program's ``WindowSample`` views,
+    with its graphs built anew."""
+    return [
+        window_from_states(w.graphs.states[w.start : w.start + config.t_obs], config, future_pos=w.target_abs)
+        for w in windows
+    ]
+
+
+def frame_runs(parts, base, total):
+    """The laid-out frames' graphs as one block-diagonal graph over the
+    time-major rows, cut into runs of whole consecutive frames of at most
+    ``md.GAT_EDGE_BUDGET`` edges unless one frame; ``parts`` holds the
+    (src, dst) of each (laid-out frame, window) in that order, and ``base``
+    (frames, windows) the row that index 0 of a part maps to within its
+    frame's rows."""
+    count = len(base)
+    counts = np.array([len(s) for s, _ in parts], dtype=np.intp)
+    frame_edges = counts.reshape(count, -1).sum(axis=1)
+    starts, size = [0], 0
+    for t in range(count):
+        if t > starts[-1] and size + frame_edges[t] > md.GAT_EDGE_BUDGET:
+            starts.append(t)
+            size = 0
+        size += frame_edges[t]
+    bounds = np.array([*starts, count])
+    t_lo = np.repeat(bounds[:-1], np.diff(bounds))
+    row0 = (np.arange(count) - t_lo)[:, None] * total + base
+    shift = np.repeat(row0.reshape(-1), counts)
+    src = np.concatenate([s for s, _ in parts]) + shift
+    dst = np.concatenate([d for _, d in parts]) + shift
+    edge_bounds = np.concatenate([[0], np.cumsum(frame_edges)])[bounds]
+    return [
+        (lo, hi, src[e_lo:e_hi], dst[e_lo:e_hi])
+        for lo, hi, e_lo, e_hi in zip(starts, bounds[1:].tolist(), edge_bounds[:-1], edge_bounds[1:])
+    ]
+
+
+def prepare_batch(windows, config):
+    """``md.prepare_batch`` of ``WindowCopy`` windows, window after window."""
+    offsets = [0]
+    for w in windows:
+        offsets.append(offsets[-1] + w.n)
+    total = offsets[-1]
+    frames = md._laid_out_frames(config)
+    x = np.concatenate([w.features[frames.start :] for w in windows], axis=1).reshape(len(frames) * total, -1)
+    last_pos = np.concatenate([w.last_pos for w in windows], axis=0)
+    target_disp = None
+    pair_i, pair_j = [], []
+    if all(w.target_abs is not None for w in windows):
+        disp = np.concatenate([w.target_abs for w in windows], axis=1) - last_pos  # (T', sumN, 2)
+        target_disp = disp.transpose(1, 0, 2).reshape(total, -1)
+        for w, off in zip(windows, offsets):
+            for i in range(w.n):
+                for j in range(i + 1, w.n):
+                    pair_i.append(off + i)
+                    pair_j.append(off + j)
+    parts = [w.edge_lists[t] for t in frames for w in windows]
+    base = np.broadcast_to(np.asarray(offsets[:-1], dtype=np.intp), (len(frames), len(windows)))
+    return md.PreparedBatch(
+        x=x,
+        edges=frame_runs(parts, base, total),
+        offsets=offsets,
+        last_pos=last_pos,
+        target_disp=target_disp,
+        pair_i=np.array(pair_i, dtype=np.intp),
+        pair_j=np.array(pair_j, dtype=np.intp),
+    )
+
+
 def predict_one(model, window):
-    """Raw prediction of a single window through its own forward pass."""
-    batch = md.prepare_batch([window], model.config)
+    """Raw prediction of a single ``WindowCopy`` through its own forward pass."""
+    batch = prepare_batch([window], model.config)
     return md.outputs_to_predictions(md.forward_batch(model, batch), batch, model.config)[0]
 
 
 def predict_windows(model, windows):
-    """Raw predictions for every window as one stack over the windows'
-    vehicle rows, in window order, ``md.PREDICT_CHUNK`` windows per forward
-    pass; the per-window route of ``md.predict_episodes``, from
-    ``WindowSample`` objects through ``md.prepare_batch``."""
+    """Raw predictions for every ``WindowCopy`` as one stack over the
+    windows' vehicle rows, in window order, ``md.PREDICT_CHUNK`` windows
+    per forward pass; the per-window route of ``md.predict_episodes``."""
     parts = []
     for start in range(0, len(windows), md.PREDICT_CHUNK):
-        batch = md.prepare_batch(windows[start : start + md.PREDICT_CHUNK], model.config)
+        batch = prepare_batch(windows[start : start + md.PREDICT_CHUNK], model.config)
         parts.append(md._stacked_prediction(md.forward_batch(model, batch), batch, model.config))
     empty = np.zeros((0, model.config.t_pred, 2))
     point, lower, upper = (
@@ -90,14 +206,14 @@ def predict_windows(model, windows):
 
 
 def warn_episode(model, corr, episode, weights, fixed_threshold=None, no_cqr=False):
-    """``pipeline.warn_episode`` with one ``WindowSample`` per tick through
+    """``pipeline.warn_episode`` with one ``WindowCopy`` per tick through
     ``predict_windows``."""
     cfg = model.config
     states = episode.frames
     ticks = np.arange(cfg.t_obs - 1, len(states))
-    edges = sg.frame_edge_lists(states[:, :, 0:2], cfg.radius)
+    edges = frame_edge_lists(states[:, :, 0:2], cfg.radius)
     windows = [
-        md.window_from_states(states[lo : lo + cfg.t_obs], cfg, edges=edges[lo : lo + cfg.t_obs])
+        window_from_states(states[lo : lo + cfg.t_obs], cfg, edges=edges[lo : lo + cfg.t_obs])
         for lo in range(len(ticks))
     ]
     pred = cq.apply_correction(predict_windows(model, windows), None if no_cqr else corr)
@@ -109,10 +225,10 @@ def warn_episode(model, corr, episode, weights, fixed_threshold=None, no_cqr=Fal
 
 
 def prediction_metrics(model, windows, config, corr=None):
-    """``pipeline.prediction_metrics`` of a model over ``WindowSample``
-    windows through ``predict_windows``."""
+    """``pipeline.prediction_metrics`` of a model over labelled windows
+    through ``predict_windows``."""
     truth = np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows])
-    pred = predict_windows(model, windows)
+    pred = predict_windows(model, copy_windows(windows, config))
     out = {
         "ade": me.ade(pred.point, truth),
         "fde": me.fde(pred.point, truth),
@@ -638,10 +754,11 @@ def decode(hf, layers, paths=3):
 
 
 def forward_per_frame(model, windows, counter=None):
-    """``fcw.model.forward_batch`` with the spatial stage run frame by frame
-    over all T observed frames, each frame embedded on its own and passed
-    through the unfused ``gat_layer``; under ``no_tam`` only the last
-    frame's features go on. The decoders run one by one through ``mlp``."""
+    """``fcw.model.forward_batch`` of ``WindowCopy`` windows with the
+    spatial stage run frame by frame over all T observed frames, each frame
+    embedded on its own and passed through the unfused ``gat_layer``; under
+    ``no_tam`` only the last frame's features go on. The decoders run one
+    by one through ``mlp``."""
     cfg = model.config
     steps = []
     for t in range(cfg.t_obs):

@@ -18,9 +18,8 @@ import fcw.model as md
 import fcw.pipeline as pl
 import fcw.scenario as sc
 from fcw.drta import RiskWeights
-from fcw.optim import grad_check
 
-from conftest import labelled_window, random_frames, tiny_config
+from conftest import cv_episodes, grad_check, labelled_window, random_frames, tiny_config
 
 
 def report(capfd, num, ok, detail):
@@ -184,7 +183,7 @@ def test_criterion_3_beats_cv_baseline(capfd, c3_bundle):
 
 
 def test_criterion_4_cv_learnability(capfd):
-    episodes = sc.cv_episodes(400, n_vehicles=1, duration=2.0, max_speed=6.0, seed=5)
+    episodes = cv_episodes(400, n_vehicles=1, duration=2.0, max_speed=6.0, seed=5)
     config = md.desk_config(pinball_weight=0.0, collision_weight=0.0, gru_hidden=64)
     splits = sc.make_dataset(episodes, config, split_seed=0)
     model, _ = md.train(splits.train, config, seed=0, epochs=50, batch_size=16, base_lr=5e-3)

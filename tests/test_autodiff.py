@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcw.autodiff as ad
-from fcw.optim import ParameterStore, grad_check
+from fcw.optim import ParameterStore
 
-from conftest import assert_matches_oracle, assert_same_bits
+from conftest import assert_matches_oracle, assert_same_bits, grad_check
 
 import oracles
 

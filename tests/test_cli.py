@@ -1,4 +1,6 @@
 """Command-line surface: configuration parsing and the full command flow."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,9 +220,9 @@ def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_f
                 "--checkpoint", str(ckpt), "--calibration", str(calib), "--out", str(report)]) == 0
     capsys.readouterr()
 
-    # the same artifacts written from make_dataset's windows, which every
-    # split builds as WindowSample objects, and the per-window prediction
-    # route of tests/oracles.py; the commands build batches from episode arrays
+    # the same artifacts written from make_dataset's windows, and the
+    # per-window prediction route of tests/oracles.py over a copy of each
+    # window; the commands build batches from episode arrays
     cfg = cli.parse_config_file(cfg_file)
     traj, labels = data / "trajectories.csv", data / "labels.csv"
     splits = sc.make_dataset(sc.load_dataset(traj, labels), cfg.model, split_seed=cfg.data.split_seed)
@@ -234,7 +236,7 @@ def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_f
 
     model, model_cfg = cli._load_model(str(ckpt))
     model_cfg.alpha = 0.2
-    pred = oracles.predict_windows(model, splits.cal)
+    pred = oracles.predict_windows(model, oracles.copy_windows(splits.cal, model_cfg))
     targets = np.concatenate([w.target_abs.transpose(1, 0, 2) for w in splits.cal])
     corr = cq.calibrate(pred.lower, pred.upper, targets, model_cfg.alpha)
     cq.save_correction(ref / "calib.json", corr, checkpoint_sha256(ckpt))
@@ -304,6 +306,17 @@ def test_cli_errors_exit_nonzero(tmp_path, cfg_file, capsys):
     assert run(["gen", "--config", cfg_file, "--out", str(data)]) == 0
     assert run(["train", "--config", cfg_file, "--data", str(data),
                 "--out", str(tmp_path / "y.ckpt"), "--ablation", "no_cqr"]) == 1
+
+
+@pytest.mark.parametrize("grid", ["1", "5,9", "0", "0,8,16", "8,16,8"])
+def test_bench_grid_of_fewer_than_three_sizes_is_clean_error(tmp_path, cfg_file, capsys, artifacts, grid):
+    # a scaling fit through at most two sizes reads R^2 = 1 whatever the work
+    _, ckpt, _ = artifacts
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_clean_error(["bench", "--checkpoint", str(ckpt), "--n-grid", grid, "--repeats", "1"], capsys,
+                           "at least 3 distinct sizes")
+    assert caught == []
 
 
 def test_empty_calibration_split_is_clean_error(tmp_path, cfg_file, capsys):

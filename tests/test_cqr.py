@@ -10,7 +10,7 @@ import fcw.cqr as cq
 import fcw.model as md
 import fcw.scenario as sc
 
-from conftest import tiny_config
+from conftest import cv_episodes, tiny_config
 
 import oracles
 
@@ -152,7 +152,7 @@ def test_coverage_exact_oracle_discrete():
 def test_calibrate_raw_intervals_shapes_and_apply():
     cfg = tiny_config()
     model = md.init_model(cfg, seed=0)
-    episodes = sc.cv_episodes(2, n_vehicles=2, duration=1.0, seed=70)
+    episodes = cv_episodes(2, n_vehicles=2, duration=1.0, seed=70)
     windows = sc.dataset_windows(episodes, cfg)
     lower, upper, targets = cq.raw_intervals(model, episodes)
     assert lower.shape == upper.shape == targets.shape == (sum(w.n for w in windows), cfg.t_pred, 2)
@@ -160,10 +160,11 @@ def test_calibrate_raw_intervals_shapes_and_apply():
     corr = cq.calibrate(lower, upper, targets, alpha=0.2)
     assert corr.q.shape == (cfg.t_pred, 2)
     assert corr.n_cal == sum(w.n for w in windows)
-    pred = oracles.predict_one(model, windows[0])
+    pred = oracles.predict_one(model, oracles.copy_windows(windows[:1], cfg)[0])
     assert np.allclose(lower[: windows[0].n], pred.lower, rtol=0.0, atol=1e-12)
     adj = cq.apply_correction(pred, corr)
-    assert adj.conformal_applied
+    want_lower, want_upper = cq.conformal_interval(pred.lower, pred.upper, corr)
+    assert np.array_equal(adj.lower, want_lower) and np.array_equal(adj.upper, want_upper)
     assert np.all(adj.lower <= adj.upper + 1e-12)
 
 
@@ -174,7 +175,6 @@ def test_apply_correction_none_orders_bounds():
         upper=np.zeros((1, 2, 2)),
     )
     adj = cq.apply_correction(pred, None)
-    assert not adj.conformal_applied
     assert np.all(adj.lower <= adj.upper)
 
 
@@ -182,7 +182,7 @@ def test_raw_intervals_require_targets():
     # an episode too short for one window with its T' future frames
     cfg = tiny_config()
     model = md.init_model(cfg, seed=0)
-    ep = sc.cv_episodes(1, n_vehicles=2, duration=1.0, seed=71)[0]
+    ep = cv_episodes(1, n_vehicles=2, duration=1.0, seed=71)[0]
     span = cfg.t_obs + cfg.t_pred
     short = dataclasses.replace(ep, frames=ep.frames[: span - 1], times=ep.times[: span - 1])
     with pytest.raises(ValueError, match=f"has {span - 1} frames, needs >= {span}"):

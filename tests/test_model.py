@@ -6,11 +6,20 @@ from hypothesis import strategies as st
 
 import fcw.autodiff as ad
 import fcw.model as md
+import fcw.pipeline as pl
+import fcw.scenario as sc
 from fcw.checkpoint import load_checkpoint, save_checkpoint
-from fcw.optim import ParameterStore, grad_check
+from fcw.optim import ParameterStore
 from fcw.scene_graph import SceneFrame, WorkCounter
 
-from conftest import assert_batches_equal, assert_matches_oracle, labelled_window, random_frames, tiny_config
+from conftest import (
+    assert_batches_equal,
+    assert_matches_oracle,
+    grad_check,
+    labelled_window,
+    random_frames,
+    tiny_config,
+)
 
 import oracles
 
@@ -77,11 +86,9 @@ def test_config_dict_roundtrip():
 def test_make_window_counts_frames():
     cfg = tiny_config()
     frames = random_frames(2, cfg.t_obs + 1)
-    with pytest.raises(ValueError):
-        md.make_window(frames, cfg)
-    states = np.stack([f.vehicles for f in frames])
-    with pytest.raises(ValueError):
-        md.window_from_states(states[: cfg.t_obs], cfg, future_pos=states[:2, :, 0:2])
+    for count in (cfg.t_obs + 1, cfg.t_obs - 1):
+        with pytest.raises(ValueError, match="observed frames"):
+            md.make_window(frames[:count], cfg)
 
 
 def test_make_window_rejects_roster_change():
@@ -95,12 +102,12 @@ def test_make_window_rejects_roster_change():
 def test_make_window_centers_and_scales_features():
     cfg = tiny_config()
     frames = random_frames(3, cfg.t_obs, seed=4)
-    w = md.make_window(frames, cfg)
+    batch = md.prepare_batch([md.make_window(frames, cfg)], cfg)
     centroid = frames[0].vehicles[:, 0:2].mean(axis=0)
     raw = np.stack([f.vehicles for f in frames]).copy()
     raw[:, :, 0:2] -= centroid
-    assert np.allclose(w.features, raw * cfg.input_scale, atol=1e-12)
-    assert np.array_equal(w.last_pos, frames[-1].vehicles[:, 0:2])
+    assert np.allclose(batch.x.reshape(raw.shape), raw * cfg.input_scale, atol=1e-12)
+    assert np.array_equal(batch.last_pos, frames[-1].vehicles[:, 0:2])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +160,7 @@ def test_batching_matches_per_window():
     windows = episode_windows(cfg, n_vehicles=3, seed=10, count=2)
     batch = md.prepare_batch(windows, cfg)
     merged = md.outputs_to_predictions(md.forward_batch(model, batch), batch, cfg)
-    for w, pred in zip(windows, merged):
+    for w, pred in zip(oracles.copy_windows(windows, cfg), merged):
         solo = oracles.predict_one(model, w)
         assert np.allclose(pred.point, solo.point, atol=1e-12)
         assert np.allclose(pred.lower, solo.lower, atol=1e-12)
@@ -224,9 +231,10 @@ def test_no_tam_lays_out_and_attends_over_the_last_frame_only():
     windows = [md.make_window(random_frames(n, cfg.t_obs, seed=60 + n, spread=8.0), cfg) for n in (1, 3, 4)]
     total = sum(w.n for w in windows)
     batch = md.prepare_batch(windows, cfg)
-    assert np.array_equal(batch.x, np.concatenate([w.features[-1] for w in windows]))
+    copies = oracles.copy_windows(windows, cfg)
+    assert np.array_equal(batch.x, np.concatenate([w.features[-1] for w in copies]))
     ((t_lo, t_hi, src, dst),) = batch.edges
-    last = oracles.frame_edges(windows, cfg.t_obs - 1)
+    last = oracles.frame_edges(copies, cfg.t_obs - 1)
     assert (t_lo, t_hi) == (0, 1) and np.array_equal(src, last[0]) and np.array_equal(dst, last[1])
     counter = WorkCounter()
     md.forward_batch(model, batch, counter)
@@ -236,7 +244,7 @@ def test_no_tam_lays_out_and_attends_over_the_last_frame_only():
     # the last frame's outputs of the GAT run over all T frames
     assert_matches_oracle(
         lambda: forward_readout(md.forward_batch(model, batch)),
-        lambda: forward_readout(oracles.forward_per_frame(model, windows)),
+        lambda: forward_readout(oracles.forward_per_frame(model, copies)),
         model.params,
     )
 
@@ -252,7 +260,7 @@ def test_predict_episodes_matches_per_window_loop():
         assert getattr(stack, key).shape == (rows, cfg.t_pred, 2)
     start = 0
     for f in frames:
-        solo = oracles.predict_one(model, md.make_window(f, cfg))
+        solo = oracles.predict_one(model, oracles.copy_windows([md.make_window(f, cfg)], cfg)[0])
         for key in ("point", "lower", "upper"):
             got = getattr(stack, key)[start : start + f[0].n]
             assert np.allclose(got, getattr(solo, key), rtol=0.0, atol=1e-12)
@@ -294,18 +302,57 @@ def test_episode_batch_matches_the_per_window_path(episodes, no_tam, budget, chu
         # a piece may be empty, and the same episode may come back in a later piece
         pieces += [(graphs, lo, hi), (graphs, 0, data.draw(st.integers(0, windows)))]
     windows = [
-        md.window_from_states(g.states[s : s + cfg.t_obs], cfg) for g, lo, hi in pieces for s in range(lo, hi)
+        oracles.window_from_states(g.states[s : s + cfg.t_obs], cfg) for g, lo, hi in pieces for s in range(lo, hi)
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(md, "GAT_EDGE_BUDGET", budget)
         mp.setattr(md, "PREDICT_CHUNK", chunk)
         if windows:
-            got, want = md.episode_batch(pieces, cfg), md.prepare_batch(windows, cfg)
+            got, want = md.episode_batch(pieces, cfg), oracles.prepare_batch(windows, cfg)
             assert_batches_equal(got, want)
             assert got.target_disp is None and len(got.pair_i) == len(got.pair_j) == 0
         stack, ref = md.predict_episodes(model, pieces), oracles.predict_windows(model, windows)
     for key in ("point", "lower", "upper"):
         assert np.array_equal(getattr(stack, key), getattr(ref, key)), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 12), st.integers(0, 4), st.sampled_from([5.0, 20.0, 60.0])),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+    st.sampled_from([0, 40, 400, 2**15]),
+    st.integers(0, 2**16),
+    st.randoms(use_true_random=False),
+)
+def test_prepare_batch_of_shuffled_windows_matches_the_per_window_path(episodes, no_tam, budget, seed, random):
+    # the training shape: one-window pieces of episodes with different N, interleaved
+    cfg = tiny_config(no_tam=no_tam)
+    eps = []
+    for k, (n, extra, spread) in enumerate(episodes):
+        states = episode_states(n, cfg.t_obs + cfg.t_pred + extra, seed + k, spread)
+        times = np.arange(len(states)) * cfg.dt
+        eps.append(sc.Episode(k, "cv", cfg.dt, frames=states, times=times, danger=False, contact_time=None))
+    windows = sc.dataset_windows(eps, cfg)
+    random.shuffle(windows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(md, "GAT_EDGE_BUDGET", budget)
+        got, want = md.prepare_batch(windows, cfg), oracles.prepare_batch(oracles.copy_windows(windows, cfg), cfg)
+    assert_batches_equal(got, want)
+    for key in ("target_disp", "pair_i", "pair_j"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        assert getattr(got, key).dtype == getattr(want, key).dtype, key
+
+
+@pytest.mark.parametrize("n", [250, 1000])
+def test_episode_batch_matches_the_per_window_path_on_a_dense_scene(n):
+    cfg = md.desk_config()
+    states = pl.constant_density_frames(n, cfg, 0.02, seed=n)
+    got = md.prepare_batch([md.make_window([SceneFrame(timestamp=0.0, vehicles=v) for v in states], cfg)], cfg)
+    assert_batches_equal(got, oracles.prepare_batch([oracles.window_from_states(states, cfg)], cfg))
 
 
 def test_episode_targets_are_the_windows_futures():
@@ -349,11 +396,12 @@ def test_frame_runs_match_the_per_frame_path(counts, spread, seed):
         for k, n in enumerate(counts)
     ]
     total = sum(counts)
-    frames = [oracles.frame_edges(windows, t) for t in range(cfg.t_obs)]
+    copies = oracles.copy_windows(windows, cfg)
+    frames = [oracles.frame_edges(copies, t) for t in range(cfg.t_obs)]
     n_edges = sum(len(src) for src, _ in frames)
     k = cfg.k_heads
     reference = WorkCounter()
-    oracles.forward_per_frame(model, windows, reference)
+    oracles.forward_per_frame(model, copies, reference)
     assert reference.score_evals == cfg.l_s * k * n_edges
     assert reference.all_pairs_equivalent == cfg.l_s * k * cfg.t_obs * total**2
     budgets = (0, 300, 10**9)
@@ -373,7 +421,7 @@ def test_frame_runs_match_the_per_frame_path(counts, spread, seed):
         assert counter == reference
     assert len(batches[0].edges) == cfg.t_obs and len(batches[-1].edges) == 1
     whole = lambda: forward_readout(md.forward_batch(model, batches[-1]))
-    assert_matches_oracle(whole, lambda: forward_readout(oracles.forward_per_frame(model, windows)), model.params)
+    assert_matches_oracle(whole, lambda: forward_readout(oracles.forward_per_frame(model, copies)), model.params)
     for batch in batches[:-1]:
         assert_matches_oracle(lambda: forward_readout(md.forward_batch(model, batch)), whole, model.params)
 

@@ -11,10 +11,9 @@ from fcw.optim import (
     ParameterStore,
     adam_step,
     cosine_lr,
-    grad_check,
 )
 
-from conftest import tiny_config
+from conftest import grad_check, n_scalars, tiny_config
 
 import oracles
 
@@ -30,7 +29,7 @@ def test_store_counts_scalars():
     store = ParameterStore()
     store.add("a", np.zeros((2, 3)))
     store.add("b", np.zeros((1, 4)))
-    assert store.n_scalars() == 10
+    assert n_scalars(store) == 10
 
 
 def test_adam_zero_gradient_is_noop():

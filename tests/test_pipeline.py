@@ -10,7 +10,7 @@ import fcw.scenario as sc
 from fcw.drta import RiskWeights
 from fcw.scene_graph import check_vehicle_states
 
-from conftest import assert_batches_equal, scene_frames, tiny_config
+from conftest import assert_batches_equal, cv_episodes, scene_frames, tiny_config
 
 import oracles
 
@@ -27,7 +27,7 @@ def small_model(**cfg_overrides):
 
 def test_cv_baseline_metrics_near_zero_on_cv_data():
     cfg = tiny_config()
-    eps = sc.cv_episodes(4, n_vehicles=2, duration=2.0, seed=0)
+    eps = cv_episodes(4, n_vehicles=2, duration=2.0, seed=0)
     stats = pl.prediction_metrics(None, eps, cfg, baseline="cv")
     assert stats["ade"] < 1e-9
     assert stats["fde"] < 1e-9
@@ -37,7 +37,7 @@ def test_cv_baseline_metrics_match_extrapolation_from_the_episode():
     # braking with tracker noise: the velocity changes from frame to frame
     cfg = tiny_config()
     ep = sc.gen_scenario(sc.ScenarioSpec(family="sudden_braking", duration=3.0, noise=0.05, seed=2), 0)
-    windows = sc.episode_windows(ep, cfg)
+    windows = sc.dataset_windows([ep], cfg)
     errors = []
     for w in windows:
         tick = w.start + cfg.t_obs - 1
@@ -51,7 +51,7 @@ def test_cv_baseline_metrics_match_extrapolation_from_the_episode():
 
 def test_prediction_metrics_with_correction_reports_coverage():
     model, cfg = small_model()
-    eps = sc.cv_episodes(3, n_vehicles=2, duration=2.0, seed=1)
+    eps = cv_episodes(3, n_vehicles=2, duration=2.0, seed=1)
     import fcw.cqr as cq
 
     corr = cq.calibrate(*cq.raw_intervals(model, eps), alpha=0.2)
@@ -59,14 +59,14 @@ def test_prediction_metrics_with_correction_reports_coverage():
     assert 0.0 <= stats["raw_coverage"] <= 1.0
     assert stats["coverage"] >= 0.8 - 0.1  # in-sample, conformal level 0.8
     assert stats["mean_width"] >= 0.0
-    # the per-window route, through WindowSample objects, gives the same figures
-    windows = [w for ep in eps for w in sc.episode_windows(ep, cfg)]
+    # the per-window route, through a copy of each window, gives the same figures
+    windows = sc.dataset_windows(eps, cfg)
     assert stats == oracles.prediction_metrics(model, windows, cfg, corr=corr)
 
 
 def test_prediction_metrics_need_episodes_with_a_full_window():
     model, cfg = small_model()
-    ep = sc.cv_episodes(1, n_vehicles=2, duration=2.0, seed=1)[0]
+    ep = cv_episodes(1, n_vehicles=2, duration=2.0, seed=1)[0]
     span = cfg.t_obs + cfg.t_pred
     short = dataclasses.replace(ep, frames=ep.frames[: span - 1], times=ep.times[: span - 1])
     for m, baseline in ((model, None), (None, "cv")):
@@ -116,7 +116,8 @@ def test_warn_episode_matches_per_tick_loop(no_cqr):
         stream = []
         for tick in ticks:
             history = scene_frames(ep)[tick - cfg.t_obs + 1 : tick + 1]
-            pred = oracles.predict_one(model, md.make_window(history, cfg))
+            window = oracles.window_from_states(ep.frames[tick - cfg.t_obs + 1 : tick + 1], cfg)
+            pred = oracles.predict_one(model, window)
             pred = cq.apply_correction(pred, None if no_cqr else corr)
             inputs = oracles.risk_inputs_one_tick(pred, history[-1].vehicles, ep.curvature, ep.dt, cfg.collision_radius)
             if no_cqr:
@@ -162,10 +163,10 @@ def test_warn_episode_reuses_one_graph_build(monkeypatch):
     # the batch laid out from the episode array is the one of the per-tick windows
     got = md.episode_batch(seen, cfg)
     fresh = [
-        md.make_window(scene_frames(ep)[tick - cfg.t_obs + 1 : tick + 1], cfg)
+        oracles.window_from_states(ep.frames[tick - cfg.t_obs + 1 : tick + 1], cfg)
         for tick in range(cfg.t_obs - 1, len(ep.frames))
     ]
-    assert_batches_equal(got, md.prepare_batch(fresh, cfg))
+    assert_batches_equal(got, oracles.prepare_batch(fresh, cfg))
 
 
 def test_no_cqr_zeroes_uncertainty():
@@ -267,7 +268,7 @@ def test_run_bench_counts_work_per_frame(monkeypatch, budget):
     n_grid = [8, 40, 120]
     report = pl.run_bench(model, n_grid=n_grid, repeats=1, density=0.005, seed=0)
     for n, evals, pairs in zip(n_grid, report.score_evals, report.all_pairs):
-        window = md.window_from_states(pl.constant_density_frames(n, cfg, 0.005, 0), cfg)
+        window = oracles.window_from_states(pl.constant_density_frames(n, cfg, 0.005, 0), cfg)
         assert evals == cfg.l_s * cfg.k_heads * sum(len(src) for src, _ in window.edge_lists)
         assert pairs == cfg.l_s * cfg.k_heads * cfg.t_obs * n * n
 
@@ -285,3 +286,11 @@ def test_run_bench_smoke():
     assert len(report.prep_p50_ms) == 4 and all(t > 0 for t in report.prep_p50_ms)
     with pytest.raises(ValueError, match="repeats"):
         pl.run_bench(model, n_grid=[8], repeats=0)
+
+
+@pytest.mark.parametrize("n_grid", [[1], [5, 9], [5, 9, 9, 5], [0, 8, 16], [-4, 8, 16]])
+def test_run_bench_rejects_degenerate_grids(n_grid):
+    # a fit through at most two distinct sizes reads R^2 = 1 whatever the work
+    model, _ = small_model()
+    with pytest.raises(ValueError, match="at least 3 distinct sizes"):
+        pl.run_bench(model, n_grid=n_grid, repeats=1)

@@ -13,7 +13,7 @@ import fcw.cli as cli
 import fcw.model as md
 import fcw.scenario as sc
 import fcw.scene_graph as sg
-from conftest import scene_frames, tiny_config
+from conftest import assert_batches_equal, cv_episodes, scene_frames, tiny_config
 
 import oracles
 
@@ -242,28 +242,28 @@ def test_cv_baseline_stationary():
 def test_exact_length_episode_gives_one_window():
     cfg = tiny_config()  # T=4, T'=3
     span = cfg.t_obs + cfg.t_pred
-    ep = sc.cv_episodes(1, n_vehicles=2, duration=(span - 1) * 0.1, seed=0)[0]
+    ep = cv_episodes(1, n_vehicles=2, duration=(span - 1) * 0.1, seed=0)[0]
     assert len(ep.frames) == span
-    assert len(sc.episode_windows(ep, cfg)) == 1
+    assert len(sc.dataset_windows([ep], cfg)) == 1
 
 
 def test_window_count_formula():
     cfg = tiny_config(t_obs=8, t_pred=12)
-    ep = sc.cv_episodes(1, n_vehicles=2, duration=9.9, seed=0)[0]  # 100 frames
+    ep = cv_episodes(1, n_vehicles=2, duration=9.9, seed=0)[0]  # 100 frames
     assert len(ep.frames) == 100
-    assert len(sc.episode_windows(ep, cfg)) == 81  # 100 - 20 + 1
+    assert len(sc.dataset_windows([ep], cfg)) == 81  # 100 - 20 + 1
 
 
 def test_short_episode_rejected():
     cfg = tiny_config(t_obs=8, t_pred=12)
-    ep = sc.cv_episodes(1, n_vehicles=2, duration=1.0, seed=0)[0]
+    ep = cv_episodes(1, n_vehicles=2, duration=1.0, seed=0)[0]
     with pytest.raises(ValueError):
-        sc.episode_windows(ep, cfg)
+        sc.dataset_windows([ep], cfg)
 
 
 def test_split_by_episode_never_by_window():
     cfg = tiny_config()
-    eps = sc.cv_episodes(10, n_vehicles=2, duration=3.0, seed=1)
+    eps = cv_episodes(10, n_vehicles=2, duration=3.0, seed=1)
     splits = sc.make_dataset(eps, cfg, split_seed=0)
     train_ids = {w.episode_id for w in splits.train}
     cal_ids = {w.episode_id for w in splits.cal}
@@ -276,7 +276,7 @@ def test_split_by_episode_never_by_window():
 
 def test_split_fractions_and_determinism():
     cfg = tiny_config()
-    eps = sc.cv_episodes(20, n_vehicles=2, duration=3.0, seed=2)
+    eps = cv_episodes(20, n_vehicles=2, duration=3.0, seed=2)
     a = sc.make_dataset(eps, cfg, split_seed=5)
     b = sc.make_dataset(eps, cfg, split_seed=5)
     assert len(a.test_episodes) == 3 and len(a.cal_episodes) == 3
@@ -291,7 +291,7 @@ def test_make_dataset_empty_raises():
 
 def test_split_episodes_matches_make_dataset():
     cfg = tiny_config()
-    eps = sc.cv_episodes(12, n_vehicles=2, duration=2.0, seed=3)
+    eps = cv_episodes(12, n_vehicles=2, duration=2.0, seed=3)
     train, cal, test = sc.split_episodes(eps, split_seed=4)
     splits = sc.make_dataset(eps, cfg, split_seed=4)
     for got, want in ((train, splits.train_episodes), (cal, splits.cal_episodes), (test, splits.test_episodes)):
@@ -314,18 +314,22 @@ def test_episode_windows_reuse_one_graph_build(monkeypatch):
         return real(positions, radius)
 
     monkeypatch.setattr(sg, "edges_from_positions", counting)
-    windows = sc.episode_windows(ep, cfg)
+    windows = sc.dataset_windows([ep], cfg)
     observed = len(windows) + cfg.t_obs - 1  # the last t_pred frames are only ever a future
     assert calls == [(observed, ep.n, 2)]  # one stacked call for every observed frame
     keep = cfg.t_obs + cfg.t_pred - 1  # one frame short of a window with its future
     short = dataclasses.replace(ep, frames=ep.frames[:keep], times=ep.times[:keep])
     with pytest.raises(ValueError, match="needs >="):
-        sc.episode_windows(short, cfg)
+        sc.dataset_windows([short], cfg)
     assert len(calls) == 1  # no window, no graph
     monkeypatch.undo()
+    assert [w.start for w in windows] == list(range(len(windows)))
     for w in windows:
-        fresh = md.make_window(scene_frames(ep)[w.start : w.start + cfg.t_obs], cfg)
-        assert np.array_equal(w.features, fresh.features) and np.array_equal(w.last_pos, fresh.last_pos)
+        # a window is a view: the episode's one graph build and its states, copied nowhere
+        assert w.graphs is windows[0].graphs and w.graphs.states is ep.frames
+        assert np.shares_memory(w.target_abs, ep.frames)
+        fresh = oracles.window_from_states(ep.frames[w.start : w.start + cfg.t_obs], cfg)
+        assert_batches_equal(md.prepare_batch([w], cfg), oracles.prepare_batch([fresh], cfg))
         future = scene_frames(ep)[w.start + cfg.t_obs : w.start + cfg.t_obs + cfg.t_pred]
         assert np.array_equal(w.target_abs, np.stack([f.positions for f in future]))
         assert len(w.edge_lists) == cfg.t_obs
@@ -398,7 +402,7 @@ def test_save_load_roundtrip_property(tmp_path_factory, data):
 
 
 def test_episode_validates_its_array():
-    ep = sc.cv_episodes(1, n_vehicles=2, duration=0.4, seed=0)[0]  # 5 frames
+    ep = cv_episodes(1, n_vehicles=2, duration=0.4, seed=0)[0]  # 5 frames
     nan, thin = ep.frames.copy(), ep.frames.copy()
     nan[2, 1, 3] = np.nan
     thin[0, 0, 7] = 0.0
@@ -452,7 +456,7 @@ MALFORMED = {
 def test_load_rejects_malformed_dataset(tmp_path, capsys, case):
     mutate, named, fragment = MALFORMED[case]
     traj, labels = tmp_path / "trajectories.csv", tmp_path / "labels.csv"
-    sc.save_dataset(traj, labels, sc.cv_episodes(2, n_vehicles=2, duration=0.3, seed=4))
+    sc.save_dataset(traj, labels, cv_episodes(2, n_vehicles=2, duration=0.3, seed=4))
     path = traj if named == "traj" else labels
     rows = _rows(path.read_text())
     mutate(rows)
@@ -466,7 +470,7 @@ def test_load_rejects_malformed_dataset(tmp_path, capsys, case):
 
 
 def test_cv_episodes_respect_max_speed():
-    eps = sc.cv_episodes(5, n_vehicles=3, duration=2.0, max_speed=6.0, seed=3)
+    eps = cv_episodes(5, n_vehicles=3, duration=2.0, max_speed=6.0, seed=3)
     for ep in eps:
         assert np.all(np.abs(ep.frames[:-1, :, 2:4]) <= 6.0 + 1e-9)
 

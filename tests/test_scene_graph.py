@@ -12,9 +12,9 @@ import fcw.metrics as mt
 import fcw.model as md
 import fcw.pipeline as pl
 import fcw.scene_graph as sg
-from fcw.optim import ParameterStore, grad_check
+from fcw.optim import ParameterStore
 
-from conftest import assert_bit_identical_runs, assert_buffer_safe, assert_matches_oracle
+from conftest import assert_bit_identical_runs, assert_buffer_safe, assert_matches_oracle, grad_check
 
 import oracles
 
@@ -176,11 +176,20 @@ def test_non_finite_point_keeps_only_its_self_loop():
 
 
 def test_frame_edge_lists_split_the_stacked_build():
+    # a window's frame-local graphs, sliced from its episode's one stacked
+    # build, are the per-frame builds; so are the oracle's
     positions = np.random.default_rng(4).uniform(-30, 30, size=(5, 6, 2))
-    lists = sg.frame_edge_lists(positions, 25.0)
+    states = np.concatenate([positions, np.zeros((5, 6, 4)), np.broadcast_to([4.5, 1.8], (5, 6, 2))], axis=2)
+    graphs = md.episode_graphs(states, 25.0)
+    per_frame = [sg.edges_from_positions(frame, 25.0) for frame in positions]
+    for start, t_obs in ((0, 5), (1, 3), (4, 1)):
+        window = md.WindowSample(graphs=graphs, start=start, t_obs=t_obs)
+        assert len(window.edge_lists) == t_obs
+        for (src, dst), (want_src, want_dst) in zip(window.edge_lists, per_frame[start:]):
+            assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
+    lists = oracles.frame_edge_lists(positions, 25.0)
     assert len(lists) == 5
-    for frame, (src, dst) in zip(positions, lists):
-        want_src, want_dst = sg.edges_from_positions(frame, 25.0)
+    for (src, dst), (want_src, want_dst) in zip(lists, per_frame):
         assert np.array_equal(src, want_src) and np.array_equal(dst, want_dst)
 
 
@@ -378,7 +387,7 @@ def test_work_counter_counts_pairs_per_stacked_frame(rng):
     src, dst = sg.edges_from_positions(pos, 30.0)
     stacked, per_frame = sg.WorkCounter(), sg.WorkCounter()
     sg.gat_layer_edges(h, src, dst, layer, stacked, frames=3)
-    for t, (s, d) in enumerate(sg.frame_edge_lists(pos, 30.0)):
+    for t, (s, d) in enumerate(oracles.frame_edge_lists(pos, 30.0)):
         sg.gat_layer_edges(ad.rows(h, 5 * t, 5 * t + 5), s, d, layer, per_frame)
     assert stacked == per_frame
     assert stacked.all_pairs_equivalent == 2 * 3 * 5 * 5

@@ -9,9 +9,16 @@ import fcw.autodiff as ad
 import fcw.model as md
 import fcw.scene_graph as sg
 import fcw.temporal as tp
-from fcw.optim import ParameterStore, grad_check
+from fcw.optim import ParameterStore
 
-from conftest import assert_bit_identical_runs, assert_buffer_safe, assert_matches_oracle, random_frames, tiny_config
+from conftest import (
+    assert_bit_identical_runs,
+    assert_buffer_safe,
+    assert_matches_oracle,
+    grad_check,
+    random_frames,
+    tiny_config,
+)
 
 import oracles
 
@@ -280,7 +287,7 @@ def test_collapse_takes_last_row():
     batch = md.prepare_batch(windows, cfg)
     hf = md.forward_batch(model, batch).hf.data
     rows = 0
-    for w in windows:
+    for w in oracles.copy_windows(windows, cfg):
         steps = []
         for t in range(cfg.t_obs):
             h = sg.embed_features(ad.constant(w.features[t]), model.embed_w, model.embed_b)

@@ -20,7 +20,13 @@ from .drta import LAMBDA_PRESETS, RiskWeights
 from .model import HstanConfig, check_finite, desk_config, rebuild_model, train
 from .pipeline import run_bench
 
-MODEL_ABLATIONS = {"no_sam", "no_tam", "single_head", "no_collision_loss"}
+# the paper's model ablations, each a preset of existing model settings
+MODEL_ABLATIONS = {
+    "no_sam": {"l_s": 0},
+    "no_tam": {"gru_layers": 0},
+    "single_head": {"k_heads": 1, "m_heads": 1},
+    "no_collision_loss": {"collision_weight": 0.0},
+}
 WARN_ABLATIONS = {"no_cqr", "fixed_threshold"}
 VALUED_ABLATIONS = {"fixed_threshold"}
 
@@ -37,6 +43,7 @@ class DataConfig:
 
     def __post_init__(self):
         check_finite(self, ("duration", "dt"), positive=True)
+        check_finite(self, ("noise",), positive=False)
         if self.episodes_per_family < 1:
             raise ValueError(f"episodes_per_family must be >= 1, got {self.episodes_per_family}")
 
@@ -63,15 +70,7 @@ class RunConfig:
     risk: RiskWeights = field(default_factory=RiskWeights)
 
 
-BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
-
-
 def _coerce(current, raw: str):
-    if isinstance(current, bool):
-        word = raw.strip().lower()
-        if word not in BOOL_WORDS:
-            raise ValueError(f"expected one of {'/'.join(BOOL_WORDS)}, got {raw.strip()!r}")
-        return BOOL_WORDS[word]
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -158,13 +157,6 @@ def _parse_ablations(raw: str | None, allowed: set) -> dict:
     return out
 
 
-def _apply_model_ablations(model_cfg: HstanConfig, switches: dict) -> HstanConfig:
-    for name in MODEL_ABLATIONS & set(switches):
-        setattr(model_cfg, name, True)
-    model_cfg.__post_init__()
-    return model_cfg
-
-
 def _dataset_paths(data_dir: str) -> tuple[Path, Path]:
     d = Path(data_dir)
     return d / "trajectories.csv", d / "labels.csv"
@@ -194,8 +186,9 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    switches = _parse_ablations(args.ablation, MODEL_ABLATIONS)
-    _apply_model_ablations(cfg.model, switches)
+    presets = [MODEL_ABLATIONS[name] for name in _parse_ablations(args.ablation, MODEL_ABLATIONS.keys())]
+    # each ablation sets the model settings it stands for; replace re-runs the config checks
+    cfg.model = replace(cfg.model, **{k: v for preset in presets for k, v in preset.items()})
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
     train_eps, _, _ = scenario.split_episodes(episodes, cfg.data.split_seed)

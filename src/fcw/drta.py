@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import PredictionBatch
+from .model import PredictionBatch, check_finite
 
 LAMBDA_PRESETS = {"highway": 2.6, "urban": 2.0, "default": 2.2}
 WARMUP_MIN_SAMPLES = 5
@@ -40,11 +40,11 @@ class RiskWeights:
     window_size: int = 50  # risks the threshold statistics read
 
     def __post_init__(self):
+        check_finite(self, ("w_pred", "w_kin", "w_geo", "gamma", "beta"), positive=False)
+        check_finite(self, ("tau", "v_safe", "a_max"), positive=True)
         ws = (self.w_pred, self.w_kin, self.w_geo)
-        if any(w < 0 for w in ws) or abs(sum(ws) - 1.0) > 1e-9:
-            raise ValueError(f"risk weights must be nonnegative and sum to 1, got {ws}")
-        if self.tau <= 0 or self.v_safe <= 0 or self.a_max <= 0:
-            raise ValueError("tau, v_safe, a_max must be positive")
+        if abs(sum(ws) - 1.0) > 1e-9:
+            raise ValueError(f"risk weights must sum to 1, got {ws}")
         if not 1.5 <= self.lam <= 3.0:
             raise ValueError(f"lambda must lie in [1.5, 3.0], got {self.lam}")
         if self.window_size < 2:

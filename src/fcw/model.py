@@ -40,7 +40,10 @@ def check_finite(config, names: tuple, positive: bool) -> None:
 
 @dataclass
 class HstanConfig:
-    c: int = FEATURE_DIM
+    """Model settings. ``l_s = 0`` runs no GAT layer, and ``gru_layers = 0``
+    runs neither the GRU nor temporal attention (the model then reads only
+    the last observed frame)."""
+
     d_h: int = 256
     k_heads: int = 8
     l_s: int = 3
@@ -57,24 +60,20 @@ class HstanConfig:
     pinball_weight: float = 0.5
     collision_weight: float = 0.1
     collision_radius: float = 4.0
-    # Ablation switches
-    no_sam: bool = False
-    no_tam: bool = False
-    single_head: bool = False
-    no_collision_loss: bool = False
 
     def __post_init__(self):
         if isinstance(self.decoder_hidden, list):
             self.decoder_hidden = tuple(self.decoder_hidden)
-        if self.t_obs < 1 or self.t_pred < 1:
-            raise ValueError("t_obs and t_pred must be >= 1")
+        floors = dict.fromkeys(("t_obs", "t_pred", "d_h", "k_heads", "m_heads", "gru_hidden"), 1)
+        for name, least in {**floors, "l_s": 0, "gru_layers": 0}.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if any(width < 1 for width in self.decoder_hidden):
+            raise ValueError(f"decoder_hidden must be widths >= 1, got {self.decoder_hidden}")
         check_finite(self, ("dt", "input_scale", "radius", "collision_radius"), positive=True)
         check_finite(self, ("pinball_weight", "collision_weight"), positive=False)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.single_head:
-            self.k_heads = 1
-            self.m_heads = 1
         if self.d_h % self.k_heads != 0:
             raise ValueError(f"d_h={self.d_h} not divisible by k_heads={self.k_heads}")
         if self.gru_hidden % self.m_heads != 0:
@@ -86,9 +85,9 @@ class HstanConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "HstanConfig":
         """Config from ``to_dict`` output; every field must be present, and
-        no other key, each value of its field's type: an int (not a bool),
-        a float or int, a bool, or for ``decoder_hidden`` a list of positive
-        ints."""
+        no other key, each value of its field's type (an int that is not a
+        bool, a float or int, or for ``decoder_hidden`` a list of ints) and
+        in its range (``__post_init__``)."""
         names = {f.name for f in fields(cls)}
         keys = set(d) if isinstance(d, dict) else set()
         if keys != names:
@@ -98,14 +97,16 @@ class HstanConfig:
         valid = {
             "int": is_int,
             "float": lambda v: is_int(v) or isinstance(v, float),
-            "bool": lambda v: isinstance(v, bool),
-            "tuple": lambda v: isinstance(v, (list, tuple)) and all(is_int(u) and u > 0 for u in v),
+            "tuple": lambda v: isinstance(v, (list, tuple)) and all(is_int(u) for u in v),
         }
         for f in fields(cls):
             if not valid[f.type](d[f.name]):
-                kind = "a list of positive ints" if f.type == "tuple" else f"of type {f.type}"
+                kind = "a list of ints" if f.type == "tuple" else f"of type {f.type}"
                 raise ValueError(f"model config {f.name} must be {kind}, got {d[f.name]!r}")
-        return cls(**d)
+        try:
+            return cls(**d)
+        except ValueError as exc:
+            raise ValueError(f"model config {exc}") from None
 
 
 def desk_config(**overrides) -> HstanConfig:
@@ -215,27 +216,26 @@ def init_model(config: HstanConfig, seed: int = 0) -> HstanModel:
     store = ParameterStore()
     model = HstanModel(config=config, params=store)
 
-    model.embed_w = store.add("embed/w", _glorot(rng, config.c, config.d_h))
+    model.embed_w = store.add("embed/w", _glorot(rng, FEATURE_DIM, config.d_h))
     model.embed_b = store.add("embed/b", np.zeros((1, config.d_h)))
 
-    if not config.no_sam:
-        for layer_i in range(config.l_s):
-            final = layer_i == config.l_s - 1
-            d_out = config.d_h if final else config.d_h // config.k_heads
-            heads = [(_glorot(rng, config.d_h, d_out), _glorot(rng, 2 * d_out, 1)) for _ in range(config.k_heads)]
-            model.gat_layers.append(
-                GatLayerParams(
-                    w=store.add(f"gat{layer_i}/w", np.concatenate([w for w, _ in heads], axis=1)),
-                    a=store.add(f"gat{layer_i}/a", np.concatenate([a.T for _, a in heads])),
-                    combine="average" if final else "concat",
-                )
+    for layer_i in range(config.l_s):
+        final = layer_i == config.l_s - 1
+        d_out = config.d_h if final else config.d_h // config.k_heads
+        heads = [(_glorot(rng, config.d_h, d_out), _glorot(rng, 2 * d_out, 1)) for _ in range(config.k_heads)]
+        model.gat_layers.append(
+            GatLayerParams(
+                w=store.add(f"gat{layer_i}/w", np.concatenate([w for w, _ in heads], axis=1)),
+                a=store.add(f"gat{layer_i}/a", np.concatenate([a.T for _, a in heads])),
+                combine="average" if final else "concat",
             )
+        )
 
     h = config.gru_hidden
     model.bridge_w = store.add("bridge/w", _glorot(rng, config.d_h, h))
     model.bridge_b = store.add("bridge/b", np.zeros((1, h)))
 
-    if not config.no_tam:
+    if config.gru_layers:
         layers = []
         for li in range(config.gru_layers):
             w_z, u_z, w_r, u_r, w_h, u_h = (_glorot(rng, h, h) for _ in range(6))
@@ -352,8 +352,8 @@ class PreparedBatch:
 
 
 def _laid_out_frames(config: HstanConfig) -> range:
-    """The observed frames the model reads: all T, or under ``no_tam`` the last one."""
-    return range(config.t_obs - 1 if config.no_tam else 0, config.t_obs)
+    """The observed frames the model reads: all T, or with ``gru_layers = 0`` the last one."""
+    return range(0 if config.gru_layers else config.t_obs - 1, config.t_obs)
 
 
 def episode_batch(pieces: list[tuple[EpisodeGraphs, int, int]], config: HstanConfig) -> PreparedBatch:
@@ -473,7 +473,7 @@ def forward_batch(model: HstanModel, batch: PreparedBatch, counter: WorkCounter 
     total = batch.offsets[-1]
     # every laid-out frame is embedded at once; row t*total + v is vehicle v at frame t
     h = sg.embed_features(ad.constant(batch.x), model.embed_w, model.embed_b)
-    if not cfg.no_sam:
+    if model.gat_layers:
         # each run of frames is one block-diagonal graph: one GAT call per layer
         whole = len(batch.edges) == 1
         runs = []
@@ -484,11 +484,9 @@ def forward_batch(model: HstanModel, batch: PreparedBatch, counter: WorkCounter 
             runs.append(hr)
         h = runs[0] if whole else ad.concat_rows(runs)
 
-    if cfg.no_tam:  # the batch holds the last observed frame only
-        hf = ad.linear(h, model.bridge_w, model.bridge_b)
-    else:
-        g = ad.linear(h, model.bridge_w, model.bridge_b)
-        hf = tp.mha_blocks(tp.gru_encode_steps(g, model.gru, cfg.t_obs), model.mha, cfg.t_obs)
+    hf = ad.linear(h, model.bridge_w, model.bridge_b)
+    if cfg.gru_layers:  # else the batch holds the last observed frame only
+        hf = tp.mha_blocks(tp.gru_encode_steps(hf, model.gru, cfg.t_obs), model.mha, cfg.t_obs)
     return ForwardOutputs(hf=hf, disp=decode(hf, model.decoder))
 
 
@@ -593,7 +591,7 @@ def training_loss(
     total = mse + pinball * pw
 
     collision = 0.0
-    cw = 0.0 if config.no_collision_loss else config.collision_weight
+    cw = config.collision_weight
     pair_i, pair_j = batch.pair_i, batch.pair_j
     if cw > 0.0 and len(pair_i) > 0:
         # columns interleave as x0,y0,x1,y1,...

@@ -152,7 +152,9 @@ def prediction_metrics(
         last = np.concatenate(
             [g.states[lo + config.t_obs - 1 : hi + config.t_obs - 1].reshape(-1, FEATURE_DIM) for g, lo, hi in pieces]
         )
-        points = cv_baseline(last[:, 0:2], last[:, 2:4], config.t_pred, config.dt)
+        # each row extrapolates with its own episode's time step (one piece per episode)
+        dt = np.repeat([ep.dt for ep in episodes], [(hi - lo) * g.states.shape[1] for g, lo, hi in pieces])
+        points = cv_baseline(last[:, 0:2], last[:, 2:4], config.t_pred, dt)
     else:
         pred = predict_episodes(model, pieces)
         points = pred.point
@@ -234,13 +236,14 @@ class BenchReport:
     latency_ms: dict[int, dict]
     prep_p50_ms: list[float]  # median time per N to build the window's graphs and batch (episode_batch)
     linear_r2_edges: float
-    quadratic_r2_all_pairs: float
+    quadratic_r2_all_pairs: float | None  # None below 4 distinct sizes, which a degree-2 fit passes through exactly
     linear_r2_all_pairs: float
 
     def to_text(self) -> str:
+        quadratic = self.quadratic_r2_all_pairs
         lines = [
             f"linear_r2_edges={self.linear_r2_edges:.6f}",
-            f"quadratic_r2_all_pairs={self.quadratic_r2_all_pairs:.6f}",
+            f"quadratic_r2_all_pairs={'n/a' if quadratic is None else f'{quadratic:.6f}'}",
             f"linear_r2_all_pairs={self.linear_r2_all_pairs:.6f}",
             "",
             "N      edges      all_pairs  prep_p50_ms  p50_ms    p90_ms    p99_ms",
@@ -262,7 +265,8 @@ def run_bench(
     seed: int = 0,
 ) -> BenchReport:
     """Work counts and latencies of one window per scene size; the scaling
-    fits need at least 3 distinct sizes, each of at least one vehicle."""
+    fits need at least 3 distinct sizes, each of at least one vehicle, and
+    the quadratic one at least 4."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     n_grid = n_grid or [10, 20, 40, 80, 120]
@@ -288,7 +292,7 @@ def run_bench(
             forward_batch(model, batch)
             samples.append((time.perf_counter() - t0) * 1000.0)
         latency[n] = me.latency_percentiles(samples)
-    xs = np.asarray(n_grid, dtype=np.float64)
+    xs, pairs = np.asarray(n_grid, dtype=np.float64), np.asarray(all_pairs, dtype=np.float64)
     return BenchReport(
         n_grid=n_grid,
         score_evals=score_evals,
@@ -296,6 +300,6 @@ def run_bench(
         latency_ms=latency,
         prep_p50_ms=prep,
         linear_r2_edges=_fit_r2(xs, np.asarray(score_evals, dtype=np.float64), 1),
-        quadratic_r2_all_pairs=_fit_r2(xs, np.asarray(all_pairs, dtype=np.float64), 2),
-        linear_r2_all_pairs=_fit_r2(xs, np.asarray(all_pairs, dtype=np.float64), 1),
+        quadratic_r2_all_pairs=_fit_r2(xs, pairs, 2) if len(set(n_grid)) > 3 else None,
+        linear_r2_all_pairs=_fit_r2(xs, pairs, 1),
     )

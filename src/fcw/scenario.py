@@ -332,9 +332,10 @@ def gen_scenario(spec: ScenarioSpec, episode_id: int = 0) -> Episode:
     )
 
 
-def cv_baseline(pos: np.ndarray, vel: np.ndarray, t_pred: int, dt: float) -> np.ndarray:
-    """Constant-velocity extrapolation of (N, 2) positions and velocities: (N, T', 2)."""
-    ks = np.arange(1, t_pred + 1)[:, None, None] * dt
+def cv_baseline(pos: np.ndarray, vel: np.ndarray, t_pred: int, dt) -> np.ndarray:
+    """Constant-velocity extrapolation of (N, 2) positions and velocities,
+    with one time step for all rows or one per row (N,): (N, T', 2)."""
+    ks = np.arange(1, t_pred + 1)[:, None, None] * np.reshape(dt, (-1, 1))
     return (pos[None, :, :] + vel[None, :, :] * ks).transpose(1, 0, 2)
 
 

@@ -58,7 +58,8 @@ class WorkCounter:
     """Counts attention-score evaluations; one per directed edge per head.
 
     A forward pass counts the frames its batch lays out: all T observed
-    frames, or only the last one under ``no_tam``.
+    frames, or only the last one when the model has no temporal stage
+    (``gru_layers = 0``).
     """
 
     score_evals: int = 0

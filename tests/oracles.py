@@ -757,7 +757,7 @@ def forward_per_frame(model, windows, counter=None):
     """``fcw.model.forward_batch`` of ``WindowCopy`` windows with the
     spatial stage run frame by frame over all T observed frames, each frame
     embedded on its own and passed through the unfused ``gat_layer``; under
-    ``no_tam`` only the last frame's features go on. The decoders run one
+    ``gru_layers = 0`` only the last frame's features go on. The decoders run one
     by one through ``mlp``."""
     cfg = model.config
     steps = []
@@ -768,7 +768,7 @@ def forward_per_frame(model, windows, counter=None):
         for layer in model.gat_layers:
             h = gat_layer(h, src, dst, layer, counter)
         steps.append(h)
-    if cfg.no_tam:
+    if not cfg.gru_layers:
         hf = ad.linear(steps[-1], model.bridge_w, model.bridge_b)
     else:
         g = ad.linear(ad.concat_rows(steps), model.bridge_w, model.bridge_b)
@@ -793,7 +793,7 @@ def training_loss(disp, batch, config):
     pin = add(lo, hi)
     total = add(mse, scale(pin, config.pinball_weight))
     collision_value = 0.0
-    cw = 0.0 if config.no_collision_loss else config.collision_weight
+    cw = config.collision_weight
     if cw > 0.0 and len(batch.pair_i) > 0:
         # columns interleave as x0,y0,x1,y1,...
         tiled = np.tile(batch.last_pos, (1, config.t_pred))

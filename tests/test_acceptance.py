@@ -73,8 +73,8 @@ def c3_bundle():
     }
 
 
-def _train_ablation(bundle, epochs=50, **flags):
-    config = md.desk_config(l_s=1, **flags)
+def _train_ablation(bundle, ablation, epochs=50):
+    config = md.desk_config(**{"l_s": 1, **cli.MODEL_ABLATIONS[ablation]})
     model, _ = md.train(
         bundle["splits"].train, config, seed=0, epochs=epochs, batch_size=32, base_lr=1e-2
     )
@@ -353,15 +353,15 @@ def test_criterion_8_ablations(capfd, c3_bundle):
     results = {}
 
     # model-stage switches: trained on the criterion-3 dataset
-    no_sam_model, no_sam_cfg = _train_ablation(c3_bundle, no_sam=True)
-    no_tam_model, no_tam_cfg = _train_ablation(c3_bundle, no_tam=True)
+    no_sam_model, no_sam_cfg = _train_ablation(c3_bundle, "no_sam")
+    no_tam_model, no_tam_cfg = _train_ablation(c3_bundle, "no_tam")
     ade_no_sam = pl.prediction_metrics(no_sam_model, c3_bundle["splits"].test_episodes, no_sam_cfg)["ade"]
     ade_no_tam = pl.prediction_metrics(no_tam_model, c3_bundle["splits"].test_episodes, no_tam_cfg)["ade"]
 
     results["no_sam"] = _ablation_report(no_sam_model, no_sam_cfg, c3_bundle)
     results["no_tam"] = _ablation_report(no_tam_model, no_tam_cfg, c3_bundle)
     for flag in ("single_head", "no_collision_loss"):
-        m, cfg = _train_ablation(c3_bundle, epochs=3, **{flag: True})
+        m, cfg = _train_ablation(c3_bundle, flag, epochs=3)
         results[flag] = _ablation_report(m, cfg, c3_bundle)
     # warning-stage switches reuse the full model
     results["fixed_threshold"] = _ablation_report(

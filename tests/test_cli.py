@@ -275,8 +275,40 @@ def test_train_ablation_switch(tmp_path, cfg_file):
     from fcw.checkpoint import load_checkpoint
 
     store, cfg_dict = load_checkpoint(ckpt)
-    assert cfg_dict["no_sam"] is True
+    assert cfg_dict["l_s"] == 0 and "no_sam" not in cfg_dict
     assert not any(p.startswith("gat") for p in store.paths())
+
+
+# each --ablation name and the model settings it stands for, spelled out
+ABLATION_SETTINGS = {
+    "no_sam": "model.l_s = 0\n",
+    "no_tam": "model.gru_layers = 0\n",
+    "single_head": "model.k_heads = 1\nmodel.m_heads = 1\n",
+    "no_collision_loss": "model.collision_weight = 0\n",
+}
+
+
+def checkpoint_data(ckpt):
+    """The parameter bytes of a checkpoint, after its header."""
+    blob = ckpt.read_bytes()
+    return blob[16 + int.from_bytes(blob[8:16], "little") :]
+
+
+@pytest.mark.parametrize("name", sorted(ABLATION_SETTINGS))
+def test_train_ablation_is_its_settings(tmp_path, cfg_file, name):
+    data = tmp_path / "data"
+    assert run(["gen", "--config", cfg_file, "--seed", "2", "--out", str(data)]) == 0
+    settings = tmp_path / "settings.cfg"
+    settings.write_text(TEST_CFG + ABLATION_SETTINGS[name])
+    train = ["train", "--seed", "2", "--data", str(data)]
+    full, ablated, spelled = tmp_path / "full.ckpt", tmp_path / "ablated.ckpt", tmp_path / "spelled.ckpt"
+    assert run([*train, "--config", cfg_file, "--out", str(full)]) == 0
+    assert run([*train, "--config", cfg_file, "--out", str(ablated), "--ablation", name]) == 0
+    assert run([*train, "--config", str(settings), "--out", str(spelled)]) == 0
+    assert checkpoint_data(ablated) == checkpoint_data(spelled)
+    assert (tmp_path / "ablated.ckpt.log").read_bytes() == (tmp_path / "spelled.ckpt.log").read_bytes()
+    # the ablation changes training
+    assert (tmp_path / "ablated.ckpt.log").read_bytes() != (tmp_path / "full.ckpt.log").read_bytes()
 
 
 def test_warn_fixed_threshold_and_no_cqr(tmp_path, cfg_file):
@@ -317,6 +349,15 @@ def test_bench_grid_of_fewer_than_three_sizes_is_clean_error(tmp_path, cfg_file,
         assert_clean_error(["bench", "--checkpoint", str(ckpt), "--n-grid", grid, "--repeats", "1"], capsys,
                            "at least 3 distinct sizes")
     assert caught == []
+
+
+def test_bench_prints_no_quadratic_fit_below_four_sizes(cfg_file, capsys, artifacts):
+    # a degree-2 fit passes exactly through any 3 points
+    _, ckpt, _ = artifacts
+    for grid, quadratic in (("8,16,32", "n/a"), ("8,16,32,64", "1.000000")):
+        capsys.readouterr()
+        assert run(["bench", "--checkpoint", str(ckpt), "--n-grid", grid, "--repeats", "1"]) == 0
+        assert f"quadratic_r2_all_pairs={quadratic}\n" in capsys.readouterr().out
 
 
 def test_empty_calibration_split_is_clean_error(tmp_path, cfg_file, capsys):
@@ -403,6 +444,15 @@ def test_checkpoint_config_keys_are_checked(tmp_path, cfg_file, capsys, artifact
     assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, f"{change} ['{key}']")
 
 
+def test_checkpoint_with_the_old_ablation_switches_is_clean_error(tmp_path, cfg_file, capsys, artifacts):
+    # the header of a checkpoint written before the ablations became presets
+    data, ckpt, _ = artifacts
+    old = {"c": 8, "no_sam": False, "no_tam": False, "single_head": False, "no_collision_loss": False}
+    rewrite_header(ckpt, lambda h: h["config"].update(old))
+    needle = "unknown ['c', 'no_collision_loss', 'no_sam', 'no_tam', 'single_head'], missing []"
+    assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, "model config keys differ", needle)
+
+
 @pytest.mark.parametrize("change", ["no n_cal", "q not q_shape"])
 def test_malformed_calibration_is_clean_error(tmp_path, cfg_file, capsys, artifacts, change):
     import json
@@ -462,7 +512,6 @@ CONFIG_VALUE_CASES = {
     "int as bool": ("k_heads", True),
     "int as float": ("l_s", 1.0),
     "float as string": ("radius", "30.0"),
-    "bool as int": ("no_sam", 0),
     "hidden not a list": ("decoder_hidden", 8),
     "hidden of zero width": ("decoder_hidden", [8, 0]),
     "hidden of strings": ("decoder_hidden", ["8"]),
@@ -659,8 +708,14 @@ def test_value_on_an_on_off_switch_is_clean_error(tmp_path, cfg_file, capsys, ar
         ("risk.lam = 3.5", [], "lambda must lie in [1.5, 3.0], got 3.5"),
         ("", ["--lambda", "1.2"], "lambda must lie in [1.5, 3.0], got 1.2"),
         ("risk.window_size = 1", [], "window_size must be >= 2, got 1"),
+        ("risk.w_pred = nan", [], "w_pred must be finite and nonnegative, got nan"),
+        ("risk.v_safe = nan", [], "v_safe must be finite and positive, got nan"),
+        ("risk.gamma = nan", [], "gamma must be finite and nonnegative, got nan"),
+        ("risk.beta = -inf", [], "beta must be finite and nonnegative, got -inf"),
+        ("risk.tau = inf", [], "tau must be finite and positive, got inf"),
     ],
-    ids=["mode in config", "lambda in config", "lambda flag", "one-slot window"],
+    ids=["mode in config", "lambda in config", "lambda flag", "one-slot window", "nan weight", "nan v_safe",
+         "nan gamma", "minus infinite beta", "infinite tau"],
 )
 def test_risk_settings_are_checked_at_load(tmp_path, capsys, setting, flags, needle):
     # the checkpoint and data do not exist: the config must fail before they are read
@@ -679,7 +734,10 @@ def test_risk_settings_are_checked_at_load(tmp_path, capsys, setting, flags, nee
 @pytest.mark.parametrize(
     "setting, needle",
     [
-        ("model.no_sam = treu", "model.no_sam: expected one of 1/true/yes/on/0/false/no/off, got 'treu'"),
+        ("model.k_heads = 0", "k_heads must be >= 1, got 0"),
+        ("model.m_heads = 0", "m_heads must be >= 1, got 0"),
+        ("model.l_s = -1", "l_s must be >= 0, got -1"),
+        ("model.decoder_hidden = 0", "decoder_hidden must be widths >= 1, got (0,)"),
         ("model.radius = -5", "radius must be finite and positive, got -5.0"),
         ("model.dt = nan", "dt must be finite and positive, got nan"),
         ("model.input_scale = inf", "input_scale must be finite and positive, got inf"),
@@ -693,6 +751,7 @@ def test_risk_settings_are_checked_at_load(tmp_path, capsys, setting, flags, nee
         ("data.duration = -1", "duration must be finite and positive, got -1.0"),
         ("data.dt = 0", "dt must be finite and positive, got 0.0"),
         ("data.episodes_per_family = 0", "episodes_per_family must be >= 1, got 0"),
+        ("data.noise = nan", "noise must be finite and nonnegative, got nan"),
     ],
 )
 def test_config_values_are_validated(tmp_path, capsys, setting, needle):
@@ -702,11 +761,30 @@ def test_config_values_are_validated(tmp_path, capsys, setting, needle):
     assert not (tmp_path / "data").exists()
 
 
-@pytest.mark.parametrize("word, value", [("1", True), ("Yes", True), ("on", True), ("0", False), ("FALSE", False), ("off", False)])
-def test_config_bool_words(tmp_path, word, value):
-    cfg = tmp_path / "ok.cfg"
-    cfg.write_text(f"model.no_collision_loss = {word}\n")
-    assert cli.parse_config_file(cfg).model.no_collision_loss is value
+def test_cv_baseline_extrapolates_with_each_episodes_time_step(tmp_path, capsys):
+    # the data's time step differs from model.dt (0.1)
+    import fcw.scenario as sc
+
+    cfg = tmp_path / "dt.cfg"
+    cfg.write_text(TEST_CFG + "data.dt = 0.2\n")
+    data, out = tmp_path / "data", tmp_path / "cv.txt"
+    assert run(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    assert run(["eval", "--config", str(cfg), "--data", str(data), "--baseline", "cv", "--out", str(out)]) == 0
+    report = dict(line.split("=") for line in out.read_text().splitlines() if "=" in line)
+    _, _, test_eps = sc.split_episodes(sc.load_dataset(data / "trajectories.csv", data / "labels.csv"), 0)
+    t_obs, t_pred = 4, 3
+    errors, finals = [], []
+    for ep in test_eps:
+        step = ep.times[1] - ep.times[0]
+        assert step == pytest.approx(0.2)
+        for now in range(t_obs - 1, len(ep.frames) - t_pred):
+            pos, vel = ep.frames[now, :, 0:2], ep.frames[now, :, 2:4]
+            for k in range(1, t_pred + 1):
+                miss = np.hypot(*(pos + vel * (k * step) - ep.frames[now + k, :, 0:2]).T)
+                errors.extend(miss)
+            finals.extend(miss)
+    assert float(report["ade_m"]) == pytest.approx(np.mean(errors), rel=1e-8)
+    assert float(report["fde_m"]) == pytest.approx(np.mean(finals), rel=1e-8)
 
 
 @pytest.mark.parametrize("command", ["calibrate", "eval"])

@@ -10,7 +10,8 @@ import fcw.pipeline as pl
 import fcw.scenario as sc
 from fcw.checkpoint import load_checkpoint, save_checkpoint
 from fcw.optim import ParameterStore
-from fcw.scene_graph import SceneFrame, WorkCounter
+from fcw.cli import MODEL_ABLATIONS
+from fcw.scene_graph import FEATURE_DIM, SceneFrame, WorkCounter
 
 from conftest import (
     assert_batches_equal,
@@ -71,14 +72,8 @@ def test_config_validation():
         tiny_config(dt=-0.1)
 
 
-def test_config_single_head_forces_one_head():
-    cfg = tiny_config(single_head=True)
-    assert cfg.k_heads == 1
-    assert cfg.m_heads == 1
-
-
 def test_config_dict_roundtrip():
-    cfg = tiny_config(no_sam=True, alpha=0.2)
+    cfg = tiny_config(l_s=0, alpha=0.2)
     again = md.HstanConfig.from_dict(cfg.to_dict())
     assert again == cfg
 
@@ -181,8 +176,8 @@ def test_single_vehicle_path():
 
 def test_ablation_switches_change_parameter_sets():
     full = md.init_model(tiny_config(), seed=0).params.paths()
-    no_sam = md.init_model(tiny_config(no_sam=True), seed=0).params.paths()
-    no_tam = md.init_model(tiny_config(no_tam=True), seed=0).params.paths()
+    no_sam = md.init_model(tiny_config(l_s=0), seed=0).params.paths()
+    no_tam = md.init_model(tiny_config(gru_layers=0), seed=0).params.paths()
     assert not any(p.startswith("gat") for p in no_sam)
     assert any(p.startswith("gat") for p in full)
     assert not any(p.startswith(("gru", "mha")) for p in no_tam)
@@ -226,7 +221,7 @@ def test_prepare_batch_skips_pairs_without_targets():
 
 
 def test_no_tam_lays_out_and_attends_over_the_last_frame_only():
-    cfg = tiny_config(no_tam=True)
+    cfg = tiny_config(gru_layers=0)
     model = md.init_model(cfg, seed=5)
     windows = [md.make_window(random_frames(n, cfg.t_obs, seed=60 + n, spread=8.0), cfg) for n in (1, 3, 4)]
     total = sum(w.n for w in windows)
@@ -290,7 +285,7 @@ def episode_states(n, count, seed, spread):
     st.data(),
 )
 def test_episode_batch_matches_the_per_window_path(episodes, no_tam, budget, chunk, seed, data):
-    cfg = tiny_config(no_tam=no_tam)
+    cfg = tiny_config(gru_layers=0 if no_tam else 2)
     model = md.init_model(cfg, seed=seed % 5)
     pieces = []
     for k, (n, extra, spread) in enumerate(episodes):
@@ -330,7 +325,7 @@ def test_episode_batch_matches_the_per_window_path(episodes, no_tam, budget, chu
 )
 def test_prepare_batch_of_shuffled_windows_matches_the_per_window_path(episodes, no_tam, budget, seed, random):
     # the training shape: one-window pieces of episodes with different N, interleaved
-    cfg = tiny_config(no_tam=no_tam)
+    cfg = tiny_config(gru_layers=0 if no_tam else 2)
     eps = []
     for k, (n, extra, spread) in enumerate(episodes):
         states = episode_states(n, cfg.t_obs + cfg.t_pred + extra, seed + k, spread)
@@ -463,7 +458,7 @@ def test_collision_penalty_hand_value():
     cfg = tiny_config(collision_weight=0.5, collision_radius=2.0, pinball_weight=0.0)
     n, tp2 = 2, cfg.t_pred * 2
     batch = md.PreparedBatch(
-        x=np.zeros((0, cfg.c)),
+        x=np.zeros((0, FEATURE_DIM)),
         edges=[],
         offsets=[0, n],
         last_pos=np.array([[0.0, 0.0], [1.0, 0.0]]),
@@ -497,7 +492,7 @@ LOSS_CASES = ["pairs", "no_pairs", "no_collision_loss", "pinball_weight_0", "u_z
 
 def loss_case(case):
     """(config, batch, store holding the disp parameter) for one loss case."""
-    overrides = {"no_collision_loss": True} if case == "no_collision_loss" else {}
+    overrides = {"collision_weight": 0.0} if case == "no_collision_loss" else {}
     if case == "pinball_weight_0":
         overrides["pinball_weight"] = 0.0
     cfg = tiny_config(collision_radius=40.0, **overrides)
@@ -540,7 +535,7 @@ def test_loss_node_matches_the_chain_oracle(case):
 
 
 def test_no_collision_loss_flag_disables_penalty():
-    cfg = tiny_config(no_collision_loss=True, collision_weight=10.0, pinball_weight=0.0)
+    cfg = tiny_config(collision_weight=0.0, pinball_weight=0.0)
     model = md.init_model(cfg, seed=3)
     windows = episode_windows(cfg, n_vehicles=2, seed=31, count=1)
     batch = md.prepare_batch(windows, cfg)
@@ -588,7 +583,7 @@ def test_training_step_node_count(flag):
     # one node per GRU layer, one per GAT layer (the batch's frames are one
     # run), one attention node, one node for all three decoders, one loss
     # node, and one leaf per packed parameter tensor (25 in all)
-    cfg = md.desk_config(**({} if flag == "full" else {flag: True}))
+    cfg = md.desk_config(**MODEL_ABLATIONS.get(flag, {}))
     model = md.init_model(cfg, seed=0)
     windows = [episode_windows(cfg, n_vehicles=2 + k % 3, seed=k, count=1)[0] for k in range(32)]
     batch = md.prepare_batch(windows, cfg)

@@ -761,7 +761,7 @@ def test_config_values_are_validated(tmp_path, capsys, setting, needle):
     assert not (tmp_path / "data").exists()
 
 
-def test_cv_baseline_extrapolates_with_each_episodes_time_step(tmp_path, capsys):
+def test_cv_baseline_extrapolates_with_each_episodes_time_step(tmp_path):
     # the data's time step differs from model.dt (0.1)
     import fcw.scenario as sc
 

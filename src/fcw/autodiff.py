@@ -2,9 +2,11 @@
 
 Every tensor is a 2-D row-major float64 array. Operations build a small
 computation graph through parent links and per-node backward closures;
-``Tensor.backward()`` walks the graph in reverse topological order. The
-graph is per-forward-invocation state: frozen-parameter evaluation from
-several threads is safe as long as each thread builds its own graph.
+``Tensor.backward()`` walks the graph in reverse topological order. A node
+keeps its parents and closure only when it requires a gradient, that is
+when some leaf it derives from does: a forward over frozen parameters
+(see ``optim.ParameterStore``) keeps no graph and no activations for a
+backward pass, and each node holds only its data.
 """
 from __future__ import annotations
 
@@ -33,9 +35,10 @@ class Tensor:
 
     def __init__(self, data, parents=(), backward=None, requires_grad=False):
         self.data = _as_matrix(data)
-        self._parents = tuple(parents)
-        self._backward = backward
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        # a node no gradient reaches drops its closure, and with it the activations the closure holds
+        self._parents = tuple(parents) if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
         self.grad = None
 
     @property
@@ -55,6 +58,8 @@ class Tensor:
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this node; seeds with ones for a 1x1 scalar."""
+        if not self.requires_grad:
+            raise ValueError("backward() on a value that requires no gradient: no parameter it depends on is trainable")
         if seed is None:
             if self.data.size != 1:
                 raise ShapeMismatchError("backward() without a seed requires a scalar output")
@@ -84,10 +89,6 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + bias row as one node. The shared affine primitive behind every layer."""
     if x.shape[1] != w.shape[0]:
@@ -96,7 +97,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(f"linear: bias {b.shape} vs weight {w.shape}")
     y = x.data @ w.data
     y += b.data
-    out = Tensor(y, parents=(x, w, b))
 
     def backward(g):
         if x.requires_grad:
@@ -106,19 +106,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g.sum(axis=0, keepdims=True))
 
-    out._backward = backward
-    return out
+    return Tensor(y, parents=(x, w, b), backward=backward)
 
 
 def _elementwise(x: Tensor, value: np.ndarray, dvalue: np.ndarray) -> Tensor:
-    out = Tensor(value, parents=(x,))
-
     def backward(g):
         if x.requires_grad:
             x._accumulate(g * dvalue)
 
-    out._backward = backward
-    return out
+    return Tensor(value, parents=(x,), backward=backward)
 
 
 def elu_and_derivative(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +141,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     for p in parts:
         if p.shape[1] != cols:
             raise ShapeMismatchError("concat_rows: column mismatch")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0), parents=tuple(parts))
 
     def backward(g):
         start = 0
@@ -155,18 +150,14 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
                 p._accumulate(g[start : start + n])
             start += n
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=0), parents=tuple(parts), backward=backward)
 
 
 def rows(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(x.data[start:stop], parents=(x,))
-
     def backward(g):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
             gx[start:stop] = g
             x._accumulate(gx)
 
-    out._backward = backward
-    return out
+    return Tensor(x.data[start:stop], parents=(x,), backward=backward)

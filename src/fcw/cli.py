@@ -192,6 +192,12 @@ def cmd_train(args) -> int:
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
     train_eps, _, _ = scenario.split_episodes(episodes, cfg.data.split_seed)
+    # the checkpoint header records the time step the model learned its horizon at
+    dts = sorted({ep.dt for ep in train_eps})
+    if len(dts) > 1:
+        raise ValueError(f"training episodes mix time steps {dts}; one checkpoint serves one dt")
+    if dts:
+        cfg.model = replace(cfg.model, dt=dts[0])
     log_lines = ["epoch,lr,loss,mse,pinball,collision"]
 
     def hook(rec):
@@ -222,6 +228,18 @@ def _load_model(ckpt_path: str):
     return rebuild_model(model_cfg, store), model_cfg
 
 
+def _check_dt(episodes, model_cfg: HstanConfig) -> None:
+    """Every episode must have the time step the checkpoint was trained at:
+    the model predicts a fixed number of frames, so another dt changes what
+    its horizon means."""
+    for ep in episodes:
+        if ep.dt != model_cfg.dt:
+            raise ValueError(
+                f"episode {ep.episode_id} has time step {ep.dt!r} s, "
+                f"but the checkpoint was trained at {model_cfg.dt!r} s"
+            )
+
+
 def _load_calibration(args):
     """The ``--calibration`` correction, which must have been fitted for ``--checkpoint``."""
     if not args.calibration:
@@ -240,6 +258,7 @@ def cmd_calibrate(args) -> int:
     if not cal_eps:
         print("error: calibration split is empty", file=sys.stderr)
         return 1
+    _check_dt(cal_eps, model_cfg)
     lower, upper, targets = cqr_mod.raw_intervals(model, cal_eps)
     corr = cqr_mod.calibrate(lower, upper, targets, model_cfg.alpha)
     cqr_mod.save_correction(args.out, corr, checkpoint_sha256(args.checkpoint))
@@ -260,6 +279,7 @@ def cmd_warn(args) -> int:
     traj, labels = _dataset_paths(args.data)
     episodes = scenario.load_dataset(traj, labels)
     _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
+    _check_dt(test_eps, model_cfg)
     fixed = switches.get("fixed_threshold")
     if isinstance(fixed, bool):  # the bare switch
         fixed = 1.0
@@ -281,9 +301,10 @@ def cmd_eval(args) -> int:
     prediction = None
     model = None
     model_cfg = cfg.model
+    _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
     if args.checkpoint:
         model, model_cfg = _load_model(args.checkpoint)
-    _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
+        _check_dt(test_eps, model_cfg)
     if args.baseline == "cv":
         prediction = pipeline.prediction_metrics(None, test_eps, model_cfg, baseline="cv")
     elif model is not None:

@@ -186,7 +186,6 @@ def decode(hf: Tensor, layers: list) -> Tensor:
         a = np.maximum(a, 0.0)
         acts.append(a)
         a = np.matmul(a, w) + b.data[:, None, :]
-    out = Tensor(a.transpose(1, 0, 2).reshape(n, -1), parents=(hf, *[t for wb in layers for t in wb]))
 
     def backward(g):
         g = g.reshape(n, paths, -1).transpose(1, 0, 2)
@@ -204,14 +203,14 @@ def decode(hf: Tensor, layers: list) -> Tensor:
         if hf.requires_grad:
             hf._accumulate(g @ w0.data.T)
 
-    out._backward = backward
-    return out
+    parents = (hf, *[t for wb in layers for t in wb])
+    return Tensor(a.transpose(1, 0, 2).reshape(n, -1), parents=parents, backward=backward)
 
 
 def init_model(config: HstanConfig, seed: int = 0) -> HstanModel:
-    """A fresh model; each layer's parameters are drawn per head, gate or
-    decoder, in a fixed order, and stored packed as its fused op reads
-    them."""
+    """A fresh, frozen model; each layer's parameters are drawn per head,
+    gate or decoder, in a fixed order, and stored packed as its fused op
+    reads them."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     model = HstanModel(config=config, params=store)
@@ -263,8 +262,8 @@ def init_model(config: HstanConfig, seed: int = 0) -> HstanModel:
 
 
 def rebuild_model(config: HstanConfig, store: ParameterStore) -> HstanModel:
-    """Reattach a loaded parameter store to the model structure; the store
-    must hold exactly the model's parameters, each of its shape."""
+    """Reattach a loaded parameter store to the model structure, frozen;
+    the store must hold exactly the model's parameters, each of its shape."""
     fresh = init_model(config, seed=0)
     want, have = set(fresh.params.paths()), set(store.paths())
     if want != have:
@@ -610,13 +609,12 @@ def training_loss(
         g_point = grad[:, :width]
         np.add.at(g_point, pair_i, g_diff)
         np.add.at(g_point, pair_j, -g_diff)
-    loss = Tensor([[total]], parents=(out.disp,))
 
     def backward(g):
         if out.disp.requires_grad:
             out.disp._accumulate(grad * g[0, 0])
 
-    loss._backward = backward
+    loss = Tensor([[total]], parents=(out.disp,), backward=backward)
     parts = {"mse": float(mse), "pinball": float(pinball), "collision": float(collision), "loss": float(total)}
     return loss, parts
 
@@ -630,10 +628,13 @@ def train(
     base_lr: float = 1e-3,
     log_hook=None,
 ) -> tuple[HstanModel, list[dict]]:
-    """Train on windowed samples; deterministic given (config, seed)."""
+    """Train on windowed samples; deterministic given (config, seed). The
+    model is returned trainable, as it was trained (``init_model`` gives a
+    frozen one)."""
     if not windows:
         raise ValueError("empty training set")
     model = init_model(config, seed)
+    model.params.make_trainable()
     state = OptimizerState()
     sched = LRSchedule(base_rate=base_lr, min_rate=0.0, total_epochs=epochs)
     rng = np.random.default_rng(seed + 1)

@@ -6,11 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, parameter
+from .autodiff import Tensor
 
 
 class ParameterStore:
     """Named parameter tensors; paths are unique, gradients live on the tensors.
+
+    The tensors are created frozen: a forward pass over them builds no
+    autodiff graph. ``make_trainable`` marks them all as requiring a
+    gradient, as training does, so that forward passes record the graph a
+    backward pass walks.
 
     The tensors' data are views into one contiguous parameter vector, so
     the optimiser updates every parameter with a few vector ops. The vector
@@ -26,9 +31,14 @@ class ParameterStore:
     def add(self, path: str, data) -> Tensor:
         if path in self._params:
             raise ValueError(f"duplicate parameter path: {path}")
-        t = parameter(data)
+        t = Tensor(data)
         self._params[path] = t
         return t
+
+    def make_trainable(self) -> None:
+        """Every tensor requires a gradient from now on."""
+        for t in self._params.values():
+            t.requires_grad = True
 
     def __getitem__(self, path: str) -> Tensor:
         return self._params[path]

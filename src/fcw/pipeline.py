@@ -238,6 +238,7 @@ class BenchReport:
     linear_r2_edges: float
     quadratic_r2_all_pairs: float | None  # None below 4 distinct sizes, which a degree-2 fit passes through exactly
     linear_r2_all_pairs: float
+    linear_r2_p50: float  # of the forward's wall-time p50 against N
 
     def to_text(self) -> str:
         quadratic = self.quadratic_r2_all_pairs
@@ -245,14 +246,15 @@ class BenchReport:
             f"linear_r2_edges={self.linear_r2_edges:.6f}",
             f"quadratic_r2_all_pairs={'n/a' if quadratic is None else f'{quadratic:.6f}'}",
             f"linear_r2_all_pairs={self.linear_r2_all_pairs:.6f}",
+            f"linear_r2_p50={self.linear_r2_p50:.6f}",
             "",
-            "N      edges      all_pairs  prep_p50_ms  p50_ms    p90_ms    p99_ms",
+            "N      edges      all_pairs  prep_p50_ms  p50_ms    p90_ms    p99_ms    p50_us_per_vehicle",
         ]
         for i, n in enumerate(self.n_grid):
             lat = self.latency_ms[n]
             lines.append(
                 f"{n:<6} {self.score_evals[i]:<10} {self.all_pairs[i]:<10} {self.prep_p50_ms[i]:<12.3f} "
-                f"{lat['p50']:<9.3f} {lat['p90']:<9.3f} {lat['p99']:<9.3f}"
+                f"{lat['p50']:<9.3f} {lat['p90']:<9.3f} {lat['p99']:<9.3f} {lat['p50'] * 1000.0 / n:.3f}"
             )
         return "\n".join(lines) + "\n"
 
@@ -266,7 +268,9 @@ def run_bench(
 ) -> BenchReport:
     """Work counts and latencies of one window per scene size; the scaling
     fits need at least 3 distinct sizes, each of at least one vehicle, and
-    the quadratic one at least 4."""
+    the quadratic one at least 4. The forwards run on ``model`` as given,
+    so a frozen model (``init_model``, a loaded checkpoint) is timed
+    without building an autodiff graph."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     n_grid = n_grid or [10, 20, 40, 80, 120]
@@ -293,6 +297,7 @@ def run_bench(
             samples.append((time.perf_counter() - t0) * 1000.0)
         latency[n] = me.latency_percentiles(samples)
     xs, pairs = np.asarray(n_grid, dtype=np.float64), np.asarray(all_pairs, dtype=np.float64)
+    p50 = np.asarray([latency[n]["p50"] for n in n_grid])
     return BenchReport(
         n_grid=n_grid,
         score_evals=score_evals,
@@ -302,4 +307,5 @@ def run_bench(
         linear_r2_edges=_fit_r2(xs, np.asarray(score_evals, dtype=np.float64), 1),
         quadratic_r2_all_pairs=_fit_r2(xs, pairs, 2) if len(set(n_grid)) > 3 else None,
         linear_r2_all_pairs=_fit_r2(xs, pairs, 1),
+        linear_r2_p50=_fit_r2(xs, p50, 1),
     )

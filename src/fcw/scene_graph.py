@@ -293,7 +293,6 @@ def gat_layer_edges(
     if not concat:
         pre *= 1.0 / k
     value, d_elu = ad.elu_and_derivative(pre)
-    out = Tensor(value, parents=(h, layer.w, layer.a))
 
     def backward(g):
         # (K*d_out, n) for concat, (d_out, n) for average: rows gather contiguously by edge
@@ -337,5 +336,4 @@ def gat_layer_edges(
         if h.requires_grad:
             h._accumulate(g_wh @ w.T)
 
-    out._backward = backward
-    return out
+    return Tensor(value, parents=(h, layer.w, layer.a), backward=backward)

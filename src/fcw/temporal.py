@@ -82,7 +82,6 @@ def _gru_layer(x: Tensor, p: GruLayerParams, steps: int) -> Tensor:
         np.subtract(c, h, out=h_next)
         h_next *= gates[:, :hidden]
         h_next += h
-    out = Tensor(h_all[1:].reshape(steps * n, hidden), parents=(x, *p.tensors()))
 
     def backward(g):
         g = g.reshape(steps, n, hidden)
@@ -128,8 +127,7 @@ def _gru_layer(x: Tensor, p: GruLayerParams, steps: int) -> Tensor:
         if x.requires_grad:
             x._accumulate(d_flat @ w.T)
 
-    out._backward = backward
-    return out
+    return Tensor(h_all[1:].reshape(steps * n, hidden), parents=(x, *p.tensors()), backward=backward)
 
 
 def gru_encode_steps(x: Tensor, p: GruParams, steps: int) -> Tensor:
@@ -166,7 +164,6 @@ def mha_blocks(y: Tensor, p: MhaParams, steps: int) -> Tensor:
     e = np.exp(s - s.max(axis=2, keepdims=True))
     att = e / e.sum(axis=2, keepdims=True)
     heads_out = np.einsum("nmt,tnmd->nmd", att, v).reshape(n, m * d_k)
-    out = Tensor(heads_out @ w_o, parents=(y, p.w_q, p.w_kv, p.w_o))
 
     def backward(g):
         if p.w_o.requires_grad:
@@ -188,5 +185,4 @@ def mha_blocks(y: Tensor, p: MhaParams, steps: int) -> Tensor:
             gy[(steps - 1) * n :] += d_q @ w_q.T
             y._accumulate(gy)
 
-    out._backward = backward
-    return out
+    return Tensor(heads_out @ w_o, parents=(y, p.w_q, p.w_kv, p.w_o), backward=backward)

@@ -89,21 +89,30 @@ def n_scalars(store) -> int:
     return sum(t.data.size for _, t in store.items())
 
 
+def parameter(data) -> ad.Tensor:
+    """A trainable leaf tensor outside any ``ParameterStore``."""
+    return ad.Tensor(data, requires_grad=True)
+
+
 def grad_check(f, params, h=1e-5, max_coords_per_param=10, rng=None):
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` must be a deterministic scalar-valued closure over ``params``.
-    Samples up to ``max_coords_per_param`` coordinates per parameter.
+    ``f`` must be a deterministic scalar-valued closure over ``params``,
+    a ``ParameterStore`` that this marks trainable. A value that depends on
+    no parameter has zero analytic gradients. Samples up to
+    ``max_coords_per_param`` coordinates per parameter.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
     rng = rng or np.random.default_rng(0)
 
+    params.make_trainable()
     params.zero_grad()
     out = f()
     if not np.isfinite(out.item()):
         raise FloatingPointError("non-finite function value in grad_check")
-    out.backward()
+    if out.requires_grad:
+        out.backward()
 
     worst = 0.0
     for _, p in params.items():
@@ -150,7 +159,9 @@ def assert_matches_oracle(fused, unfused, store, seed=0, rtol=1e-12):
     """The fused op and its unfused oracle agree in value and in the
     gradient of every parameter in ``store``, to ``rtol`` relative to the
     largest magnitude. Both are zero-argument builders of the output tensor;
-    the gradients come from a random linear read-out of that output."""
+    the gradients come from a random linear read-out of that output, with
+    ``store`` marked trainable."""
+    store.make_trainable()
     outs, grads = [], []
     weight = None
     for build in (fused, unfused):

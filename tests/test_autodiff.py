@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fcw.autodiff as ad
 from fcw.optim import ParameterStore
 
-from conftest import assert_matches_oracle, assert_same_bits, grad_check
+from conftest import assert_matches_oracle, assert_same_bits, grad_check, parameter
 
 import oracles
 
@@ -29,23 +29,23 @@ def check_op(build, n_params, shapes, seed=0, tol=1e-6):
 
 def test_linear_identity_input():
     x = ad.constant(np.eye(2))
-    w = ad.parameter([[1.0, 2.0], [3.0, 4.0]])
+    w = parameter([[1.0, 2.0], [3.0, 4.0]])
     out = ad.linear(x, w, ad.constant(np.zeros((1, 2))))
     assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_linear_with_bias():
     x = ad.constant([[1.0, 1.0]])
-    w = ad.parameter([[1.0, 0.0], [0.0, 1.0]])
-    b = ad.parameter([[5.0, 5.0]])
+    w = parameter([[1.0, 0.0], [0.0, 1.0]])
+    b = parameter([[5.0, 5.0]])
     out = ad.linear(x, w, b)
     assert np.array_equal(out.data, [[6.0, 6.0]])
 
 
 def test_linear_zero_input():
     x = ad.constant(np.zeros((3, 4)))
-    w = ad.parameter(np.random.default_rng(0).standard_normal((4, 5)))
-    b = ad.parameter(np.zeros((1, 5)))
+    w = parameter(np.random.default_rng(0).standard_normal((4, 5)))
+    b = parameter(np.zeros((1, 5)))
     assert np.array_equal(ad.linear(x, w, b).data, np.zeros((3, 5)))
 
 
@@ -58,9 +58,9 @@ def test_linear_identity_weight_is_identity():
 
 def test_linear_shape_mismatch_names_shapes():
     x = ad.constant(np.zeros((2, 3)))
-    w = ad.parameter(np.zeros((4, 5)))
+    w = parameter(np.zeros((4, 5)))
     with pytest.raises(ad.ShapeMismatchError, match=r"3"):
-        ad.linear(x, w, ad.parameter(np.zeros((1, 5))))
+        ad.linear(x, w, parameter(np.zeros((1, 5))))
 
 
 def test_branch_free_elu_is_bit_identical_to_the_two_branch_form():
@@ -208,6 +208,7 @@ def test_linear_with_bias_is_one_node_matching_matmul_plus_add():
     x = store.add("x", rng.standard_normal((5, 4)))
     w = store.add("w", rng.standard_normal((4, 3)))
     b = store.add("b", rng.standard_normal((1, 3)))
+    store.make_trainable()
     assert ad.linear(x, w, b)._parents == (x, w, b)
     assert_matches_oracle(lambda: ad.linear(x, w, b), lambda: oracles.linear(x, w, b), store)
 
@@ -291,6 +292,7 @@ def test_backward_accumulates_through_shared_node():
     # diamond: y = (x + x) * x; dy/dx = 4x
     store = ParameterStore()
     x = store.add("x", [[3.0]])
+    store.make_trainable()
     y = oracles.mul(oracles.add(x, x), x)
     y.backward()
     assert np.allclose(x.grad, [[12.0]])
@@ -302,6 +304,7 @@ def test_accumulate_never_aliases_a_shared_gradient():
     store = ParameterStore()
     x = store.add("x", [[1.0, 2.0]])
     y = store.add("y", [[3.0, 4.0]])
+    store.make_trainable()
     c = ad.constant([[5.0, 7.0]])
     for _ in range(2):
         oracles.sum_all(oracles.mul(oracles.add(x, y), c)).backward()
@@ -316,15 +319,26 @@ def test_accumulate_never_aliases_a_shared_gradient():
 
 
 def test_backward_requires_scalar_without_seed():
-    x = ad.parameter([[1.0, 2.0]])
+    x = parameter([[1.0, 2.0]])
     with pytest.raises(ad.ShapeMismatchError):
         oracles.add(x, x).backward()
+
+
+def test_backward_without_a_trainable_parameter_raises():
+    store = ParameterStore()
+    w = store.add("w", [[1.0, 2.0]])
+    for root in (ad.linear(ad.constant([[1.0]]), w, ad.constant([[0.0, 0.0]])), ad.constant([[1.0]])):
+        assert root._parents == () and root._backward is None
+        with pytest.raises(ValueError, match="no parameter .* is trainable"):
+            root.backward(np.ones(root.shape))
+    assert w.grad is None
 
 
 def test_deep_chain_backward_is_iterative():
     # deep graphs must not hit the recursion limit
     store = ParameterStore()
     x = store.add("x", [[1.0]])
+    store.make_trainable()
     y = x
     for _ in range(5000):
         y = oracles.affine(y, 1.0, 0.0)

@@ -157,7 +157,8 @@ def test_full_command_flow(tmp_path, cfg_file, capsys):
     assert "ade_m=" in text and "coverage=" in text and "tp=" in text
 
     assert run(["bench", "--checkpoint", str(ckpt), "--n-grid", "8,16,32", "--repeats", "1"]) == 0
-    assert "linear_r2_edges=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "linear_r2_edges=" in out and "linear_r2_p50=" in out and "p50_us_per_vehicle" in out
 
 
 def test_calibrate_one_pass_matches_prediction_metrics(tmp_path, cfg_file, capsys, monkeypatch):
@@ -811,3 +812,60 @@ def test_empty_test_split_is_clean_error(tmp_path, cfg_file, capsys):
     assert run(["train", "--config", str(few), "--data", str(data), "--out", str(ckpt)]) == 0
     for extra in (["--checkpoint", str(ckpt)], ["--baseline", "cv"]):
         assert_clean_error(["eval", "--config", str(few), "--data", str(data), *extra], capsys, "at least one episode")
+
+
+# ---------------------------------------------------------------------------
+# a checkpoint is bound to the time step of its training data
+# ---------------------------------------------------------------------------
+
+
+def use_argvs(cfg_file, data, ckpt, tmp_path):
+    """calibrate, warn and eval of ``ckpt`` on the dataset in ``data``."""
+    return [
+        calibrate_argv(cfg_file, data, ckpt, tmp_path),
+        ["warn", "--config", cfg_file, "--checkpoint", str(ckpt), "--data", str(data),
+         "--out", str(tmp_path / "events.csv")],
+        ["eval", "--config", cfg_file, "--checkpoint", str(ckpt), "--data", str(data),
+         "--out", str(tmp_path / "report.txt")],
+    ]
+
+
+def test_checkpoint_records_the_training_dt_and_refuses_another(tmp_path, cfg_file, capsys):
+    from fcw.checkpoint import load_checkpoint
+
+    slow_cfg = tmp_path / "slow.cfg"
+    slow_cfg.write_text(TEST_CFG + "data.dt = 0.2\n")
+    fast, slow, ckpt = tmp_path / "fast", tmp_path / "slow", tmp_path / "model.ckpt"
+    assert run(["gen", "--config", cfg_file, "--seed", "0", "--out", str(fast)]) == 0
+    assert run(["gen", "--config", str(slow_cfg), "--seed", "0", "--out", str(slow)]) == 0
+    assert run(["train", "--config", cfg_file, "--data", str(slow), "--out", str(ckpt)]) == 0
+    assert load_checkpoint(ckpt)[1]["dt"] == 0.2  # the data's dt, not the config's 0.1
+    for argv in use_argvs(cfg_file, slow, ckpt, tmp_path):
+        assert run(argv) == 0
+    for argv in use_argvs(cfg_file, fast, ckpt, tmp_path):
+        assert_clean_error(argv, capsys, "time step 0.1 s", "trained at 0.2 s")
+    # eval without a checkpoint reads no dt
+    assert run(["eval", "--config", cfg_file, "--data", str(fast), "--baseline", "cv"]) == 0
+    # a default-dt training run keeps the configured dt in the header
+    other = tmp_path / "fast.ckpt"
+    assert run(["train", "--config", cfg_file, "--data", str(fast), "--out", str(other)]) == 0
+    assert load_checkpoint(other)[1]["dt"] == 0.1
+    assert_clean_error(calibrate_argv(cfg_file, slow, other, tmp_path), capsys, "trained at 0.1 s")
+
+
+def test_training_split_of_mixed_dt_is_refused(tmp_path, cfg_file, capsys, monkeypatch):
+    data = tmp_path / "data"
+    assert run(["gen", "--config", cfg_file, "--seed", "0", "--out", str(data)]) == 0
+    load = cli.scenario.load_dataset
+
+    def mixed(*paths):
+        episodes = load(*paths)
+        for ep in episodes[::2]:  # 3 of 6 episodes, so the 4 training episodes hold both
+            ep.dt = 0.2
+        return episodes
+
+    monkeypatch.setattr(cli.scenario, "load_dataset", mixed)
+    ckpt = tmp_path / "model.ckpt"
+    assert_clean_error(["train", "--config", cfg_file, "--data", str(data), "--out", str(ckpt)], capsys,
+                       "training episodes mix time steps [0.1, 0.2]")
+    assert not ckpt.exists()

@@ -1,4 +1,6 @@
 """End-to-end predictor: windowing, forward invariances, losses, training."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -480,6 +482,7 @@ def test_decoder_node_matches_the_mlp_oracle(hidden):
     layers = md._build_decoders(store, rng, [5, *hidden, 4], 3)
     for path in store.paths():  # nonzero biases, so the ReLU masks vary by row
         store[path].data += rng.standard_normal(store[path].shape) * 0.3
+    store.make_trainable()
     out = md.decode(hf, layers)
     assert out.shape == (7, 12)
     assert out._parents == (hf, *(t for wb in layers for t in wb))  # one node
@@ -515,6 +518,7 @@ def loss_case(case):
         assert dist[0] < cfg.collision_radius < dist[-1]
     store = ParameterStore()
     store.add("disp", disp)
+    store.make_trainable()
     return cfg, batch, store
 
 
@@ -582,14 +586,73 @@ def test_training_step_node_count(flag):
     # fused layers keep the graph of a desk-config step of 32 windows small:
     # one node per GRU layer, one per GAT layer (the batch's frames are one
     # run), one attention node, one node for all three decoders, one loss
-    # node, and one leaf per packed parameter tensor (25 in all)
+    # node, and one leaf per packed parameter tensor (25 in all), for a
+    # model marked trainable as ``train`` marks it
     cfg = md.desk_config(**MODEL_ABLATIONS.get(flag, {}))
     model = md.init_model(cfg, seed=0)
+    model.params.make_trainable()
     windows = [episode_windows(cfg, n_vehicles=2 + k % 3, seed=k, count=1)[0] for k in range(32)]
     batch = md.prepare_batch(windows, cfg)
     loss, _ = md.training_loss(md.forward_batch(model, batch), batch, cfg)
     assert len(batch.pair_i) > 0  # the collision term is part of the graph
     assert graph_size(loss) <= 40
+
+
+def dense_batch(cfg, n):
+    """The batch of one window of ``n`` vehicles at constant density."""
+    states = pl.constant_density_frames(n, cfg, seed=0)
+    return md.episode_batch([(md.episode_graphs(states, cfg.radius), 0, 1)], cfg)
+
+
+def test_frozen_forward_keeps_no_graph():
+    cfg = md.desk_config()
+    model = md.init_model(cfg, seed=0)
+    out = md.forward_batch(model, dense_batch(cfg, 20))
+    for t in (out.hf, out.disp):
+        assert not t.requires_grad and t._parents == () and t._backward is None
+
+
+def test_frozen_forward_holds_no_memory_after_return():
+    # with a graph, the closures of one N = 250 forward held about 14 MB
+    cfg = md.desk_config()
+    model = md.init_model(cfg, seed=0)
+    batch = dense_batch(cfg, 250)
+    md.forward_batch(model, batch)  # warm-up
+    tracemalloc.start()
+    try:
+        out = md.forward_batch(model, batch)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.disp.shape == (250, 3 * cfg.t_pred * 2)
+    assert held <= 1 << 20
+
+
+def test_models_are_frozen_unless_trained(tmp_path):
+    cfg = tiny_config()
+    frozen = md.init_model(cfg, seed=0)
+    save_checkpoint(tmp_path / "m.ckpt", frozen.params, cfg.to_dict())
+    store, _ = load_checkpoint(tmp_path / "m.ckpt")
+    rebuilt = md.rebuild_model(cfg, store)
+    trained, _ = md.train(episode_windows(cfg, count=2), cfg, seed=0, epochs=1, batch_size=2)
+    for model, trainable in ((frozen, False), (rebuilt, False), (trained, True)):
+        assert [t.requires_grad for _, t in model.params.items()] == [trainable] * len(model.params.paths())
+
+
+def test_trained_model_passes_the_gradient_check():
+    cfg = tiny_config()
+    windows = episode_windows(cfg, n_vehicles=3, seed=41, count=2)
+    model, _ = md.train(windows, cfg, seed=0, epochs=1, batch_size=2)
+    batch = md.prepare_batch(windows, cfg)
+
+    def f():
+        loss, _ = md.training_loss(md.forward_batch(model, batch), batch, cfg)
+        return loss
+
+    model.params.zero_grad()
+    f().backward()
+    assert all(t.grad is not None for _, t in model.params.items())
+    assert grad_check(f, model.params) < 1e-4
 
 
 # ---------------------------------------------------------------------------

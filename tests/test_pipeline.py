@@ -284,8 +284,32 @@ def test_run_bench_smoke():
     assert "linear_r2_edges=" in text
     assert "p50_ms" in text and "prep_p50_ms" in text
     assert len(report.prep_p50_ms) == 4 and all(t > 0 for t in report.prep_p50_ms)
+    p50 = [report.latency_ms[n]["p50"] for n in report.n_grid]
+    assert report.linear_r2_p50 == pl._fit_r2(np.array([8.0, 16.0, 32.0, 64.0]), np.array(p50), 1)
+    assert f"linear_r2_p50={report.linear_r2_p50:.6f}" in text
     with pytest.raises(ValueError, match="repeats"):
         pl.run_bench(model, n_grid=[8], repeats=0)
+
+
+def test_bench_report_prints_forward_time_per_vehicle():
+    report = pl.BenchReport(
+        n_grid=[10, 20, 40],
+        score_evals=[1, 2, 4],
+        all_pairs=[1, 4, 16],
+        latency_ms={n: {"p50": n / 8.0, "p90": n / 4.0, "p99": n / 2.0} for n in (10, 20, 40)},
+        prep_p50_ms=[0.5, 1.0, 2.0],
+        linear_r2_edges=1.0,
+        quadratic_r2_all_pairs=None,
+        linear_r2_all_pairs=0.9,
+        linear_r2_p50=0.75,
+    )
+    lines = report.to_text().splitlines()
+    assert "linear_r2_p50=0.750000" in lines[:4]
+    header = lines[5].split()
+    assert header[-1] == "p50_us_per_vehicle"
+    for line, n in zip(lines[6:], report.n_grid):
+        row = dict(zip(header, line.split()))
+        assert row["N"] == str(n) and row["p50_us_per_vehicle"] == "125.000"  # n/8 ms over n vehicles
 
 
 @pytest.mark.parametrize("n_grid", [[1], [5, 9], [5, 9, 9, 5], [0, 8, 16], [-4, 8, 16]])

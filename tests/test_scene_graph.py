@@ -14,7 +14,7 @@ import fcw.pipeline as pl
 import fcw.scene_graph as sg
 from fcw.optim import ParameterStore
 
-from conftest import assert_bit_identical_runs, assert_buffer_safe, assert_matches_oracle, grad_check
+from conftest import assert_bit_identical_runs, assert_buffer_safe, assert_matches_oracle, grad_check, parameter
 
 import oracles
 
@@ -30,7 +30,7 @@ def make_frame(positions, vel=None):
 def packed_layer(heads, combine, store=None):
     """A GAT layer packed from per-head (w, a) arrays, w (d_in, d_out) and
     a (2*d_out, 1); its two tensors go into ``store`` when given."""
-    make = (lambda name, data: ad.parameter(data)) if store is None else store.add
+    make = (lambda name, data: parameter(data)) if store is None else store.add
     return sg.GatLayerParams(
         w=make("w", np.concatenate([w for w, _ in heads], axis=1)),
         a=make("a", np.concatenate([a.T for _, a in heads])),
@@ -224,8 +224,8 @@ def test_graph_build_memory_grows_linearly(build):
 
 
 def test_embed_zero_inputs():
-    w = ad.parameter(np.zeros((8, 4)))
-    b = ad.parameter(np.zeros((1, 4)))
+    w = parameter(np.zeros((8, 4)))
+    b = parameter(np.zeros((1, 4)))
     out = sg.embed_features(ad.constant(make_frame([[0.0, 0.0]]).vehicles), w, b)
     assert np.array_equal(out.data, np.zeros((1, 4)))
 
@@ -233,8 +233,8 @@ def test_embed_zero_inputs():
 def test_embed_matches_hand_computation():
     rng = np.random.default_rng(2)
     frame = make_frame(rng.uniform(-10, 10, (3, 2)), vel=rng.uniform(-5, 5, (3, 2)))
-    w = ad.parameter(rng.standard_normal((8, 5)))
-    b = ad.parameter(rng.standard_normal((1, 5)))
+    w = parameter(rng.standard_normal((8, 5)))
+    b = parameter(rng.standard_normal((1, 5)))
     out = sg.embed_features(ad.constant(frame.vehicles), w, b).data
     z = frame.vehicles @ w.data + b.data
     expected = np.where(z >= 0, z, np.expm1(z))
@@ -423,6 +423,7 @@ def test_gat_fused_matches_unfused_and_central_differences(combine, k, order):
     h = store.add("h", rng.standard_normal((n, d_in)))
     heads = [(rng.standard_normal((d_in, d_out)), rng.standard_normal((2 * d_out, 1))) for _ in range(k)]
     layer = packed_layer(heads, combine, store)
+    store.make_trainable()
     fused = lambda counter=None: sg.gat_layer_edges(h, src, dst, layer, counter)
     counters = sg.WorkCounter(), sg.WorkCounter()
     out = fused(counters[0])
@@ -525,7 +526,7 @@ def gat_cases(draw):
     src, dst = rng.integers(0, n, e), rng.integers(0, n, e)
     d_in, d_out, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     layer = random_layer(rng, d_in, d_out, k, draw(st.sampled_from(["concat", "average"])))
-    h = ad.parameter(rng.standard_normal((n, d_in)) * draw(st.sampled_from([0.1, 1.0, 10.0])))
+    h = parameter(rng.standard_normal((n, d_in)) * draw(st.sampled_from([0.1, 1.0, 10.0])))
     for row, value in zip(rng.integers(0, n, draw(st.integers(0, 2))), [np.nan, np.inf]):
         h.data[row, 0] = value
     return h, src, dst, layer
@@ -553,5 +554,5 @@ def test_gat_layer_buffers_do_not_leak_between_calls(combine):
     pos = rng.uniform(0, 60, (40, 2))
     src, dst = sg.edges_from_positions(pos, 20.0)
     layer = random_layer(rng, 5, 3, 2, combine)
-    h1, h2 = (ad.parameter(rng.standard_normal((40, 5))) for _ in range(2))
+    h1, h2 = (parameter(rng.standard_normal((40, 5))) for _ in range(2))
     assert_buffer_safe(lambda h: sg.gat_layer_edges(h, src, dst, layer), h1, h2, (layer.w, layer.a), rng)

@@ -16,6 +16,7 @@ from conftest import (
     assert_buffer_safe,
     assert_matches_oracle,
     grad_check,
+    parameter,
     random_frames,
     tiny_config,
 )
@@ -24,14 +25,14 @@ import oracles
 
 
 def zero_gru_layer(d_in, d_h):
-    z = lambda r, c: ad.parameter(np.zeros((r, c)))
+    z = lambda r, c: parameter(np.zeros((r, c)))
     return tp.GruLayerParams(w=z(d_in, 3 * d_h), u_zr=z(d_h, 2 * d_h), u_h=z(d_h, d_h), b=z(1, 3 * d_h))
 
 
 def maker(store, prefix=""):
     """Parameter factory: free parameters, or entries of ``store``."""
     if store is None:
-        return lambda name, data: ad.parameter(data)
+        return lambda name, data: parameter(data)
     return lambda name, data: store.add(f"{prefix}{name}", data)
 
 
@@ -153,6 +154,7 @@ def test_gru_fused_matches_unfused_and_central_differences(steps, n_layers):
         random_gru_layer(rng, d_in if i == 0 else d_h, d_h, store=store, prefix=f"l{i}/") for i in range(n_layers)
     ]
     params = tp.GruParams(layers=layers)
+    store.make_trainable()
     fused = lambda: tp.gru_encode_steps(x, params, steps)
     node = fused()  # one node per layer, listing its input and its four parameters
     for layer in reversed(layers):
@@ -167,7 +169,7 @@ def gru_case(seed, steps, n, d_in, d_h, scale, blowups):
     """An input stack and a packed layer drawn from ``seed``, with
     ``blowups`` input rows set to NaN, +inf or -inf."""
     rng = np.random.default_rng(seed)
-    x = ad.parameter(rng.standard_normal((steps * n, d_in)) * scale)
+    x = parameter(rng.standard_normal((steps * n, d_in)) * scale)
     rows = rng.choice(steps * n, size=min(blowups, steps * n), replace=False)
     for row, value in zip(rows, [np.nan, np.inf, -np.inf]):
         x.data[row, rng.integers(d_in)] = value
@@ -198,7 +200,7 @@ def test_gru_layer_is_bit_identical_to_the_allocating_form(seed, steps, n, d_in,
 
 def test_gru_layer_buffers_do_not_leak_between_calls():
     rng, x, layer = gru_case(3, 8, 50, 4, 6, 1.0, 0)
-    x2 = ad.parameter(rng.standard_normal(x.shape))
+    x2 = parameter(rng.standard_normal(x.shape))
     assert_buffer_safe(lambda inp: tp._gru_layer(inp, layer, 8), x, x2, layer.tensors(), rng)
 
 
@@ -270,6 +272,7 @@ def test_mha_fused_matches_unfused_and_central_differences(steps):
     store = ParameterStore()
     y = store.add("y", rng.standard_normal((steps * n, d)))
     p = random_mha(rng, d, 2, scale=0.5, store=store)
+    store.make_trainable()
     fused = lambda: tp.mha_blocks(y, p, steps)
     out = fused()
     assert out.shape == (n, d)

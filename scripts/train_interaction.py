@@ -55,9 +55,9 @@ def main():
 
     full = pl.prediction_metrics(model, test_eps, config)
     cv = pl.prediction_metrics(None, test_eps, config, baseline="cv")
-    gain = 1.0 - full["ade"] / cv["ade"]
-    print(f"model ADE {full['ade']:.4f} m  FDE {full['fde']:.4f} m")
-    print(f"cv    ADE {cv['ade']:.4f} m  FDE {cv['fde']:.4f} m")
+    gain = 1.0 - full["ade_m"] / cv["ade_m"]
+    print(f"model ADE {full['ade_m']:.4f} m  FDE {full['fde_m']:.4f} m")
+    print(f"cv    ADE {cv['ade_m']:.4f} m  FDE {cv['fde_m']:.4f} m")
     print(f"improvement over constant velocity: {gain:.1%}")
 
     if args.out:

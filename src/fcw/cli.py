@@ -11,10 +11,11 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields, replace
+from operator import itemgetter
 from pathlib import Path
 
 from . import cqr as cqr_mod
-from . import pipeline, scenario
+from . import metrics, pipeline, scenario
 from .checkpoint import checkpoint_sha256, load_checkpoint, save_checkpoint
 from .drta import LAMBDA_PRESETS, RiskWeights
 from .model import HstanConfig, check_finite, desk_config, rebuild_model, train
@@ -29,6 +30,8 @@ MODEL_ABLATIONS = {
 }
 WARN_ABLATIONS = {"no_cqr", "fixed_threshold"}
 VALUED_ABLATIONS = {"fixed_threshold"}
+# the .log beside a checkpoint: one row per epoch of model.train's history
+TRAIN_LOG_COLUMNS = {"epoch": int, "lr": float, "loss": float, "mse": float, "pinball": float, "collision": float}
 
 
 @dataclass
@@ -46,6 +49,11 @@ class DataConfig:
         check_finite(self, ("noise",), positive=False)
         if self.episodes_per_family < 1:
             raise ValueError(f"episodes_per_family must be >= 1, got {self.episodes_per_family}")
+        unknown = [name for name in self.families if name not in scenario.FAMILIES]
+        if unknown or not self.families:
+            raise ValueError(
+                f"families must be one or more of {list(scenario.FAMILIES)}, got {list(self.families)}"
+            )
 
 
 @dataclass
@@ -101,6 +109,8 @@ def parse_config_file(path: str | Path, cfg: RunConfig | None = None) -> RunConf
         target = sections[section]
         if not any(f.name == name for f in dc_fields(target)):
             raise ValueError(f"{path}:{lineno}: unknown field {key!r}")
+        if key == "model.dt":
+            raise ValueError(f"{path}:{lineno}: model.dt is not set: a checkpoint records its training data's dt")
         try:
             value = _coerce(getattr(target, name), raw)
         except ValueError as exc:
@@ -118,8 +128,6 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg.data.seed = args.seed
         cfg.train.seed = args.seed
-    if getattr(args, "alpha", None) is not None:
-        cfg.model = replace(cfg.model, alpha=args.alpha)  # replace re-runs the config checks
     if getattr(args, "mode", None):
         cfg.risk.lam = LAMBDA_PRESETS[args.mode]
     if getattr(args, "lam", None) is not None:
@@ -162,6 +170,14 @@ def _dataset_paths(data_dir: str) -> tuple[Path, Path]:
     return d / "trajectories.csv", d / "labels.csv"
 
 
+def _write_report(text: str, out: str | None) -> int:
+    """Print a command's report, and write it to ``out`` when given."""
+    if out:
+        Path(out).write_text(text)
+    print(text, end="")
+    return 0
+
+
 def cmd_gen(args) -> int:
     cfg = _load_config(args)
     specs = scenario.default_specs(
@@ -175,8 +191,7 @@ def cmd_gen(args) -> int:
     episodes = scenario.generate_episodes(specs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    traj, labels = _dataset_paths(out)
-    scenario.save_dataset(traj, labels, episodes)
+    scenario.save_dataset(*_dataset_paths(out), episodes)
     span = cfg.model.t_obs + cfg.model.t_pred
     n_windows = sum(max(0, len(ep.frames) - span + 1) for ep in episodes)
     n_danger = sum(ep.danger for ep in episodes)
@@ -189,8 +204,7 @@ def cmd_train(args) -> int:
     presets = [MODEL_ABLATIONS[name] for name in _parse_ablations(args.ablation, MODEL_ABLATIONS.keys())]
     # each ablation sets the model settings it stands for; replace re-runs the config checks
     cfg.model = replace(cfg.model, **{k: v for preset in presets for k, v in preset.items()})
-    traj, labels = _dataset_paths(args.data)
-    episodes = scenario.load_dataset(traj, labels)
+    episodes = scenario.load_dataset(*_dataset_paths(args.data))
     train_eps, _, _ = scenario.split_episodes(episodes, cfg.data.split_seed)
     # the checkpoint header records the time step the model learned its horizon at
     dts = sorted({ep.dt for ep in train_eps})
@@ -198,26 +212,19 @@ def cmd_train(args) -> int:
         raise ValueError(f"training episodes mix time steps {dts}; one checkpoint serves one dt")
     if dts:
         cfg.model = replace(cfg.model, dt=dts[0])
-    log_lines = ["epoch,lr,loss,mse,pinball,collision"]
-
-    def hook(rec):
-        log_lines.append(
-            f"{rec['epoch']},{rec['lr']!r},{rec['loss']!r},{rec['mse']!r},"
-            f"{rec['pinball']!r},{rec['collision']!r}"
-        )
-        print(f"epoch {rec['epoch']:>3}  lr {rec['lr']:.2e}  loss {rec['loss']:.6f}")
-
-    model, _ = train(
+    model, history = train(
         scenario.dataset_windows(train_eps, cfg.model),
         cfg.model,
         seed=cfg.train.seed,
         epochs=cfg.train.epochs,
         batch_size=cfg.train.batch_size,
         base_lr=cfg.train.lr,
-        log_hook=hook,
+        log_hook=lambda rec: print(f"epoch {rec['epoch']:>3}  lr {rec['lr']:.2e}  loss {rec['loss']:.6f}"),
     )
     save_checkpoint(args.out, model.params, cfg.model.to_dict())
-    Path(str(args.out) + ".log").write_text("\n".join(log_lines) + "\n")
+    scenario.write_table(
+        str(args.out) + ".log", TRAIN_LOG_COLUMNS, list(map(itemgetter(*TRAIN_LOG_COLUMNS), history))
+    )
     print(f"checkpoint written to {args.out}")
     return 0
 
@@ -252,8 +259,7 @@ def cmd_calibrate(args) -> int:
     model, model_cfg = _load_model(args.checkpoint)
     if args.alpha is not None:
         model_cfg = replace(model_cfg, alpha=args.alpha)
-    traj, labels = _dataset_paths(args.data)
-    episodes = scenario.load_dataset(traj, labels)
+    episodes = scenario.load_dataset(*_dataset_paths(args.data))
     _, cal_eps, _ = scenario.split_episodes(episodes, cfg.data.split_seed)
     if not cal_eps:
         print("error: calibration split is empty", file=sys.stderr)
@@ -276,8 +282,7 @@ def cmd_warn(args) -> int:
     switches = _parse_ablations(args.ablation, WARN_ABLATIONS)
     model, model_cfg = _load_model(args.checkpoint)
     corr = _load_calibration(args)
-    traj, labels = _dataset_paths(args.data)
-    episodes = scenario.load_dataset(traj, labels)
+    episodes = scenario.load_dataset(*_dataset_paths(args.data))
     _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
     _check_dt(test_eps, model_cfg)
     fixed = switches.get("fixed_threshold")
@@ -294,45 +299,32 @@ def cmd_warn(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.calibration and (args.baseline or not args.checkpoint):
+        raise ValueError(
+            "--calibration corrects a --checkpoint model's intervals; it needs --checkpoint, not --baseline"
+        )
+    if not (args.checkpoint or args.baseline or args.events):
+        raise ValueError("nothing to evaluate: give --checkpoint, --baseline cv or --events")
     cfg = _load_config(args)
-    traj, labels = _dataset_paths(args.data)
-    episodes = scenario.load_dataset(traj, labels)
-
-    prediction = None
-    model = None
-    model_cfg = cfg.model
-    _, _, test_eps = scenario.split_episodes(episodes, cfg.data.split_seed)
+    _, _, test_eps = scenario.split_episodes(scenario.load_dataset(*_dataset_paths(args.data)), cfg.data.split_seed)
+    prediction, outcomes, model_cfg = None, None, cfg.model
     if args.checkpoint:
         model, model_cfg = _load_model(args.checkpoint)
         _check_dt(test_eps, model_cfg)
     if args.baseline == "cv":
         prediction = pipeline.prediction_metrics(None, test_eps, model_cfg, baseline="cv")
-    elif model is not None:
-        corr = _load_calibration(args)
-        prediction = pipeline.prediction_metrics(model, test_eps, model_cfg, corr=corr)
-
-    outcomes = None
+    elif args.checkpoint:
+        prediction = pipeline.prediction_metrics(model, test_eps, model_cfg, corr=_load_calibration(args))
     if args.events:
-        events = pipeline.load_events(args.events)
-        outcomes = pipeline.outcomes_from_events(test_eps, events, model_cfg.t_obs)
-
-    report = pipeline.build_report(prediction, outcomes)
-    text = report.to_text()
-    if args.out:
-        Path(args.out).write_text(text)
-    print(text, end="")
-    return 0
+        outcomes = pipeline.outcomes_from_events(test_eps, pipeline.load_events(args.events), model_cfg.t_obs)
+    return _write_report(metrics.report_text(pipeline.build_report(prediction, outcomes)), args.out)
 
 
 def cmd_bench(args) -> int:
     model, _ = _load_model(args.checkpoint)
     grid = [int(n) for n in args.n_grid.split(",")] if args.n_grid else None
     report = run_bench(model, n_grid=grid, repeats=args.repeats)
-    text = report.to_text()
-    if args.out:
-        Path(args.out).write_text(text)
-    print(text, end="")
-    return 0
+    return _write_report(report.to_text(), args.out)
 
 
 @functools.cache

@@ -97,16 +97,18 @@ def risk_terms(inp: RiskInputs, w: RiskWeights) -> tuple:
 
 @dataclass
 class WarningEvent:
+    """One tick's decision; the fields are the event log's columns, in order."""
+
     tick: int
     time: float
     risk: float
-    threshold: float
-    triggered: bool
     r_pred: float
     r_kin: float
     r_geo: float
     mu: float
     sigma: float
+    threshold: float
+    triggered: bool
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ def replay_ticks(
         threshold = np.full(len(risk), fixed_threshold, dtype=np.float64)
     else:
         threshold = np.where(count >= WARMUP_MIN_SAMPLES, mu + weights.lam * sigma, math.inf)
-    columns = (times, risk, threshold, risk > threshold, rp, rk, rg, mu, sigma)
+    columns = (times, risk, rp, rk, rg, mu, sigma, threshold, risk > threshold)
     return [
         WarningEvent(tick, *row) for tick, row in enumerate(zip(*(np.asarray(c).tolist() for c in columns)))
     ]

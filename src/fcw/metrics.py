@@ -125,58 +125,9 @@ def latency_percentiles(samples_ms: list[float]) -> dict:
     }
 
 
-@dataclass
-class EvalReport:
-    ade: float | None = None
-    fde: float | None = None
-    collision_rate: float | None = None
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
-    fpr: float | None = None
-    fnr: float | None = None
-    awlt_mean: float | None = None
-    awlt_std: float | None = None
-    lead_time_p5: float | None = None
-    coverage: float | None = None
-    mean_width: float | None = None
-    raw_coverage: float | None = None
-    counts: ConfusionCounts | None = None
-
-    def to_text(self) -> str:
-        """Machine-readable key=value block plus a human table."""
-        kv = []
-
-        def put(key, value):
-            if value is None:
-                return
-            if isinstance(value, float):
-                kv.append(f"{key}={value:.9g}")
-            else:
-                kv.append(f"{key}={value}")
-
-        put("ade_m", self.ade)
-        put("fde_m", self.fde)
-        put("collision_rate", self.collision_rate)
-        put("precision", self.precision)
-        put("recall", self.recall)
-        put("f1", self.f1)
-        put("fpr", self.fpr)
-        put("fnr", self.fnr)
-        put("awlt_mean_s", self.awlt_mean)
-        put("awlt_std_s", self.awlt_std)
-        put("lead_time_p5_s", self.lead_time_p5)
-        put("coverage", self.coverage)
-        put("raw_coverage", self.raw_coverage)
-        put("mean_width_m", self.mean_width)
-        if self.counts is not None:
-            put("tp", self.counts.tp)
-            put("fp", self.counts.fp)
-            put("tn", self.counts.tn)
-            put("fn", self.counts.fn)
-
-        table = ["", "metric                 value", "-" * 30]
-        for line in kv:
-            key, val = line.split("=", 1)
-            table.append(f"{key:<22} {val}")
-        return "\n".join(kv + table) + "\n"
+def report_text(values: dict) -> str:
+    """A report's values as ``key=value`` lines in their order, floats to 9
+    significant digits, then the same values as a table."""
+    fields = [(key, f"{value:.9g}" if isinstance(value, float) else str(value)) for key, value in values.items()]
+    table = ["", "metric                 value", "-" * 30, *(f"{key:<22} {text}" for key, text in fields)]
+    return "\n".join([*(f"{key}={text}" for key, text in fields), *table]) + "\n"

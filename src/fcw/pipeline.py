@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -20,10 +22,12 @@ from .model import (
     forward_batch,
     predict_episodes,
 )
-from .scenario import Episode, cv_baseline, window_pieces
+from .scenario import Episode, cv_baseline, read_table, window_pieces, write_table
 from .scene_graph import FEATURE_DIM, WorkCounter
 
-EVENT_HEADER = "episode_id,tick,time,risk,r_pred,r_kin,r_geo,mu,sigma,threshold,triggered"
+# the event log: one row per tick, its episode id and then the fields of its WarningEvent
+EVENT_COLUMNS = {"episode_id": int, **get_type_hints(WarningEvent)}
+_event_values = attrgetter(*list(EVENT_COLUMNS)[1:])
 
 
 @dataclass
@@ -65,44 +69,15 @@ def warn_episode(
 
 
 def save_events(path: str | Path, episodes_events: list[EpisodeEvents]) -> None:
-    lines = [EVENT_HEADER]
-    for ee in episodes_events:
-        for ev in ee.events:
-            lines.append(
-                f"{ee.episode_id},{ev.tick},{ev.time!r},{ev.risk!r},{ev.r_pred!r},"
-                f"{ev.r_kin!r},{ev.r_geo!r},{ev.mu!r},{ev.sigma!r},{ev.threshold!r},"
-                f"{int(ev.triggered)}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [(ee.episode_id, *_event_values(ev)) for ee in episodes_events for ev in ee.events]
+    write_table(path, EVENT_COLUMNS, rows)
 
 
 def load_events(path: str | Path) -> list[EpisodeEvents]:
-    lines = Path(path).read_text().strip().split("\n")
-    if lines[0] != EVENT_HEADER:
-        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
-    width = EVENT_HEADER.count(",") + 1
+    """The episodes of an event log in episode-id order, each with its events in file order."""
     by_ep: dict[int, EpisodeEvents] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
-        try:
-            eid = int(parts[0])
-            ev = WarningEvent(
-                tick=int(parts[1]),
-                time=float(parts[2]),
-                risk=float(parts[3]),
-                r_pred=float(parts[4]),
-                r_kin=float(parts[5]),
-                r_geo=float(parts[6]),
-                mu=float(parts[7]),
-                sigma=float(parts[8]),
-                threshold=float(parts[9]),
-                triggered=bool(int(parts[10])),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        by_ep.setdefault(eid, EpisodeEvents(episode_id=eid)).events.append(ev)
+    for eid, *values in read_table(path, EVENT_COLUMNS):
+        by_ep.setdefault(eid, EpisodeEvents(episode_id=eid)).events.append(WarningEvent(*values))
     return [by_ep[k] for k in sorted(by_ep)]
 
 
@@ -114,24 +89,17 @@ def outcomes_from_events(
     The log must hold exactly the episodes that have a tick to replay,
     those with at least ``t_obs`` frames; a shorter episode never warns.
     """
-    by_id = {ee.episode_id: ee for ee in episodes_events}
-    logged = sorted(ee.episode_id for ee in episodes_events if ee.events)
+    by_id = {ee.episode_id: ee.events for ee in episodes_events}
+    logged = sorted(eid for eid, events in by_id.items() if events)
     replayed = sorted(ep.episode_id for ep in episodes if len(ep.frames) >= t_obs)
     if logged != replayed:
         raise ValueError(f"event log holds episodes {logged}, but the split replays episodes {replayed}")
-    outcomes = []
-    for ep in episodes:
-        ee = by_id.get(ep.episode_id, EpisodeEvents(episode_id=ep.episode_id))
-        warning_times = [ev.time for ev in ee.events if ev.triggered]
-        outcomes.append(
-            me.EpisodeOutcome(
-                episode_id=ep.episode_id,
-                danger=ep.danger,
-                contact_time=ep.contact_time,
-                warning_times=warning_times,
-            )
+    return [
+        me.EpisodeOutcome(
+            ep.episode_id, ep.danger, ep.contact_time, [ev.time for ev in by_id.get(ep.episode_id, ()) if ev.triggered]
         )
-    return outcomes
+        for ep in episodes
+    ]
 
 
 def prediction_metrics(
@@ -141,8 +109,9 @@ def prediction_metrics(
     corr=None,
     baseline: str | None = None,
 ) -> dict:
-    """ADE/FDE/collision-rate (and coverage when calibrated) over every
-    sliding window of the episodes."""
+    """ADE, FDE and collision rate, then with a correction the calibrated
+    coverage, raw coverage and mean width, over every sliding window of the
+    episodes; keyed by their report names, in report order."""
     if not episodes:
         raise ValueError("prediction metrics need at least one episode")
     pieces = window_pieces(episodes, config)
@@ -160,39 +129,33 @@ def prediction_metrics(
         points = pred.point
     counts = np.repeat([g.states.shape[1] for g, _, _ in pieces], [hi - lo for _, lo, hi in pieces])
     out = {
-        "ade": me.ade(points, truth),
-        "fde": me.fde(points, truth),
+        "ade_m": me.ade(points, truth),
+        "fde_m": me.fde(points, truth),
         "collision_rate": me.collision_rate(np.split(points, np.cumsum(counts)[:-1]), config.collision_radius / 2.0),
     }
     if pred is not None and corr is not None:
-        out["raw_coverage"], _ = cqr_mod.empirical_coverage(pred.lower, pred.upper, truth)
-        lower, upper = cqr_mod.conformal_interval(pred.lower, pred.upper, corr)
-        out["coverage"], out["mean_width"] = cqr_mod.empirical_coverage(lower, upper, truth)
+        raw, _ = cqr_mod.empirical_coverage(pred.lower, pred.upper, truth)
+        coverage, width = cqr_mod.empirical_coverage(*cqr_mod.conformal_interval(pred.lower, pred.upper, corr), truth)
+        out |= {"coverage": coverage, "raw_coverage": raw, "mean_width_m": width}
     return out
 
 
-def build_report(prediction: dict | None, outcomes: list[me.EpisodeOutcome] | None) -> me.EvalReport:
-    report = me.EvalReport()
-    if prediction:
-        report.ade = prediction.get("ade")
-        report.fde = prediction.get("fde")
-        report.collision_rate = prediction.get("collision_rate")
-        report.coverage = prediction.get("coverage")
-        report.raw_coverage = prediction.get("raw_coverage")
-        report.mean_width = prediction.get("mean_width")
+def build_report(prediction: dict | None, outcomes: list[me.EpisodeOutcome] | None) -> dict:
+    """The report's values keyed by printed name, in print order, leaving
+    out what was not computed: the point figures of ``prediction`` (its
+    first three), the warning figures of ``outcomes``, the interval
+    figures of ``prediction``, then the confusion counts."""
+    figures = list((prediction or {}).items())
+    values, counts = dict(figures[:3]), {}
     if outcomes:
-        counts, rates = me.classification_metrics(outcomes)
-        report.counts = counts
-        report.precision = rates["precision"]
-        report.recall = rates["recall"]
-        report.f1 = rates["f1"]
-        report.fpr = rates["fpr"]
-        report.fnr = rates["fnr"]
+        confusion, rates = me.classification_metrics(outcomes)
+        values |= rates
         lead = me.awlt(outcomes)
         if lead is not None:
-            report.awlt_mean, report.awlt_std = lead
-            report.lead_time_p5 = float(np.percentile(me.lead_times(outcomes), 5))
-    return report
+            values["awlt_mean_s"], values["awlt_std_s"] = lead
+            values["lead_time_p5_s"] = float(np.percentile(me.lead_times(outcomes), 5))
+        counts = vars(confusion)
+    return values | dict(figures[3:]) | counts
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -432,8 +433,62 @@ def make_dataset(
 # Plain-text dataset interchange
 # ---------------------------------------------------------------------------
 
+
+def _read_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"a flag must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+# The column types of a text table (``write_table``, ``read_table``): how a
+# value of each is written and read back; None is an empty field
+_CODECS = {
+    int: (str, int),
+    float: (repr, float),
+    str: (str, str),
+    bool: (lambda v: "1" if v else "0", _read_flag),
+    float | None: (lambda v: "" if v is None else repr(float(v)), lambda text: float(text) if text else None),
+}
+
+
+def write_table(path: str | Path, columns: dict, rows: list[tuple]) -> None:
+    """``rows`` under a header of the ``columns`` names, comma-separated;
+    ``columns`` maps each name to its type, whose writer formats the column."""
+    cells = [list(map(_CODECS[kind][0], values)) for kind, values in zip(columns.values(), zip(*rows))]
+    Path(path).write_text("\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n")
+
+
+def read_table(path: str | Path, columns: dict) -> list[tuple]:
+    """The rows of a ``write_table`` file of the same ``columns``, each
+    field read by its column type's reader. Another header, a row of
+    another field count and a field its reader refuses raise ``ValueError``
+    naming the file and line."""
+    header, *lines = Path(path).read_text().strip().split("\n")
+    if header != ",".join(columns):
+        raise ValueError(f"{path}: unexpected header {header!r}")
+    rows = [line.split(",") for line in lines]
+    for lineno, row in enumerate(rows, 2):
+        if len(row) != len(columns):
+            raise ValueError(f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}")
+    values = []
+    for kind, fields in zip(columns.values(), zip(*rows)):
+        read = _CODECS[kind][1]
+        try:
+            values.append(list(map(read, fields)))
+        except ValueError:  # read the column again field by field to name the line
+            for lineno, text in enumerate(fields, 2):
+                try:
+                    read(text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return list(zip(*values))
+
+
 TRAJECTORY_HEADER = "episode_id,t,vehicle_id,x,y,vx,vy,ax,ay,length,width"
-LABELS_HEADER = "episode_id,danger,contact_time,family,dt,curvature"
+# labels.csv: one row per episode, its label fields by name and type
+LABEL_COLUMNS = {
+    "episode_id": int, "danger": bool, "contact_time": float | None, "family": str, "dt": float, "curvature": float
+}
 
 
 def save_dataset(traj_path: str | Path, labels_path: str | Path, episodes: list[Episode]) -> None:
@@ -443,35 +498,16 @@ def save_dataset(traj_path: str | Path, labels_path: str | Path, episodes: list[
             for vid, row in enumerate(states):
                 lines.append(f"{ep.episode_id},{t!r},{vid}," + ",".join(map(repr, row)))
     Path(traj_path).write_text("\n".join(lines) + "\n")
-
-    lab = [LABELS_HEADER]
-    for ep in episodes:
-        ct = "" if ep.contact_time is None else repr(float(ep.contact_time))
-        lab.append(
-            f"{ep.episode_id},{int(ep.danger)},{ct},{ep.family},{ep.dt!r},{ep.curvature!r}"
-        )
-    Path(labels_path).write_text("\n".join(lab) + "\n")
+    write_table(labels_path, LABEL_COLUMNS, list(map(attrgetter(*LABEL_COLUMNS), episodes)))
 
 
 def _load_labels(labels_path: str | Path) -> dict[int, dict]:
+    """Each episode's label fields by episode id."""
     meta: dict[int, dict] = {}
-    lab_lines = Path(labels_path).read_text().strip().split("\n")
-    if lab_lines[0] != LABELS_HEADER:
-        raise ValueError(f"{labels_path}: unexpected header {lab_lines[0]!r}")
-    for lineno, line in enumerate(lab_lines[1:], 2):
-        try:
-            eid, danger, ct, family, dt, curvature = line.split(",")
-            if int(eid) in meta:
-                raise ValueError(f"second label row for episode {eid}")
-            meta[int(eid)] = dict(
-                danger=bool(int(danger)),
-                contact_time=float(ct) if ct else None,
-                family=family,
-                dt=float(dt),
-                curvature=float(curvature),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{labels_path}:{lineno}: {exc}") from None
+    for lineno, row in enumerate(read_table(labels_path, LABEL_COLUMNS), 2):
+        if row[0] in meta:
+            raise ValueError(f"{labels_path}:{lineno}: second label row for episode {row[0]}")
+        meta[row[0]] = dict(zip(LABEL_COLUMNS, row))
     return meta
 
 
@@ -527,7 +563,7 @@ def load_dataset(traj_path: str | Path, labels_path: str | Path) -> list[Episode
             raise ValueError(f"{labels_path}: no label row for episode {eid}")
         states, times = np.ascontiguousarray(grid[:, :, 3:]), grid[:, 0, 1].copy()
         try:
-            episodes.append(Episode(episode_id=eid, frames=states, times=times, **meta[eid]))
+            episodes.append(Episode(frames=states, times=times, **meta[eid]))
         except ValueError as exc:
             raise ValueError(f"{traj_path}: episode {eid}: {exc}") from None
     return episodes

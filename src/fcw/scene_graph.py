@@ -158,8 +158,11 @@ class GatLayerParams:
     w: Tensor  # (D_in, K*d_out): head k's transform in columns [k*d_out, (k+1)*d_out)
     a: Tensor  # (K, 2*d_out): head k's attention vector, destination half first
     combine: str = "concat"  # hidden layers concat, final layer averages
-    leaky_slope: float = 0.2
 
+
+# Negative-side slope of the attention scores' LeakyReLU; it must lie in
+# (0, 1), where max(z, slope * z) is the LeakyReLU without a branch
+LEAKY_SLOPE = 0.2
 
 # Mean in-degree below which a GAT call sums over its edges with
 # ``np.bincount``; at and above it ``reduceat`` over sorted runs is faster.
@@ -244,9 +247,6 @@ def gat_layer_edges(
     """
     if layer.combine not in ("concat", "average"):
         raise ValueError(f"unknown combine mode: {layer.combine}")
-    slope = layer.leaky_slope
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky slope must be in (0, 1), got {slope}")
     n, k, d_out = h.shape[0], layer.a.shape[0], layer.a.shape[1] // 2
     if frames < 1 or n % frames:
         raise ValueError(f"{n} rows do not split into {frames} equal frames")
@@ -271,8 +271,8 @@ def gat_layer_edges(
         whi = wh[:, cols]
         z = (whi @ a_src[i])[src]
         z += (whi @ a_dst[i])[dst]
-        score = np.multiply(z, slope)
-        np.maximum(z, score, out=score)  # LeakyReLU, branch-free for a slope in (0, 1)
+        score = np.multiply(z, LEAKY_SLOPE)
+        np.maximum(z, score, out=score)  # LeakyReLU
         alpha = to_dst.max(score)[dst]
         np.subtract(score, alpha, out=alpha)
         np.exp(alpha, out=alpha)
@@ -319,7 +319,7 @@ def gat_layer_edges(
             inner = to_dst.sum(alpha * g_alpha)
             np.subtract(g_alpha, inner[dst], out=g_z)
             g_z *= alpha
-            g_z *= np.where(zs[i] > 0.0, 1.0, slope)
+            g_z *= np.where(zs[i] > 0.0, 1.0, LEAKY_SLOPE)
             g_s_dst = to_dst.sum(g_z)
             g_msgs *= alpha
             g_src = to_src.sum(stack)

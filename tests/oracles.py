@@ -230,16 +230,17 @@ def prediction_metrics(model, windows, config, corr=None):
     truth = np.concatenate([w.target_abs.transpose(1, 0, 2) for w in windows])
     pred = predict_windows(model, copy_windows(windows, config))
     out = {
-        "ade": me.ade(pred.point, truth),
-        "fde": me.fde(pred.point, truth),
+        "ade_m": me.ade(pred.point, truth),
+        "fde_m": me.fde(pred.point, truth),
         "collision_rate": me.collision_rate(
             np.split(pred.point, np.cumsum([w.n for w in windows])[:-1]), config.collision_radius / 2.0
         ),
     }
     if corr is not None:
-        out["raw_coverage"], _ = cq.empirical_coverage(pred.lower, pred.upper, truth)
+        raw, _ = cq.empirical_coverage(pred.lower, pred.upper, truth)
         lower, upper = cq.conformal_interval(pred.lower, pred.upper, corr)
-        out["coverage"], out["mean_width"] = cq.empirical_coverage(lower, upper, truth)
+        out["coverage"], width = cq.empirical_coverage(lower, upper, truth)
+        out["raw_coverage"], out["mean_width_m"] = raw, width
     return out
 
 
@@ -294,7 +295,7 @@ def replay_stream(stream, weights, fixed_threshold=None, times=None):
         else:
             threshold = math.inf
         time = tick if times is None else times[tick]
-        events.append(WarningEvent(tick, time, risk, threshold, risk > threshold, rp, rk, rg, mu, sigma))
+        events.append(WarningEvent(tick, time, risk, rp, rk, rg, mu, sigma, threshold, risk > threshold))
         window.append(risk)
     return events
 
@@ -705,7 +706,7 @@ def gat_layer(h, src, dst, layer, counter=None):
         # first half of the attention vector pairs with the destination node
         s_dst = matmul(wh, ad.rows(a, 0, d_out))
         s_src = matmul(wh, ad.rows(a, d_out, 2 * d_out))
-        e = leaky_relu(add(gather_rows(s_src, src), gather_rows(s_dst, dst)), layer.leaky_slope)
+        e = leaky_relu(add(gather_rows(s_src, src), gather_rows(s_dst, dst)), sg.LEAKY_SLOPE)
         if counter is not None:
             counter.score_evals += len(src)
             counter.all_pairs_equivalent += n * n
@@ -877,7 +878,7 @@ def gat_layer_allocating(h, src, dst, layer):
     """``fcw.scene_graph.gat_layer_edges``, one temporary per operation and
     messages gathered from strided column views; its segment sums take the
     same path as the program's (``fcw.scene_graph.SPARSE_DEGREE``)."""
-    slope = layer.leaky_slope
+    slope = sg.LEAKY_SLOPE
     n, k, d_out = h.shape[0], layer.a.shape[0], layer.a.shape[1] // 2
     src = np.asarray(src, dtype=np.intp)
     dst = np.asarray(dst, dtype=np.intp)

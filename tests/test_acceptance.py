@@ -68,8 +68,8 @@ def c3_bundle():
         "splits": splits,
         "model": model,
         "train_seconds": train_seconds,
-        "ade_full": full["ade"],
-        "ade_cv": cv["ade"],
+        "ade_full": full["ade_m"],
+        "ade_cv": cv["ade_m"],
     }
 
 
@@ -187,7 +187,7 @@ def test_criterion_4_cv_learnability(capfd):
     config = md.desk_config(pinball_weight=0.0, collision_weight=0.0, gru_hidden=64)
     splits = sc.make_dataset(episodes, config, split_seed=0)
     model, _ = md.train(splits.train, config, seed=0, epochs=50, batch_size=16, base_lr=5e-3)
-    ade = pl.prediction_metrics(model, splits.test_episodes, config)["ade"]
+    ade = pl.prediction_metrics(model, splits.test_episodes, config)["ade_m"]
     report(capfd, 4, ade < 0.05, f"trained test ADE {ade:.4f} m (< 0.05 m)")
 
 
@@ -355,8 +355,8 @@ def test_criterion_8_ablations(capfd, c3_bundle):
     # model-stage switches: trained on the criterion-3 dataset
     no_sam_model, no_sam_cfg = _train_ablation(c3_bundle, "no_sam")
     no_tam_model, no_tam_cfg = _train_ablation(c3_bundle, "no_tam")
-    ade_no_sam = pl.prediction_metrics(no_sam_model, c3_bundle["splits"].test_episodes, no_sam_cfg)["ade"]
-    ade_no_tam = pl.prediction_metrics(no_tam_model, c3_bundle["splits"].test_episodes, no_tam_cfg)["ade"]
+    ade_no_sam = pl.prediction_metrics(no_sam_model, c3_bundle["splits"].test_episodes, no_sam_cfg)["ade_m"]
+    ade_no_tam = pl.prediction_metrics(no_tam_model, c3_bundle["splits"].test_episodes, no_tam_cfg)["ade_m"]
 
     results["no_sam"] = _ablation_report(no_sam_model, no_sam_cfg, c3_bundle)
     results["no_tam"] = _ablation_report(no_tam_model, no_tam_cfg, c3_bundle)
@@ -372,7 +372,7 @@ def test_criterion_8_ablations(capfd, c3_bundle):
     )
 
     mechanics_ok = all(
-        isinstance(r, mt.EvalReport) and r.ade is not None and "ade_m=" in r.to_text()
+        r.get("ade_m") is not None and "ade_m=" in mt.report_text(r)
         for r in results.values()
     )
     direction_ok = ade_no_sam > ade_full and ade_no_tam > ade_full

@@ -198,12 +198,13 @@ def test_calibrate_one_pass_matches_prediction_metrics(tmp_path, cfg_file, capsy
     stats = pl.prediction_metrics(model, splits.cal_episodes, model_cfg, corr=cq.load_correction(calib))
     assert (
         f"raw coverage={stats['raw_coverage']:.3f}  calibrated coverage={stats['coverage']:.3f}  "
-        f"mean width={stats['mean_width']:.3f} m"
+        f"mean width={stats['mean_width_m']:.3f} m"
     ) in printed
 
 
 def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_file, capsys):
     import fcw.cqr as cq
+    import fcw.metrics as mt
     import fcw.model as md
     import fcw.pipeline as pl
     import fcw.scenario as sc
@@ -249,7 +250,7 @@ def test_commands_window_only_their_split_and_match_make_dataset(tmp_path, cfg_f
 
     prediction = oracles.prediction_metrics(model, splits.test, model_cfg, corr=corr)
     outcomes = pl.outcomes_from_events(splits.test_episodes, replayed, model_cfg.t_obs)
-    assert pl.build_report(prediction, outcomes).to_text() == report.read_text()
+    assert mt.report_text(pl.build_report(prediction, outcomes)) == report.read_text()
 
 
 def test_train_is_bit_identical_across_runs(tmp_path, cfg_file):
@@ -527,6 +528,13 @@ def test_checkpoint_config_value_types_are_checked(tmp_path, cfg_file, capsys, a
     assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, f"model config {key} must be")
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+def test_checkpoint_dt_is_range_checked(tmp_path, cfg_file, capsys, artifacts, dt):
+    data, ckpt, _ = artifacts
+    rewrite_header(ckpt, lambda h: h["config"].update(dt=dt))
+    assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, f"dt must be finite and positive, got {dt!r}")
+
+
 def test_checkpoint_config_accepts_an_int_for_a_float(tmp_path, cfg_file, artifacts):
     data, ckpt, _ = artifacts
     rewrite_header(ckpt, lambda h: h["config"].update(radius=30))
@@ -621,6 +629,14 @@ def test_eval_event_row_with_wrong_field_count_is_clean_error(tmp_path, cfg_file
     garbled[1] = garbled[1].replace(",", ",x", 1)  # a tick that is not a number
     events.write_text("\n".join(garbled))
     assert_clean_error(evaluate, capsys, f"{events}:2: ")
+
+
+def test_eval_event_flag_other_than_zero_or_one_is_clean_error(tmp_path, cfg_file, capsys, artifacts):
+    events, evaluate = replayed_log(tmp_path, cfg_file, artifacts)
+    rows = events.read_text().split("\n")
+    rows[1] = rows[1].rsplit(",", 1)[0] + ",3"  # the first event's triggered field
+    events.write_text("\n".join(rows))
+    assert_clean_error(evaluate, capsys, f"{events}:2: a flag must be 0 or 1, got '3'")
 
 
 def test_eval_event_log_of_other_episodes_is_clean_error(tmp_path, cfg_file, capsys, artifacts):
@@ -740,7 +756,7 @@ def test_risk_settings_are_checked_at_load(tmp_path, capsys, setting, flags, nee
         ("model.l_s = -1", "l_s must be >= 0, got -1"),
         ("model.decoder_hidden = 0", "decoder_hidden must be widths >= 1, got (0,)"),
         ("model.radius = -5", "radius must be finite and positive, got -5.0"),
-        ("model.dt = nan", "dt must be finite and positive, got nan"),
+        ("model.dt = nan", "model.dt is not set: a checkpoint records its training data's dt"),
         ("model.input_scale = inf", "input_scale must be finite and positive, got inf"),
         ("model.collision_radius = -1", "collision_radius must be finite and positive, got -1.0"),
         ("model.pinball_weight = nan", "pinball_weight must be finite and nonnegative, got nan"),
@@ -753,6 +769,8 @@ def test_risk_settings_are_checked_at_load(tmp_path, capsys, setting, flags, nee
         ("data.dt = 0", "dt must be finite and positive, got 0.0"),
         ("data.episodes_per_family = 0", "episodes_per_family must be >= 1, got 0"),
         ("data.noise = nan", "noise must be finite and nonnegative, got nan"),
+        ("data.families =", "families must be one or more of ['highway_merging',"),
+        ("data.families = cut_in, warp_drive", "got ['cut_in', 'warp_drive']"),
     ],
 )
 def test_config_values_are_validated(tmp_path, capsys, setting, needle):
@@ -801,6 +819,28 @@ def test_episode_shorter_than_a_window_with_its_future_is_clean_error(tmp_path, 
     else:
         argv += ["--calibration", str(calib), "--out", str(tmp_path / "report.txt")]
     assert_clean_error(argv, capsys, "frames, needs >= 7")
+
+
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        ([], "nothing to evaluate: give --checkpoint, --baseline cv or --events"),
+        (["--calibration", "{calib}", "--baseline", "cv"], "--calibration corrects a --checkpoint model's intervals"),
+        (["--calibration", "{calib}", "--events", "{events}"], "it needs --checkpoint, not --baseline"),
+        (["--calibration", "/nonexistent.json"], "it needs --checkpoint"),
+        (["--checkpoint", "{ckpt}", "--calibration", "{calib}", "--baseline", "cv"], "--calibration corrects"),
+    ],
+    ids=["nothing", "calibration of the baseline", "calibration without a model", "calibration alone",
+         "calibration with a model and the baseline"],
+)
+def test_eval_refuses_input_it_would_ignore(tmp_path, cfg_file, capsys, artifacts, flags, needle):
+    data, ckpt, calib = artifacts
+    events, _ = replayed_log(tmp_path, cfg_file, artifacts)
+    paths = {"calib": calib, "ckpt": ckpt, "events": events}
+    out = tmp_path / "report.txt"
+    argv = ["eval", "--config", cfg_file, "--data", str(data), "--out", str(out)]
+    assert_clean_error(argv + [flag.format(**paths) for flag in flags], capsys, needle)
+    assert not out.exists()
 
 
 def test_empty_test_split_is_clean_error(tmp_path, cfg_file, capsys):

@@ -191,12 +191,7 @@ def test_latency_percentiles():
 
 
 def test_report_text_roundtrip():
-    report = mt.EvalReport(
-        ade=0.123456789,
-        f1=0.9,
-        counts=mt.ConfusionCounts(tp=3, fp=1, tn=5, fn=0),
-    )
-    text = report.to_text()
+    text = mt.report_text({"ade_m": 0.123456789, "f1": 0.9, "tp": 3, "fp": 1, "tn": 5, "fn": 0})
     kv = dict(
         line.split("=", 1) for line in text.splitlines() if "=" in line and " " not in line
     )

@@ -29,8 +29,8 @@ def test_cv_baseline_metrics_near_zero_on_cv_data():
     cfg = tiny_config()
     eps = cv_episodes(4, n_vehicles=2, duration=2.0, seed=0)
     stats = pl.prediction_metrics(None, eps, cfg, baseline="cv")
-    assert stats["ade"] < 1e-9
-    assert stats["fde"] < 1e-9
+    assert stats["ade_m"] < 1e-9
+    assert stats["fde_m"] < 1e-9
 
 
 def test_cv_baseline_metrics_match_extrapolation_from_the_episode():
@@ -45,8 +45,8 @@ def test_cv_baseline_metrics_match_extrapolation_from_the_episode():
         guess = ep.frames[tick, :, 0:2] + ep.frames[tick, :, 2:4] * (steps * cfg.dt)
         errors.append(np.hypot(*(guess - ep.frames[tick + 1 : tick + 1 + cfg.t_pred, :, 0:2]).T))
     stats = pl.prediction_metrics(None, [ep], cfg, baseline="cv")
-    assert stats["ade"] == pytest.approx(np.mean(errors), rel=1e-12)
-    assert stats["fde"] == pytest.approx(np.mean([e[:, -1] for e in errors]), rel=1e-12)
+    assert stats["ade_m"] == pytest.approx(np.mean(errors), rel=1e-12)
+    assert stats["fde_m"] == pytest.approx(np.mean([e[:, -1] for e in errors]), rel=1e-12)
 
 
 def test_prediction_metrics_with_correction_reports_coverage():
@@ -58,7 +58,7 @@ def test_prediction_metrics_with_correction_reports_coverage():
     stats = pl.prediction_metrics(model, eps, cfg, corr=corr)
     assert 0.0 <= stats["raw_coverage"] <= 1.0
     assert stats["coverage"] >= 0.8 - 0.1  # in-sample, conformal level 0.8
-    assert stats["mean_width"] >= 0.0
+    assert stats["mean_width_m"] >= 0.0
     # the per-window route, through a copy of each window, gives the same figures
     windows = sc.dataset_windows(eps, cfg)
     assert stats == oracles.prediction_metrics(model, windows, cfg, corr=corr)
@@ -231,9 +231,9 @@ def test_build_report_lead_time_percentile():
         mt.EpisodeOutcome(2, False, None, []),
     ]
     report = pl.build_report(None, outcomes)
-    assert report.counts.tp == 2 and report.counts.tn == 1
-    assert report.awlt_mean == pytest.approx(2.0)
-    assert report.lead_time_p5 == pytest.approx(np.percentile([3.0, 1.0], 5))
+    assert report["tp"] == 2 and report["tn"] == 1
+    assert report["awlt_mean_s"] == pytest.approx(2.0)
+    assert report["lead_time_p5_s"] == pytest.approx(np.percentile([3.0, 1.0], 5))
 
 
 # ---------------------------------------------------------------------------

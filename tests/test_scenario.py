@@ -364,7 +364,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
 def test_load_rejects_wrong_header(tmp_path):
     traj, labels = tmp_path / "t.csv", tmp_path / "l.csv"
     traj.write_text("bad,header\n")
-    labels.write_text(sc.LABELS_HEADER + "\n")
+    labels.write_text(",".join(sc.LABEL_COLUMNS) + "\n")
     with pytest.raises(ValueError):
         sc.load_dataset(traj, labels)
 
@@ -449,6 +449,7 @@ MALFORMED = {
     "zero width": (_set(3, 10, "0.0"), "traj", "length/width must be positive"),
     "episode without a label row": (lambda rows: rows.pop(2), "labels", "no label row for episode 1"),
     "second label row": (lambda rows: rows.append(list(rows[1])), "labels", "second label row"),
+    "danger flag of 2": (_set(1, 1, "2"), "labels", ":2: a flag must be 0 or 1, got '2'"),
 }
 
 
@@ -464,9 +465,37 @@ def test_load_rejects_malformed_dataset(tmp_path, capsys, case):
     with pytest.raises(ValueError, match=re.escape(str(path))) as caught:
         sc.load_dataset(traj, labels)
     assert fragment in str(caught.value)
-    assert cli.main(["eval", "--data", str(tmp_path)]) == 1
+    assert cli.main(["eval", "--data", str(tmp_path), "--baseline", "cv"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert fragment in err
+
+
+# every column type of the text tables; the optional column last, so a
+# None there ends its line with an empty field
+TABLE_COLUMNS = {"id": int, "family": str, "value": float, "flag": bool, "maybe": float | None}
+EDGE_FLOATS = st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-(2**70), 2**70),
+            st.sampled_from(sc.FAMILIES),
+            EDGE_FLOATS | st.floats(),
+            st.booleans(),
+            st.none() | EDGE_FLOATS | st.floats(),
+        ),
+        max_size=12,
+    )
+)
+def test_table_codec_roundtrip_is_exact(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    sc.write_table(path, TABLE_COLUMNS, rows)
+    back = sc.read_table(path, TABLE_COLUMNS)
+    # repr tells -0.0 from 0.0 and matches NaN, where == would not
+    assert [tuple(map(repr, row)) for row in back] == [tuple(map(repr, row)) for row in rows]
 
 
 def test_cv_episodes_respect_max_speed():

@@ -266,15 +266,6 @@ def test_attention_singleton_is_one(rng):
     assert np.allclose(out, elu(h @ w), atol=1e-12)
 
 
-@pytest.mark.parametrize("slope", [0.0, 1.0, -0.2])
-def test_gat_rejects_a_leaky_slope_outside_zero_one(rng, slope):
-    layer = random_layer(rng, 4, 4, 1, "average")
-    layer.leaky_slope = slope
-    src, dst = sg.edges_from_positions(np.zeros((2, 2)), 30.0)
-    with pytest.raises(ValueError, match="slope"):
-        sg.gat_layer_edges(ad.constant(rng.standard_normal((2, 4))), src, dst, layer)
-
-
 def test_attention_uniform_when_a_zero(rng):
     h = rng.standard_normal((3, 4))
     w = rng.standard_normal((4, 4))

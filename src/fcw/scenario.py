@@ -463,7 +463,7 @@ def read_table(path: str | Path, columns: dict) -> list[tuple]:
     field read by its column type's reader. Another header, a row of
     another field count and a field its reader refuses raise ``ValueError``
     naming the file and line."""
-    header, *lines = Path(path).read_text().strip().split("\n")
+    header, *lines = Path(path).read_text().rstrip().split("\n")
     if header != ",".join(columns):
         raise ValueError(f"{path}: unexpected header {header!r}")
     rows = [line.split(",") for line in lines]
@@ -522,7 +522,7 @@ def load_dataset(traj_path: str | Path, labels_path: str | Path) -> list[Episode
     ``ValueError`` naming the file.
     """
     meta = _load_labels(labels_path)
-    header, _, body = Path(traj_path).read_text().strip().partition("\n")
+    header, _, body = Path(traj_path).read_text().rstrip().partition("\n")
     if header != TRAJECTORY_HEADER:
         raise ValueError(f"{traj_path}: unexpected header {header!r}")
     if not body:

@@ -532,7 +532,8 @@ def test_checkpoint_config_value_types_are_checked(tmp_path, cfg_file, capsys, a
 def test_checkpoint_dt_is_range_checked(tmp_path, cfg_file, capsys, artifacts, dt):
     data, ckpt, _ = artifacts
     rewrite_header(ckpt, lambda h: h["config"].update(dt=dt))
-    assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, f"dt must be finite and positive, got {dt!r}")
+    needle = f"dt must be finite and positive, got {dt!r}"
+    assert_clean_error(calibrate_argv(cfg_file, data, ckpt, tmp_path), capsys, needle)
 
 
 def test_checkpoint_config_accepts_an_int_for_a_float(tmp_path, cfg_file, artifacts):

@@ -450,6 +450,9 @@ MALFORMED = {
     "episode without a label row": (lambda rows: rows.pop(2), "labels", "no label row for episode 1"),
     "second label row": (lambda rows: rows.append(list(rows[1])), "labels", "second label row"),
     "danger flag of 2": (_set(1, 1, "2"), "labels", ":2: a flag must be 0 or 1, got '2'"),
+    # a blank first line would shift every line number the errors name
+    "blank line before the trajectory header": (lambda rows: rows.insert(0, [""]), "traj", "unexpected header ''"),
+    "blank line before the label header": (lambda rows: rows.insert(0, [""]), "labels", "unexpected header ''"),
 }
 
 
